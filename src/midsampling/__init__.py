@@ -7,126 +7,13 @@ validates an interval-based simplified sampling scheme, and evaluates
 plans under the WELMEC guide 8.10 interpretation for comparison.
 """
 
-from .kernel import (
-    INFINITE_LOT,
-    LotSize,
-    Plan,
-    binomial_cdf,
-    binomial_pmf,
-    hypergeometric_acceptance_curve,
-    hypergeometric_cdf,
-    hypergeometric_pmf,
-    interpolated_acceptance,
-    interpolated_acceptance_curve,
-    log_binomial_coefficient,
-    set_log_factorial_cap,
-)
-from .planner import (
-    NoPlanWithinCapError,
-    PlanResult,
-    PlanTable,
-    brute_force_oracle,
-    max_acceptance_number,
-    optimal_plan,
-    plan_table,
-)
-from .risks import (
-    QualitySpec,
-    RealizedLevels,
-    RiskBounds,
-    RiskPair,
-    consumers_risk,
-    is_admissible,
-    monte_carlo_acceptance,
-    oc_curve,
-    oc_curve_to_csv,
-    oc_curve_to_json,
-    producers_risk,
-    realized_quality_levels,
-    risk_pair,
-)
-from .scheme import (
-    PlanRule,
-    RowValidation,
-    Scheme,
-    SchemeCoverageError,
-    SchemeParseError,
-    SchemeRow,
-    SchemeRuleError,
-    default_mid_scheme,
-    format_scheme,
-    parse_scheme,
-    scheme_lookup,
-    validate_scheme,
-    validation_report_csv,
-)
-from .welmec import (
-    CandidateEvaluation,
-    ComparisonReport,
-    WelmecRisks,
-    compare_interpretations,
-    comparison_to_json,
-    comparison_to_text,
-    welmec_admissible_continuous,
-    welmec_admissible_pointwise,
-    welmec_risks,
-)
+from . import kernel, planner, risks, scheme, welmec
+from .kernel import *  # noqa: F401,F403
+from .planner import *  # noqa: F401,F403
+from .risks import *  # noqa: F401,F403
+from .scheme import *  # noqa: F401,F403
+from .welmec import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITE_LOT",
-    "LotSize",
-    "Plan",
-    "binomial_cdf",
-    "binomial_pmf",
-    "hypergeometric_acceptance_curve",
-    "hypergeometric_cdf",
-    "hypergeometric_pmf",
-    "interpolated_acceptance",
-    "interpolated_acceptance_curve",
-    "log_binomial_coefficient",
-    "set_log_factorial_cap",
-    "QualitySpec",
-    "RealizedLevels",
-    "RiskBounds",
-    "RiskPair",
-    "consumers_risk",
-    "is_admissible",
-    "monte_carlo_acceptance",
-    "oc_curve",
-    "oc_curve_to_csv",
-    "oc_curve_to_json",
-    "producers_risk",
-    "realized_quality_levels",
-    "risk_pair",
-    "NoPlanWithinCapError",
-    "PlanResult",
-    "PlanTable",
-    "brute_force_oracle",
-    "max_acceptance_number",
-    "optimal_plan",
-    "plan_table",
-    "PlanRule",
-    "RowValidation",
-    "Scheme",
-    "SchemeCoverageError",
-    "SchemeParseError",
-    "SchemeRow",
-    "SchemeRuleError",
-    "default_mid_scheme",
-    "format_scheme",
-    "parse_scheme",
-    "scheme_lookup",
-    "validate_scheme",
-    "validation_report_csv",
-    "CandidateEvaluation",
-    "ComparisonReport",
-    "WelmecRisks",
-    "compare_interpretations",
-    "comparison_to_json",
-    "comparison_to_text",
-    "welmec_admissible_continuous",
-    "welmec_admissible_pointwise",
-    "welmec_risks",
-]
+__all__ = kernel.__all__ + risks.__all__ + planner.__all__ + scheme.__all__ + welmec.__all__

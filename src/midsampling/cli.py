@@ -223,8 +223,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    if args.n_min < 1 or args.n_min > args.n_max:
-        raise UsageError(f"invalid lot-size range [{args.n_min}, {args.n_max}]")
     table = plan_table(args.n_min, args.n_max, config.spec, config.bounds)
     _emit(table.to_csv(), config.output)
     return EXIT_OK
@@ -233,12 +231,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_oc(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     lot = _parse_lot(args.lot_size)
-    try:
-        plan = Plan(args.n, args.c)
-        if lot.is_finite and plan.n > lot.count:
-            raise ValueError(f"sample size n={plan.n} exceeds lot size N={lot.count}")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    plan = Plan(args.n, args.c)
     points = oc_curve(plan, lot)
     if config.fmt == "json":
         _emit(oc_curve_to_json(points) + "\n", config.output)
@@ -342,12 +335,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     lot = _parse_lot(args.lot_size)
     level = _parse_level(args.p)
-    try:
-        plan = Plan(args.n, args.c)
-        seed = config.seed if config.seed is not None else 0
-        estimate = monte_carlo_acceptance(plan, lot, level, args.trials, seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    plan = Plan(args.n, args.c)
+    seed = config.seed if config.seed is not None else 0
+    estimate = monte_carlo_acceptance(plan, lot, level, args.trials, seed)
     if lot.is_finite:
         analytic = hypergeometric_cdf(plan.c, plan.n, int(level * lot.count), lot.count)
     else:

@@ -17,19 +17,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernel import (
-    LotSize,
-    Plan,
-    binomial_cdf,
-    hypergeometric_acceptance_curve,
-    hypergeometric_cdf,
-)
+from .kernel import LotSize, Plan, _tail, hypergeometric_acceptance_curve
 from .risks import (
     QualitySpec,
     RealizedLevels,
     RiskBounds,
     RiskPair,
-    realized_quality_levels,
+    _LotRule,
 )
 
 __all__ = [
@@ -40,8 +34,6 @@ __all__ = [
     "optimal_plan",
     "plan_table",
     "brute_force_oracle",
-    "DEFAULT_SCAN_CAP",
-    "ORACLE_LOT_LIMIT",
 ]
 
 #: Largest sample size tried for infinite lots before giving up.
@@ -94,26 +86,6 @@ class PlanTable:
         return out.getvalue()
 
 
-def _beta_evaluator(lot: LotSize, spec: QualitySpec):
-    """Acceptance probability at the consumers' realized level, as a
-    function of (n, c).  Resolves the model and level once."""
-    if lot.is_finite:
-        N = lot.count
-        k_beta = realized_quality_levels(lot, spec).k_beta
-        return lambda n, c: hypergeometric_cdf(c, n, k_beta, N)
-    p_lq = float(spec.p_lq)
-    return lambda n, c: binomial_cdf(c, n, p_lq)
-
-
-def _alpha_evaluator(lot: LotSize, spec: QualitySpec):
-    if lot.is_finite:
-        N = lot.count
-        k_alpha = realized_quality_levels(lot, spec).k_alpha
-        return lambda n, c: 1.0 - hypergeometric_cdf(c, n, k_alpha, N)
-    p_aql = float(spec.p_aql)
-    return lambda n, c: 1.0 - binomial_cdf(c, n, p_aql)
-
-
 def max_acceptance_number(
     n: int,
     lot: LotSize,
@@ -131,21 +103,11 @@ def max_acceptance_number(
         raise ValueError("sample size n must be >= 1")
     if lot.is_finite and n > lot.count:
         raise ValueError(f"sample size n={n} exceeds lot size N={lot.count}")
-    beta = _beta_evaluator(lot, spec)
-    return _scan_c_max(beta, n, bounds.beta_max, start=0)
-
-
-def _scan_c_max(beta, n: int, beta_max: float, start: int) -> Optional[int]:
-    """Largest feasible c, given that c = start-1 is already known feasible
-    (start == 0 means nothing is known yet)."""
-    if start == 0:
-        if beta(n, 0) > beta_max:
-            return None
-        start = 1
-    c = start - 1
-    while c + 1 <= n and beta(n, c + 1) <= beta_max:
+    rule = _LotRule(lot, spec, bounds, n)
+    c = -1
+    while c < n and rule.admits_beta(n, c + 1):
         c += 1
-    return c
+    return None if c < 0 else c
 
 
 def optimal_plan(
@@ -163,24 +125,25 @@ def optimal_plan(
     raise :class:`NoPlanWithinCapError` beyond ``scan_cap``.
     """
     lot = LotSize.of(lot)
-    beta = _beta_evaluator(lot, spec)
-    alpha = _alpha_evaluator(lot, spec)
-    levels = realized_quality_levels(lot, spec)
     highest_n = lot.count if lot.is_finite else int(scan_cap)
-    c = None
+    rule = _LotRule(lot, spec, bounds, highest_n)
+    # The scan calls the scalar core and compares with the tie bands inline;
+    # only a risk inside a band is settled through the rule's exact risks.
+    k_alpha, k_beta, N = rule.alpha_level, rule.beta_level, rule.N
+    alpha_lo, alpha_hi, alpha_exact = rule.alpha_bound
+    beta_lo, beta_hi, beta_exact = rule.beta_bound
+    c = -1  # largest feasible c at the previous n; it stays feasible as n grows
     for n in range(1, highest_n + 1):
-        # warm start: the previous c stays feasible as n grows
-        c = _scan_c_max(beta, n, bounds.beta_max, start=0 if c is None else c + 1)
-        if c is None:
+        while c < n:
+            b = _tail(c + 1, n, k_beta, N)
+            if b > beta_hi or (b > beta_lo and rule.exact_beta(n, c + 1) > beta_exact):
+                break
+            c += 1
+        if c < 0:
             continue
-        a = alpha(n, c)
-        if a <= bounds.alpha_max:
-            plan = Plan(n, c)
-            return PlanResult(
-                plan=plan,
-                risks=RiskPair(alpha=a, beta=beta(n, c)),
-                realized=levels,
-            )
+        a = 1.0 - _tail(c, n, k_alpha, N)
+        if a <= alpha_lo or (a <= alpha_hi and rule.exact_alpha(n, c) <= alpha_exact):
+            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=rule.levels)
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {highest_n} "
         f"for quality levels ({spec.p_aql}, {spec.p_lq}) "
@@ -215,10 +178,11 @@ def brute_force_oracle(
 ) -> PlanResult:
     """Independent exhaustive search over every plan (n, c) with c <= n <= N.
 
-    Computes both risks for all pairs straight from the hypergeometric
-    acceptance probabilities (no feasibility shortcuts, no early exit)
-    and picks the admissible plan with the smallest n, breaking ties by
-    the largest c.  Meant as a verification oracle for
+    Computes both risks for every c at each n straight from the
+    hypergeometric acceptance probabilities (no feasibility shortcuts)
+    and returns the admissible plan with the smallest n, breaking ties by
+    the largest c; admissibility goes through the same exact tie rule as
+    the planner's.  Meant as a verification oracle for
     :func:`optimal_plan`; refuses lots above ``ORACLE_LOT_LIMIT``.
     """
     lot = LotSize.of(lot)
@@ -227,19 +191,16 @@ def brute_force_oracle(
     N = lot.count
     if N > ORACLE_LOT_LIMIT:
         raise ValueError(f"lot size {N} exceeds the oracle cost guard ({ORACLE_LOT_LIMIT})")
-    levels = realized_quality_levels(lot, spec)
-    best = None
+    rule = _LotRule(lot, spec, bounds, N)
+    levels = rule.levels
     for n in range(1, N + 1):
         accept_alpha = hypergeometric_acceptance_curve(n, levels.k_alpha, N)
         accept_beta = hypergeometric_acceptance_curve(n, levels.k_beta, N)
-        admissible = (1.0 - accept_alpha <= bounds.alpha_max) & (accept_beta <= bounds.beta_max)
-        if best is None and np.any(admissible):
+        admissible = rule.alpha_bound.admits_each(
+            1.0 - accept_alpha, lambda c: rule.exact_alpha(n, c)
+        ) & rule.beta_bound.admits_each(accept_beta, lambda c: rule.exact_beta(n, c))
+        if np.any(admissible):
             c = int(np.nonzero(admissible)[0].max())
-            best = PlanResult(
-                plan=Plan(n, c),
-                risks=RiskPair(alpha=float(1.0 - accept_alpha[c]), beta=float(accept_beta[c])),
-                realized=levels,
-            )
-    if best is None:  # cannot happen: full inspection is always admissible
-        raise NoPlanWithinCapError(f"no admissible plan for lot size {N}")
-    return best
+            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=levels)
+    # cannot happen: full inspection is always admissible
+    raise NoPlanWithinCapError(f"no admissible plan for lot size {N}")

@@ -19,16 +19,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .kernel import (
-    INFINITE_LOT,
     LotSize,
     Plan,
-    binomial_cdf,
-    hypergeometric_cdf,
+    _hypergeometric_cdf_bulk,
+    _tail,
+    _tail_tolerance,
 )
 
 __all__ = [
@@ -143,35 +143,130 @@ def _check_plan(plan: Plan, lot: LotSize) -> None:
         raise ValueError(f"sample size n={plan.n} exceeds lot size N={lot.count}")
 
 
+# ---------------------------------------------------------------------------
+# Risks and the exact tie rule
+# ---------------------------------------------------------------------------
+
+def _core_levels(levels: RealizedLevels) -> tuple:
+    """(alpha level, beta level, N) as the scalar core takes them: defect
+    counts and N for a finite lot, proportions and None for an infinite one."""
+    if levels.denominator is None:
+        return float(levels.p_alpha), float(levels.p_beta), None
+    return levels.k_alpha, levels.k_beta, levels.denominator
+
+
+def _exact_acceptance(c: int, n: int, level, N: Optional[int]) -> Fraction:
+    """The scalar core's P(X <= c) in exact rational arithmetic; ``level``
+    is a defect count, or an exact proportion when N is None."""
+    if N is None:
+        a, b = level.numerator, level.denominator
+        total = sum(math.comb(n, x) * a**x * (b - a) ** (n - x) for x in range(c + 1))
+        return Fraction(total, b**n)
+    total = sum(math.comb(level, x) * math.comb(N - level, n - x) for x in range(c + 1))
+    return Fraction(total, math.comb(N, n))
+
+
+def _reported(risk: float, tol: float, exact_risk) -> float:
+    """A risk as the package reports it.  Bounds are short decimals, so a
+    float risk within tol of a four-place decimal inside (0, 1) is replaced
+    by its correctly rounded exact value: compared with such a bound, a
+    reported risk then agrees with exact arithmetic (1/20 reads 0.05)."""
+    step = round(risk * 10_000)
+    if 0 < step < 10_000 and abs(risk - step / 10_000) <= tol:
+        return float(exact_risk())
+    return risk
+
+
+class _Bound(NamedTuple):
+    """A risk bound with the band, the kernel's tolerance wide on each side,
+    in which a float risk is too close to call.  The one rule behind every
+    admissibility decision: a float risk at or below ``lo`` is admitted,
+    one above ``hi`` is not, and one in between is settled by its exact
+    value, so that a risk of exactly 1/20 meets a bound of 0.05.  ``lo`` and
+    ``hi`` may be arrays; hot loops unpack the fields and compare inline."""
+
+    lo: float
+    hi: float
+    exact: Fraction
+
+    @classmethod
+    def around(cls, bound: float, tol) -> "_Bound":
+        return cls(bound - tol, bound + tol, as_exact_level(bound))
+
+    def admits(self, risk: float, exact_risk) -> bool:
+        """The rule for one risk; ``exact_risk()`` is called inside the band only."""
+        return risk <= self.lo or (risk <= self.hi and exact_risk() <= self.exact)
+
+    def admits_each(self, risks: np.ndarray, exact_risk) -> np.ndarray:
+        """The rule elementwise; ``exact_risk(i)`` is called inside the band only."""
+        ok = risks <= self.lo
+        for i in np.flatnonzero(~ok & (risks <= self.hi)).tolist():
+            ok[i] = exact_risk(i) <= self.exact
+        return ok
+
+
+class _LotRule:
+    """Both risks of plans (n, c) against one lot, and their bounds if given,
+    resolved once so that loops over plans can call the scalar core
+    directly.  The tolerance of binomial tails grows with the largest
+    sample size n_max."""
+
+    def __init__(self, lot: LotSize, spec: QualitySpec, bounds, n_max: int):
+        self.levels = realized_quality_levels(lot, spec)
+        self.alpha_level, self.beta_level, self.N = _core_levels(self.levels)
+        if lot.is_finite:
+            self._exact_levels = (self.alpha_level, self.beta_level)
+            tols = (_tail_tolerance(lot.count),) * 2
+        else:
+            self._exact_levels = (spec.p_aql, spec.p_lq)
+            tols = (_tail_tolerance(n_max, spec.p_aql), _tail_tolerance(n_max, spec.p_lq))
+        self.alpha_tol, self.beta_tol = float(tols[0]), float(tols[1])
+        if bounds is not None:
+            self.alpha_bound = _Bound.around(bounds.alpha_max, self.alpha_tol)
+            self.beta_bound = _Bound.around(bounds.beta_max, self.beta_tol)
+
+    def exact_alpha(self, n: int, c: int) -> Fraction:
+        return 1 - _exact_acceptance(c, n, self._exact_levels[0], self.N)
+
+    def exact_beta(self, n: int, c: int) -> Fraction:
+        return _exact_acceptance(c, n, self._exact_levels[1], self.N)
+
+    def risks(self, n: int, c: int) -> RiskPair:
+        alpha = 1.0 - _tail(c, n, self.alpha_level, self.N)
+        beta = _tail(c, n, self.beta_level, self.N)
+        return RiskPair(
+            alpha=_reported(alpha, self.alpha_tol, lambda: self.exact_alpha(n, c)),
+            beta=_reported(beta, self.beta_tol, lambda: self.exact_beta(n, c)),
+        )
+
+    def admits_beta(self, n: int, c: int) -> bool:
+        beta = _tail(c, n, self.beta_level, self.N)
+        return self.beta_bound.admits(beta, lambda: self.exact_beta(n, c))
+
+    def admits(self, n: int, c: int) -> bool:
+        alpha = 1.0 - _tail(c, n, self.alpha_level, self.N)
+        admitted = self.alpha_bound.admits(alpha, lambda: self.exact_alpha(n, c))
+        return admitted and self.admits_beta(n, c)
+
+
 def producers_risk(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> float:
     """Probability of rejecting a lot whose quality meets the AQL.
 
     Evaluated at the realized level floor(p_aql*N)/N; by monotonicity of
     the acceptance probability this bounds the risk for every p below it.
     """
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
-    levels = realized_quality_levels(lot, spec)
-    if lot.is_finite:
-        return 1.0 - hypergeometric_cdf(plan.c, plan.n, levels.k_alpha, lot.count)
-    return 1.0 - binomial_cdf(plan.c, plan.n, float(spec.p_aql))
+    return risk_pair(plan, lot, spec).alpha
 
 
 def consumers_risk(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> float:
     """Probability of accepting a lot whose quality is at or beyond the LQ."""
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
-    levels = realized_quality_levels(lot, spec)
-    if lot.is_finite:
-        return hypergeometric_cdf(plan.c, plan.n, levels.k_beta, lot.count)
-    return binomial_cdf(plan.c, plan.n, float(spec.p_lq))
+    return risk_pair(plan, lot, spec).beta
 
 
 def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> RiskPair:
-    return RiskPair(
-        alpha=producers_risk(plan, lot, spec),
-        beta=consumers_risk(plan, lot, spec),
-    )
+    lot = LotSize.of(lot)
+    _check_plan(plan, lot)
+    return _LotRule(lot, spec, None, plan.n).risks(plan.n, plan.c)
 
 
 def is_admissible(
@@ -180,11 +275,11 @@ def is_admissible(
     spec: QualitySpec = QualitySpec(),
     bounds: RiskBounds = RiskBounds(),
 ) -> bool:
-    """True iff both risks stay within the tolerated bounds."""
-    return (
-        producers_risk(plan, lot, spec) <= bounds.alpha_max
-        and consumers_risk(plan, lot, spec) <= bounds.beta_max
-    )
+    """True iff both risks stay within the tolerated bounds, decided as
+    exact rational arithmetic would decide it."""
+    lot = LotSize.of(lot)
+    _check_plan(plan, lot)
+    return _LotRule(lot, spec, bounds, plan.n).admits(plan.n, plan.c)
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +304,19 @@ def oc_curve(
     """
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    points = []
     if lot.is_finite:
         N = lot.count
         if grid is None:
-            ks = range(N + 1)
+            ks = np.arange(N + 1)
         else:
-            ks = [_realizable_count(p, N) for p in grid]
-        for k in ks:
-            points.append((k / N, hypergeometric_cdf(plan.c, plan.n, k, N)))
+            ks = np.array([_realizable_count(p, N) for p in grid], dtype=np.int64)
+        accept = _hypergeometric_cdf_bulk(plan.c, plan.n, ks, N)
+        return list(zip((ks / N).tolist(), accept.tolist()))
+    if grid is None:
+        ps = [k / 1000 for k in range(DEFAULT_OC_POINTS)]
     else:
-        if grid is None:
-            ps = [k / 1000 for k in range(DEFAULT_OC_POINTS)]
-        else:
-            ps = [_checked_level(p) for p in grid]
-        for p in ps:
-            points.append((p, binomial_cdf(plan.c, plan.n, p)))
-    return points
+        ps = [_checked_level(p) for p in grid]
+    return [(p, _tail(plan.c, plan.n, p, None)) for p in ps]
 
 
 def _checked_level(p: LevelLike) -> float:

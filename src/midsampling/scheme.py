@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import (
-    LotSize,
-    Plan,
-    binomial_cdf,
-    _hypergeometric_cdf_bulk,
+from .kernel import INFINITE_LOT, Plan, _hypergeometric_cdf_bulk, _tail_tolerance
+from .risks import (
+    QualitySpec,
+    RiskBounds,
+    _Bound,
+    _exact_acceptance,
+    is_admissible,
+    risk_pair,
 )
-from .risks import QualitySpec, RiskBounds
 
 __all__ = [
     "PlanRule",
@@ -43,7 +44,6 @@ __all__ = [
     "parse_scheme",
     "format_scheme",
     "validation_report_csv",
-    "DEFAULT_VALIDATION_CAP",
 ]
 
 #: Lot sizes checked explicitly for a scheme's unbounded final interval;
@@ -282,38 +282,50 @@ def validate_scheme(
             raise SchemeRuleError(
                 index, f"rule {row.rule.token()} yields an invalid plan at N={bad}"
             )
+        if row.n_to is None and row.rule.kind != "n":
+            raise SchemeRuleError(index, "an unbounded interval requires a fixed sample size rule")
+        c = row.rule.c
         # exact realized defective counts, floor(p_aql*N) and ceil(p_lq*N)
         k_alpha = (p_aql.numerator * ns) // p_aql.denominator
         k_beta = -((-p_lq.numerator * ns) // p_lq.denominator)
-        alphas = 1.0 - _hypergeometric_cdf_bulk(row.rule.c, sample, k_alpha, ns)
-        betas = _hypergeometric_cdf_bulk(row.rule.c, sample, k_beta, ns)
-        candidates_n = [int(v) for v in ns]
-        alphas = list(map(float, alphas))
-        betas = list(map(float, betas))
+        alphas = 1.0 - _hypergeometric_cdf_bulk(c, sample, k_alpha, ns)
+        betas = _hypergeometric_cdf_bulk(c, sample, k_beta, ns)
+        tol = _tail_tolerance(ns)
+
+        def exact_acceptance(i, k):
+            return _exact_acceptance(c, int(sample[i]), int(k[i]), int(ns[i]))
+
+        admissible = bool(
+            _Bound.around(bounds.alpha_max, tol)
+            .admits_each(alphas, lambda i: 1 - exact_acceptance(i, k_alpha))
+            .all()
+            and _Bound.around(bounds.beta_max, tol)
+            .admits_each(betas, lambda i: exact_acceptance(i, k_beta))
+            .all()
+        )
+        lots = ns.tolist()
         if row.n_to is None:
-            if row.rule.kind != "n":
-                raise SchemeRuleError(
-                    index, "an unbounded interval requires a fixed sample size rule"
-                )
-            alphas.append(1.0 - binomial_cdf(row.rule.c, row.rule.value, float(p_aql)))
-            betas.append(binomial_cdf(row.rule.c, row.rule.value, float(p_lq)))
-            candidates_n.append(None)
-        a_min = min(range(len(alphas)), key=alphas.__getitem__)
-        a_max = max(range(len(alphas)), key=alphas.__getitem__)
-        b_min = min(range(len(betas)), key=betas.__getitem__)
-        b_max = max(range(len(betas)), key=betas.__getitem__)
+            # the binomial limit stands in for the lots beyond n_cap
+            plan = Plan(row.rule.value, c)
+            limit = risk_pair(plan, INFINITE_LOT, spec)
+            alphas = np.append(alphas, limit.alpha)
+            betas = np.append(betas, limit.beta)
+            lots.append(None)
+            admissible = admissible and is_admissible(plan, INFINITE_LOT, spec, bounds)
+        a_min, a_max = int(np.argmin(alphas)), int(np.argmax(alphas))
+        b_min, b_max = int(np.argmin(betas)), int(np.argmax(betas))
         results.append(
             RowValidation(
                 row=row,
-                alpha_min=alphas[a_min],
-                alpha_max=alphas[a_max],
-                beta_min=betas[b_min],
-                beta_max=betas[b_max],
-                alpha_min_at=candidates_n[a_min],
-                alpha_max_at=candidates_n[a_max],
-                beta_min_at=candidates_n[b_min],
-                beta_max_at=candidates_n[b_max],
-                admissible=(alphas[a_max] <= bounds.alpha_max and betas[b_max] <= bounds.beta_max),
+                alpha_min=float(alphas[a_min]),
+                alpha_max=float(alphas[a_max]),
+                beta_min=float(betas[b_min]),
+                beta_max=float(betas[b_max]),
+                alpha_min_at=lots[a_min],
+                alpha_max_at=lots[a_max],
+                beta_min_at=lots[b_min],
+                beta_max_at=lots[b_max],
+                admissible=admissible,
             )
         )
     return results

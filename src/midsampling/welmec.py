@@ -15,23 +15,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .kernel import (
     LotSize,
     Plan,
-    binomial_cdf,
-    interpolated_acceptance,
     _hypergeometric_cdf_bulk,
+    _tail,
+    _tail_tolerance,
+    interpolated_acceptance,
 )
 from .planner import PlanResult, optimal_plan
 from .risks import (
     QualitySpec,
     RiskBounds,
     RiskPair,
-    realized_quality_levels,
+    _Bound,
+    _exact_acceptance,
     risk_pair,
 )
 
@@ -84,9 +86,13 @@ def _acceptance_at_nominal_levels(plan: Plan, lot: LotSize, spec: QualitySpec) -
             interpolated_acceptance(plan, lot.count, spec.p_lq),
         )
     return (
-        binomial_cdf(plan.c, plan.n, float(spec.p_aql)),
-        binomial_cdf(plan.c, plan.n, float(spec.p_lq)),
+        _tail(plan.c, plan.n, float(spec.p_aql), None),
+        _tail(plan.c, plan.n, float(spec.p_lq), None),
     )
+
+
+def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
+    return at_aql <= ACCEPT_LEVEL_AQL and at_lq <= ACCEPT_LEVEL_LQ
 
 
 def welmec_risks(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> WelmecRisks:
@@ -109,8 +115,7 @@ def welmec_admissible_continuous(
     or below both anchor points, i.e. acceptance <= 95% at the AQL and
     <= 5% at the LQ.  Boundary equality counts as admissible."""
     lot = LotSize.of(lot)
-    at_aql, at_lq = _acceptance_at_nominal_levels(plan, lot, spec)
-    return at_aql <= ACCEPT_LEVEL_AQL and at_lq <= ACCEPT_LEVEL_LQ
+    return _continuous_admissible(*_acceptance_at_nominal_levels(plan, lot, spec))
 
 
 def welmec_admissible_pointwise(
@@ -120,8 +125,9 @@ def welmec_admissible_pointwise(
 
     Every realizable proportion k/N at or above the AQL must be accepted
     with probability <= 95%, and every k/N at or above the LQ with
-    probability <= 5%.  Raises ``ValueError`` for infinite lots, whose OC
-    curve has no discrete points to constrain.
+    probability <= 5%, decided as exact rational arithmetic would decide
+    it.  Raises ``ValueError`` for infinite lots, whose OC curve has no
+    discrete points to constrain.
     """
     lot = LotSize.of(lot)
     if not lot.is_finite:
@@ -130,13 +136,19 @@ def welmec_admissible_pointwise(
     if plan.n > N:
         raise ValueError(f"sample size n={plan.n} exceeds lot size N={N}")
     k_aql = math.ceil(spec.p_aql * N)
-    k_lq = math.ceil(spec.p_lq * N)
-    ks = np.arange(k_aql, N + 1, dtype=np.int64)
-    acceptance = _hypergeometric_cdf_bulk(plan.c, plan.n, ks, N)
-    if np.any(acceptance > ACCEPT_LEVEL_AQL):
-        return False
-    tail = acceptance[k_lq - k_aql:] if k_lq >= k_aql else acceptance
-    return not np.any(tail > ACCEPT_LEVEL_LQ)
+    lq_offset = math.ceil(spec.p_lq * N) - k_aql  # >= 0, as p_lq > p_aql
+    acceptance = _hypergeometric_cdf_bulk(plan.c, plan.n, np.arange(k_aql, N + 1), N)
+    tol = _tail_tolerance(N)
+
+    def exact_acceptance(i: int):
+        return _exact_acceptance(plan.c, plan.n, k_aql + i, N)
+
+    return bool(
+        _Bound.around(ACCEPT_LEVEL_AQL, tol).admits_each(acceptance, exact_acceptance).all()
+        and _Bound.around(ACCEPT_LEVEL_LQ, tol)
+        .admits_each(acceptance[lq_offset:], lambda i: exact_acceptance(lq_offset + i))
+        .all()
+    )
 
 
 def compare_interpretations(
@@ -156,12 +168,14 @@ def compare_interpretations(
     reference = optimal_plan(lot, spec, bounds)
     evaluated = []
     for plan in candidate_plans:
+        risks = risk_pair(plan, lot, spec)
+        at_aql, at_lq = _acceptance_at_nominal_levels(plan, lot, spec)
         evaluated.append(
             CandidateEvaluation(
                 plan=plan,
-                risks=risk_pair(plan, lot, spec),
-                welmec=welmec_risks(plan, lot, spec),
-                continuous_admissible=welmec_admissible_continuous(plan, lot, spec),
+                risks=risks,
+                welmec=WelmecRisks(alpha_cont=1.0 - at_aql, beta_cont=at_lq),
+                continuous_admissible=_continuous_admissible(at_aql, at_lq),
                 pointwise_admissible=(
                     welmec_admissible_pointwise(plan, lot, spec) if lot.is_finite else None
                 ),

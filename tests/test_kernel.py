@@ -1,6 +1,9 @@
 """Kernel tests: exact-rational oracles first, then the published values."""
 
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from midsampling import (
     interpolated_acceptance_curve,
     log_binomial_coefficient,
 )
+from midsampling.kernel import _tail_tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,35 @@ class TestHypergeometricCdf:
                 )
 
 
+class TestDocumentedErrorBound:
+    """Every tail stays within the a-priori tolerance tol(N) of the exact
+    rational value; the exact tie rule relies on it."""
+
+    def test_hypergeometric_within_tolerance_up_to_a_million(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            N = round(math.exp(rng.uniform(0.0, math.log(10**6))))
+            n = rng.randint(1, min(N, 300))
+            K = rng.choice([rng.randint(0, N), int(N * rng.uniform(0.0, 0.15))])
+            c = rng.randint(0, min(n, 6))
+            want = exact_hypergeometric_cdf(c, n, K, N)
+            got = hypergeometric_cdf(c, n, K, N)
+            assert abs(got - want) <= _tail_tolerance(N), (c, n, K, N)
+
+    def test_binomial_within_tolerance(self):
+        rng = random.Random(20261019)
+        for _ in range(150):
+            n = round(math.exp(rng.uniform(0.0, math.log(3000))))
+            p = Fraction(rng.randint(1, 999), 1000)
+            c = rng.randint(0, min(n, 8))
+            want = exact_binomial_cdf(c, n, p)
+            assert abs(binomial_cdf(c, n, float(p)) - want) <= _tail_tolerance(n, p), (c, n, p)
+
+    def test_tolerance_is_tight_enough_to_matter(self):
+        assert _tail_tolerance(25) < 1e-11
+        assert _tail_tolerance(10**6) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # interpolated_acceptance
 # ---------------------------------------------------------------------------
@@ -336,3 +369,20 @@ class TestPlanAndLotTypes:
         assert LotSize.of(float("inf")) == INFINITE_LOT
         assert not INFINITE_LOT.is_finite
         assert str(LotSize(43)) == "43"
+
+    def test_lot_size_of_accepts_whole_floats_only(self):
+        from midsampling import LotSize
+
+        assert LotSize.of(3.0).count == 3
+        with pytest.raises(ValueError):
+            LotSize.of(2.5)
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, midsampling; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,9 +1,11 @@
 import csv
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from midsampling import (
     INFINITE_LOT,
@@ -14,14 +16,24 @@ from midsampling import (
     RiskBounds,
     binomial_cdf,
     brute_force_oracle,
-    consumers_risk,
     hypergeometric_acceptance_curve,
     is_admissible,
     max_acceptance_number,
     optimal_plan,
     plan_table,
     realized_quality_levels,
+    risk_pair,
+    welmec_admissible_pointwise,
 )
+
+
+def exact_consumers_risk(plan, N):
+    # exact rational beta at the realized level ceil(0.07*N), from math.comb
+    k_beta = math.ceil(Fraction(7, 100) * N)
+    accepted = sum(
+        math.comb(k_beta, x) * math.comb(N - k_beta, plan.n - x) for x in range(plan.c + 1)
+    )
+    return Fraction(accepted, math.comb(N, plan.n))
 
 
 class TestMaxAcceptanceNumber:
@@ -43,19 +55,21 @@ class TestMaxAcceptanceNumber:
         assert max_acceptance_number(36, LotSize(143)) == 0
 
     @given(st.integers(1, 250), st.integers(1, 250))
+    @example(25, 19)  # exact ties: beta == 1/20
+    @example(16, 12)
     @settings(max_examples=60, deadline=None)
     def test_returned_c_is_maximal_feasible(self, N, n):
+        # feasibility means beta <= 1/20 in exact rational arithmetic
         if n > N:
             n, N = N, n
-        lot = LotSize(N)
-        bounds = RiskBounds()
-        c = max_acceptance_number(n, lot)
+        beta_max = Fraction(1, 20)
+        c = max_acceptance_number(n, LotSize(N))
         if c is None:
-            assert consumers_risk(Plan(n, 0), lot) > bounds.beta_max
+            assert exact_consumers_risk(Plan(n, 0), N) > beta_max
         else:
-            assert consumers_risk(Plan(n, c), lot) <= bounds.beta_max
+            assert exact_consumers_risk(Plan(n, c), N) <= beta_max
             if c + 1 <= n:
-                assert consumers_risk(Plan(n, c + 1), lot) > bounds.beta_max
+                assert exact_consumers_risk(Plan(n, c + 1), N) > beta_max
 
 
 class TestOptimalPlan:
@@ -107,6 +121,39 @@ class TestOptimalPlan:
         result = optimal_plan(INFINITE_LOT, spec, bounds)
         assert is_admissible(result.plan, INFINITE_LOT, spec, bounds)
         assert result.plan.n < 109
+
+
+class TestExactTies:
+    """Plans whose consumers' risk is exactly 1/20 meet the 5% bound, however
+    the float risk happens to round."""
+
+    @pytest.mark.parametrize("N, plan", [(25, Plan(19, 0)), (16, Plan(12, 0))])
+    def test_tie_is_admissible_everywhere(self, N, plan):
+        lot = LotSize(N)
+        assert exact_consumers_risk(plan, N) == Fraction(1, 20)
+        assert optimal_plan(lot).plan == plan
+        assert brute_force_oracle(lot).plan == plan
+        assert max_acceptance_number(plan.n, lot) == plan.c
+        assert is_admissible(plan, lot)
+        row = plan_table(N, N).to_csv().splitlines()[1]
+        assert row.split(",")[:3] == [str(N), str(plan.n), str(plan.c)]
+
+    def test_lot_25_csv_row(self):
+        assert plan_table(25, 25).to_csv().splitlines()[1] == "25,19,0,0.000000,0.050000,0,2"
+
+    def test_lot_16_tie_is_pointwise_admissible(self):
+        assert welmec_admissible_pointwise(Plan(12, 0), LotSize(16))
+
+    @pytest.mark.parametrize("N, plan", [(25, Plan(19, 0)), (16, Plan(12, 0)), (280, Plan(63, 1))])
+    def test_reported_tie_compares_like_the_decision(self, N, plan):
+        # one risk is exactly 1/20 and is reported as 0.05, so comparing the
+        # reported risks with the bounds agrees with is_admissible
+        pair = risk_pair(plan, LotSize(N))
+        assert 0.05 in (pair.alpha, pair.beta)
+        assert is_admissible(plan, N)
+        assert pair.alpha <= 0.05 and pair.beta <= 0.05
+        if N == 25:
+            assert optimal_plan(LotSize(N)).risks == pair
 
 
 class TestPlanTable:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -232,3 +234,18 @@ class TestMonteCarlo:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             monte_carlo_acceptance(Plan(5, 1), INFINITE_LOT, 0.1, 0, seed=1)
+
+
+def test_risks_do_not_depend_on_call_history():
+    # a fresh interpreter, so that no earlier call has grown the
+    # log-factorial table; the curve at N = 400000 grows it
+    script = (
+        "from midsampling import LotSize, Plan, risk_pair, hypergeometric_acceptance_curve\n"
+        "before = risk_pair(Plan(109, 3), LotSize(150_000))\n"
+        "hypergeometric_acceptance_curve(1, 0, 400_000)\n"
+        "after = risk_pair(Plan(109, 3), LotSize(150_000))\n"
+        "print(before == after, before, after)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("True "), proc.stdout
