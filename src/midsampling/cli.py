@@ -1,14 +1,14 @@
 """Command-line interface.
 
 Every command writes deterministic, machine-readable output (text, CSV or
-JSON) to stdout or to ``--output``.  Exit codes: 0 success, 2 usage error,
+JSON, as ``render`` supports it for the command) to stdout or to
+``--output``.  Exit codes: 0 success, 2 usage error or unsupported format,
 3 no admissible plan below the scan cap, 4 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -16,22 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .kernel import LotSize, Plan, binomial_cdf, hypergeometric_cdf
-from .planner import (
-    DEFAULT_SCAN_CAP,
-    NoPlanWithinCapError,
-    PlanResult,
-    optimal_plan,
-    plan_table,
-)
-from .risks import (
-    QualitySpec,
-    RiskBounds,
-    monte_carlo_acceptance,
-    oc_curve,
-    oc_curve_to_csv,
-    oc_curve_to_json,
-)
+from .kernel import LotSize, Plan
+from .planner import DEFAULT_SCAN_CAP, NoPlanWithinCapError, optimal_plan, plan_table
+from .render import RENDERERS, render
+from .risks import QualitySpec, RiskBounds, monte_carlo_acceptance, oc_curve
 from .scheme import (
     DEFAULT_VALIDATION_CAP,
     SchemeCoverageError,
@@ -41,9 +29,8 @@ from .scheme import (
     parse_scheme,
     scheme_lookup,
     validate_scheme,
-    validation_report_csv,
 )
-from .welmec import compare_interpretations, comparison_to_json, comparison_to_text
+from .welmec import compare_interpretations
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,55 +142,6 @@ def _parse_candidates(token: str) -> list:
     return plans
 
 
-def _plan_report_text(lot: LotSize, result: PlanResult) -> str:
-    realized = result.realized
-    if lot.is_finite:
-        p_alpha = f"{realized.k_alpha}/{realized.denominator}"
-        p_beta = f"{realized.k_beta}/{realized.denominator}"
-    else:
-        p_alpha = f"{float(realized.p_alpha):g}"
-        p_beta = f"{float(realized.p_beta):g}"
-    return (
-        f"N={lot} n={result.plan.n} c={result.plan.c} "
-        f"alpha={100 * result.risks.alpha:.2f}% beta={100 * result.risks.beta:.2f}% "
-        f"p_alpha={p_alpha} p_beta={p_beta}\n"
-    )
-
-
-def _plan_report_json(lot: LotSize, result: PlanResult) -> str:
-    realized = result.realized
-    payload = {
-        "lot": lot.count if lot.is_finite else "inf",
-        "plan": {"n": result.plan.n, "c": result.plan.c},
-        "risks": {
-            "alpha": round(result.risks.alpha, 6),
-            "beta": round(result.risks.beta, 6),
-        },
-        "realized": (
-            {
-                "p_alpha_num": realized.k_alpha,
-                "p_beta_num": realized.k_beta,
-                "denominator": realized.denominator,
-            }
-            if lot.is_finite
-            else {"p_alpha": float(realized.p_alpha), "p_beta": float(realized.p_beta)}
-        ),
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _plan_report_csv(lot: LotSize, result: PlanResult) -> str:
-    realized = result.realized
-    n_field = lot.count if lot.is_finite else "inf"
-    k_alpha = realized.k_alpha if lot.is_finite else ""
-    k_beta = realized.k_beta if lot.is_finite else ""
-    return (
-        "N,n,c,alpha,beta,p_alpha_num,p_beta_num\n"
-        f"{n_field},{result.plan.n},{result.plan.c},"
-        f"{result.risks.alpha:.6f},{result.risks.beta:.6f},{k_alpha},{k_beta}\n"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -212,19 +150,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     config = _resolve_config(args, default_cap=DEFAULT_SCAN_CAP)
     lot = _parse_lot(args.lot_size)
     result = optimal_plan(lot, config.spec, config.bounds, scan_cap=config.n_cap)
-    if config.fmt == "json":
-        _emit(_plan_report_json(lot, result), config.output)
-    elif config.fmt == "csv":
-        _emit(_plan_report_csv(lot, result), config.output)
-    else:
-        _emit(_plan_report_text(lot, result), config.output)
+    _emit(render("plan", config.fmt, lot, result), config.output)
     return EXIT_OK
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     table = plan_table(args.n_min, args.n_max, config.spec, config.bounds)
-    _emit(table.to_csv(), config.output)
+    _emit(render("table", "csv", table), config.output)
     return EXIT_OK
 
 
@@ -232,14 +165,7 @@ def _cmd_oc(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     lot = _parse_lot(args.lot_size)
     plan = Plan(args.n, args.c)
-    points = oc_curve(plan, lot)
-    if config.fmt == "json":
-        _emit(oc_curve_to_json(points) + "\n", config.output)
-    elif config.fmt == "csv":
-        _emit(oc_curve_to_csv(points, lot), config.output)
-    else:
-        lines = [f"{p:.6f} {pac:.6f}" for p, pac in points]
-        _emit("\n".join(lines) + "\n", config.output)
+    _emit(render("oc", config.fmt, oc_curve(plan, lot), lot), config.output)
     return EXIT_OK
 
 
@@ -266,52 +192,11 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
         lot = _parse_lot(args.lot_size)
         if not lot.is_finite:
             raise UsageError("scheme lookup requires a finite lot size")
-        plan = scheme_lookup(lot.count, scheme)
-        if config.fmt == "json":
-            payload = {"lot": lot.count, "plan": {"n": plan.n, "c": plan.c}}
-            _emit(json.dumps(payload, indent=2) + "\n", config.output)
-        else:
-            _emit(f"N={lot.count} n={plan.n} c={plan.c}\n", config.output)
+        _emit(render("lookup", config.fmt, lot, scheme_lookup(lot.count, scheme)), config.output)
         return EXIT_OK
     results = validate_scheme(scheme, config.spec, config.bounds, n_cap=config.n_cap)
-    admissible = all(res.admissible for res in results)
-    if config.fmt == "json":
-        payload = {
-            "admissible": admissible,
-            "rows": [
-                {
-                    "from": res.row.n_from,
-                    "to": res.row.n_to if res.row.n_to is not None else "inf",
-                    "n": res.row.rule.label(),
-                    "c": res.row.rule.c,
-                    "alpha_min": round(res.alpha_min, 6),
-                    "alpha_max": round(res.alpha_max, 6),
-                    "beta_min": round(res.beta_min, 6),
-                    "beta_max": round(res.beta_max, 6),
-                    "admissible": res.admissible,
-                }
-                for res in results
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", config.output)
-    elif config.fmt == "csv":
-        _emit(validation_report_csv(results), config.output)
-    else:
-        lines = [
-            f"{'from':>6} {'to':>6} {'n':>6} {'c':>3} "
-            f"{'alpha[%]':>17} {'beta[%]':>17} {'admissible':>11}"
-        ]
-        for res in results:
-            to = "inf" if res.row.n_to is None else res.row.n_to
-            lines.append(
-                f"{res.row.n_from:>6} {to:>6} {res.row.rule.label():>6} {res.row.rule.c:>3} "
-                f"{100 * res.alpha_min:>8.2f}{100 * res.alpha_max:>9.2f} "
-                f"{100 * res.beta_min:>8.2f}{100 * res.beta_max:>9.2f} "
-                f"{'yes' if res.admissible else 'no':>11}"
-            )
-        lines.append(f"overall: {'admissible' if admissible else 'NOT admissible'}")
-        _emit("\n".join(lines) + "\n", config.output)
-    return EXIT_OK if admissible else EXIT_VALIDATION
+    _emit(render("validation", config.fmt, results), config.output)
+    return EXIT_OK if all(res.admissible for res in results) else EXIT_VALIDATION
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -322,12 +207,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if lot.is_finite and plan.n > lot.count:
             raise UsageError(f"candidate {plan} exceeds lot size N={lot.count}")
     report = compare_interpretations(lot, config.spec, config.bounds, candidates)
-    if config.fmt == "json":
-        _emit(comparison_to_json(report) + "\n", config.output)
-    elif config.fmt == "csv":
-        raise UsageError("compare reports support text and json formats only")
-    else:
-        _emit(comparison_to_text(report), config.output)
+    _emit(render("comparison", config.fmt, report), config.output)
     return EXIT_OK
 
 
@@ -338,31 +218,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     plan = Plan(args.n, args.c)
     seed = config.seed if config.seed is not None else 0
     estimate = monte_carlo_acceptance(plan, lot, level, args.trials, seed)
-    if lot.is_finite:
-        analytic = hypergeometric_cdf(plan.c, plan.n, int(level * lot.count), lot.count)
-    else:
-        analytic = binomial_cdf(plan.c, plan.n, float(level))
+    [(_, analytic)] = oc_curve(plan, lot, grid=[level])
     sigma = math.sqrt(analytic * (1.0 - analytic) / args.trials)
     if sigma > 0.0:
         deviation = (estimate - analytic) / sigma
     else:
         deviation = 0.0 if estimate == analytic else math.inf
-    if config.fmt == "json":
-        payload = {
-            "empirical": round(estimate, 6),
-            "analytic": round(analytic, 6),
-            "sigma": round(sigma, 6),
-            "deviation_sigmas": round(deviation, 3) if math.isfinite(deviation) else "inf",
-            "trials": args.trials,
-            "seed": seed,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", config.output)
-    else:
-        _emit(
-            f"empirical={estimate:.6f} analytic={analytic:.6f} "
-            f"deviation={deviation:+.3f} sigma\n",
-            config.output,
-        )
+    _emit(
+        render("simulation", config.fmt, estimate, analytic, sigma, deviation, args.trials, seed),
+        config.output,
+    )
     return EXIT_OK
 
 
@@ -370,7 +235,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, formats=("text", "csv", "json")) -> None:
+def _add_common(parser: argparse.ArgumentParser, output: Optional[str]) -> None:
+    """The options every command takes; ``--format`` offers the formats its
+    ``output`` kind renders, none if ``output`` is None."""
     parser.add_argument("--aql", type=Fraction, default=None,
                         help="acceptable quality level (default 0.01)")
     parser.add_argument("--lq", type=Fraction, default=None,
@@ -382,8 +249,8 @@ def _add_common(parser: argparse.ArgumentParser, formats=("text", "csv", "json")
     parser.add_argument("--config", default=None,
                         help="key = value config file; flags take precedence")
     parser.add_argument("--output", default=None, help="write output to this path")
-    if formats:
-        parser.add_argument("--format", choices=formats, default=None,
+    if output:
+        parser.add_argument("--format", choices=tuple(RENDERERS[output]), default=None,
                             help="output format (default text)")
 
 
@@ -399,20 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--lot-size", required=True, help="positive integer or 'inf'")
     p_plan.add_argument("--n-cap", type=int, default=None,
                         help="sample-size scan cap for infinite lots")
-    _add_common(p_plan)
+    _add_common(p_plan, "plan")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_table = sub.add_parser("table", help="optimal plans for a range of lot sizes (CSV)")
     p_table.add_argument("--from", dest="n_min", type=int, required=True)
     p_table.add_argument("--to", dest="n_max", type=int, required=True)
-    _add_common(p_table, formats=())
+    _add_common(p_table, None)
     p_table.set_defaults(func=_cmd_table)
 
     p_oc = sub.add_parser("oc", help="operating characteristic curve data")
     p_oc.add_argument("--n", type=int, required=True)
     p_oc.add_argument("--c", type=int, required=True)
     p_oc.add_argument("--lot-size", required=True)
-    _add_common(p_oc)
+    _add_common(p_oc, "oc")
     p_oc.set_defaults(func=_cmd_oc)
 
     p_scheme = sub.add_parser("scheme", help="validate a scheme or look up its plan")
@@ -422,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scheme.add_argument("--lot-size", default=None, help="lot size for lookup")
     p_scheme.add_argument("--n-cap", type=int, default=None,
                           help="largest lot size checked for the unbounded row")
-    _add_common(p_scheme)
+    _add_common(p_scheme, "validation")
     p_scheme.set_defaults(func=_cmd_scheme)
 
     p_compare = sub.add_parser("compare", help="hypothesis-test vs WELMEC evaluation")
     p_compare.add_argument("--lot-size", required=True)
     p_compare.add_argument("--candidates", required=True,
                            help="comma-separated n:c plans, e.g. 36:0,51:1")
-    _add_common(p_compare, formats=("text", "json"))
+    _add_common(p_compare, "comparison")
     p_compare.set_defaults(func=_cmd_compare)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo acceptance estimate")
@@ -439,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", required=True, help="quality level (decimal or fraction)")
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=None)
-    _add_common(p_sim, formats=("text", "json"))
+    _add_common(p_sim, "simulation")
     p_sim.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -450,9 +317,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SchemeParseError as exc:
         print(f"error: scheme file: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -462,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoPlanWithinCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PLAN
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError, unsupported formats and invalid arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -211,13 +211,6 @@ def log_binomial_coefficient(a: float, b: float) -> float:
     return math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(a - b + 1.0)
 
 
-def _signed_lgamma(z: np.ndarray) -> tuple:
-    """(ln|Gamma(z)|, sign of Gamma(z)) elementwise for z off the poles
-    0, -1, -2, ...; the sign comes from the parity of floor(z)."""
-    sign = np.where((z > 0.0) | (np.floor(z) % 2 == 0), 1.0, -1.0)
-    return np.array([math.lgamma(v) for v in z.tolist()]), sign
-
-
 # ---------------------------------------------------------------------------
 # The scalar core
 # ---------------------------------------------------------------------------
@@ -416,25 +409,32 @@ def _checked_level(n: int, N, p) -> tuple:
     return N, pN, integer_count
 
 
-def _interpolated_terms(c: int, n: int, N: int, pN: float) -> np.ndarray:
+def _interpolated_terms(c: int, n: int, N: int, pN: float) -> list:
     """Mass terms x = 0..c of the hypergeometric law continued to the real,
     non-integer defect count pN by replacing factorials with Gamma
     functions, unchecked.
 
-    The continued terms are signed, as Gamma is negative on every other
-    unit interval left of zero.  pN is not an integer, so no Gamma argument
-    below lands on a pole.
+    The continued terms are signed, as Gamma is negative where its argument
+    is negative with an odd floor.  pN is not an integer, so no Gamma
+    argument below lands on a pole.
     """
-    x = np.arange(c + 1)
-    ln1, sign1 = _signed_lgamma(pN - x + 1.0)
-    ln2, sign2 = _signed_lgamma(N - pN - (n - x) + 1.0)
-    lf = _log_factorial_array(n)
-    log_terms = (
-        (math.lgamma(pN + 1.0) - lf[x] - ln1)
-        + (math.lgamma(N - pN + 1.0) - lf[n - x] - ln2)
-        - _ln_comb(N, n)
-    )
-    return sign1 * sign2 * np.exp(log_terms)
+    lgamma = math.lgamma
+    t = _log_factorials(n)
+    ln_defective = lgamma(pN + 1.0)
+    ln_good = lgamma(N - pN + 1.0)
+    ln_denom = _ln_comb(N, n)
+    terms = []
+    for x in range(c + 1):
+        z1 = pN - x + 1.0
+        z2 = N - pN - (n - x) + 1.0
+        term = math.exp(
+            (ln_defective - t[x] - lgamma(z1)) + (ln_good - t[n - x] - lgamma(z2)) - ln_denom
+        )
+        for z in (z1, z2):
+            if z < 0.0 and math.floor(z) % 2:
+                term = -term
+        terms.append(term)
+    return terms
 
 
 def interpolated_acceptance(plan: Plan, N: int, p) -> float:
@@ -455,7 +455,7 @@ def interpolated_acceptance(plan: Plan, N: int, p) -> float:
     N, pN, integer_count = _checked_level(plan.n, N, p)
     if integer_count is not None:
         return _tail(plan.c, plan.n, integer_count, N)
-    total = math.fsum(_interpolated_terms(plan.c, plan.n, N, pN).tolist())
+    total = math.fsum(_interpolated_terms(plan.c, plan.n, N, pN))
     return min(max(total, 0.0), 1.0)
 
 

@@ -10,19 +10,19 @@ at O(n) tail evaluations per lot size.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernel import LotSize, Plan, _tail, hypergeometric_acceptance_curve
+from .kernel import LotSize, Plan, _check_count, _tail, hypergeometric_acceptance_curve
+from .render import render
 from .risks import (
     QualitySpec,
     RealizedLevels,
     RiskBounds,
     RiskPair,
+    _check_plan,
     _LotRule,
 )
 
@@ -68,22 +68,7 @@ class PlanTable:
 
     def to_csv(self) -> str:
         """Deterministic CSV export, risks with six decimal digits."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["N", "n", "c", "alpha", "beta", "p_alpha_num", "p_beta_num"])
-        for N, result in self.rows:
-            writer.writerow(
-                [
-                    N,
-                    result.plan.n,
-                    result.plan.c,
-                    f"{result.risks.alpha:.6f}",
-                    f"{result.risks.beta:.6f}",
-                    result.realized.k_alpha,
-                    result.realized.k_beta,
-                ]
-            )
-        return out.getvalue()
+        return render("table", "csv", self)
 
 
 def max_acceptance_number(
@@ -98,11 +83,8 @@ def max_acceptance_number(
     grows with c, so the feasible acceptance numbers are exactly 0..c_n.
     """
     lot = LotSize.of(lot)
-    n = int(n)
-    if n < 1:
-        raise ValueError("sample size n must be >= 1")
-    if lot.is_finite and n > lot.count:
-        raise ValueError(f"sample size n={n} exceeds lot size N={lot.count}")
+    n = _check_count("sample size n", n)
+    _check_plan(Plan(n, 0), lot)
     rule = _LotRule(lot, spec, bounds, n)
     c = -1
     while c < n and rule.admits_beta(n, c + 1):
@@ -125,7 +107,8 @@ def optimal_plan(
     raise :class:`NoPlanWithinCapError` beyond ``scan_cap``.
     """
     lot = LotSize.of(lot)
-    highest_n = lot.count if lot.is_finite else int(scan_cap)
+    scan_cap = _check_count("scan_cap", scan_cap)
+    highest_n = lot.count if lot.is_finite else scan_cap
     rule = _LotRule(lot, spec, bounds, highest_n)
     # The scan calls the scalar core and compares with the tie bands inline;
     # only a risk inside a band is settled through the rule's exact risks.
@@ -162,7 +145,7 @@ def plan_table(
     Lot sizes are independent, so this is trivially parallelizable; the
     sequential evaluation here keeps results deterministic and ordered.
     """
-    n_min, n_max = int(n_min), int(n_max)
+    n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
     rows = tuple(

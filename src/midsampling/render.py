@@ -1,0 +1,301 @@
+"""Text, CSV and JSON renderings of every result the package reports.
+
+This is the only module that turns results into output.  ``RENDERERS``
+maps each kind of output to a renderer per format it supports, and
+:func:`render` refuses any other format with ``ValueError``.  Renderings
+are deterministic: CSV and JSON give risks to six decimal places (scheme
+extrema in percent, to two), text gives them in percent, and an unbounded
+lot or interval reads ``inf``.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+from typing import Optional, Sequence
+
+from .kernel import LotSize, Plan
+from .risks import RiskPair, _realizable_count
+
+__all__ = [
+    "oc_curve_to_csv",
+    "oc_curve_to_json",
+    "comparison_to_json",
+    "comparison_to_text",
+    "validation_report_csv",
+]
+
+
+def _count_token(count: Optional[int]):
+    """A lot size or interval end as reported: the count, or "inf" for None."""
+    return "inf" if count is None else count
+
+
+def _plan_json(plan: Plan) -> dict:
+    return {"n": plan.n, "c": plan.c}
+
+
+def _rounded(**risks: float) -> dict:
+    return {name: round(risk, 6) for name, risk in risks.items()}
+
+
+def _risks_json(risks: RiskPair) -> dict:
+    return _rounded(alpha=risks.alpha, beta=risks.beta)
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    out = io.StringIO()
+    out.write(header + "\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _yes_no(flag: Optional[bool]) -> str:
+    """A flag as reported: yes, no, or - where it does not apply (None)."""
+    return "-" if flag is None else "yes" if flag else "no"
+
+
+def _plans_csv(rows) -> str:
+    """(lot size, PlanResult) pairs as plan tables are exported; ``plan
+    --format csv`` writes the one pair of its lot the same way."""
+    return _csv(
+        "N,n,c,alpha,beta,p_alpha_num,p_beta_num",
+        (
+            [N, r.plan.n, r.plan.c, f"{r.risks.alpha:.6f}", f"{r.risks.beta:.6f}",
+             r.realized.k_alpha, r.realized.k_beta]
+            for N, r in rows
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Renderers
+# ---------------------------------------------------------------------------
+
+def _plan_text(lot: LotSize, result) -> str:
+    realized = result.realized
+    if lot.is_finite:
+        p_alpha = f"{realized.k_alpha}/{realized.denominator}"
+        p_beta = f"{realized.k_beta}/{realized.denominator}"
+    else:
+        p_alpha = f"{float(realized.p_alpha):g}"
+        p_beta = f"{float(realized.p_beta):g}"
+    return (
+        f"N={lot} n={result.plan.n} c={result.plan.c} "
+        f"alpha={100 * result.risks.alpha:.2f}% beta={100 * result.risks.beta:.2f}% "
+        f"p_alpha={p_alpha} p_beta={p_beta}\n"
+    )
+
+
+def _plan_json_report(lot: LotSize, result) -> str:
+    realized = result.realized
+    if lot.is_finite:
+        levels = {
+            "p_alpha_num": realized.k_alpha,
+            "p_beta_num": realized.k_beta,
+            "denominator": realized.denominator,
+        }
+    else:
+        levels = {"p_alpha": float(realized.p_alpha), "p_beta": float(realized.p_beta)}
+    return _json(
+        {
+            "lot": _count_token(lot.count),
+            "plan": _plan_json(result.plan),
+            "risks": _risks_json(result.risks),
+            "realized": levels,
+        }
+    )
+
+
+def oc_curve_to_csv(points: Sequence, lot: LotSize) -> str:
+    """CSV rendering of an OC curve.
+
+    Columns: p_numerator, p_denominator_or_0_for_infinite, p_value,
+    acceptance_probability.  Finite lots carry the exact k/N rational in
+    the first two columns; infinite lots flag themselves with a zero
+    denominator.
+    """
+    N = LotSize.of(lot).count
+
+    def fraction(p) -> tuple:
+        return (0, 0) if N is None else (_realizable_count(p, N), N)
+
+    return _csv(
+        "p_numerator,p_denominator_or_0_for_infinite,p_value,acceptance_probability",
+        ([*fraction(p), f"{float(p):.6f}", f"{pac:.6f}"] for p, pac in points),
+    )
+
+
+def oc_curve_to_json(points: Sequence) -> str:
+    """JSON rendering of an OC curve: an array of {p, pac} objects."""
+    payload = [{"p": round(float(p), 6), "pac": round(float(pac), 6)} for p, pac in points]
+    return json.dumps(payload)
+
+
+def _validation_cells(res) -> list:
+    """One scheme row's report cells, risk extrema in percent (2 decimals)."""
+    extrema = (res.alpha_min, res.alpha_max, res.beta_min, res.beta_max)
+    return [
+        res.row.n_from,
+        _count_token(res.row.n_to),
+        res.row.rule.label(),
+        res.row.rule.c,
+        *(f"{100 * risk:.2f}" for risk in extrema),
+        _yes_no(res.admissible),
+    ]
+
+
+def _validation_text(results) -> str:
+    widths = (6, 6, 6, 3, 8, 8, 8, 8, 11)
+    lines = [
+        f"{'from':>6} {'to':>6} {'n':>6} {'c':>3} "
+        f"{'alpha[%]':>17} {'beta[%]':>17} {'admissible':>11}"
+    ]
+    for res in results:
+        lines.append(" ".join(f"{cell:>{w}}" for cell, w in zip(_validation_cells(res), widths)))
+    admissible = all(res.admissible for res in results)
+    lines.append(f"overall: {'admissible' if admissible else 'NOT admissible'}")
+    return _lines(lines)
+
+
+def validation_report_csv(results) -> str:
+    """CSV report with one row per interval, risks in percent (2 decimals)."""
+    return _csv(
+        "N_from,N_to,n,c,alpha_min_pct,alpha_max_pct,beta_min_pct,beta_max_pct,admissible",
+        map(_validation_cells, results),
+    )
+
+
+def _validation_json(results) -> str:
+    rows = [
+        {
+            "from": res.row.n_from,
+            "to": _count_token(res.row.n_to),
+            "n": res.row.rule.label(),
+            "c": res.row.rule.c,
+            **_rounded(
+                alpha_min=res.alpha_min,
+                alpha_max=res.alpha_max,
+                beta_min=res.beta_min,
+                beta_max=res.beta_max,
+            ),
+            "admissible": res.admissible,
+        }
+        for res in results
+    ]
+    return _json({"admissible": all(res.admissible for res in results), "rows": rows})
+
+
+def _lookup_json(lot: LotSize, plan: Plan) -> str:
+    return _json({"lot": _count_token(lot.count), "plan": _plan_json(plan)})
+
+
+def comparison_to_json(report) -> str:
+    payload = {
+        "lot": _count_token(report.lot.count),
+        "hypothesis_plan": {
+            "plan": _plan_json(report.hypothesis_plan.plan),
+            "risks": _risks_json(report.hypothesis_plan.risks),
+        },
+        "candidates": [
+            {
+                "plan": _plan_json(ev.plan),
+                "risks": _risks_json(ev.risks),
+                "welmec_risks": _rounded(
+                    alpha_cont=ev.welmec.alpha_cont, beta_cont=ev.welmec.beta_cont
+                ),
+                "continuous_admissible": ev.continuous_admissible,
+                "pointwise_admissible": ev.pointwise_admissible,
+            }
+            for ev in report.evaluated_plans
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def comparison_to_text(report) -> str:
+    """Aligned plain-text table for terminal display; risks in percent."""
+    ref = report.hypothesis_plan
+    lines = [
+        f"lot size: {report.lot}",
+        f"hypothesis-test optimal plan: {ref.plan}  "
+        f"alpha={100 * ref.risks.alpha:.2f}%  beta={100 * ref.risks.beta:.2f}%",
+    ]
+    if report.evaluated_plans:
+        lines.append(
+            f"{'plan':>10} {'alpha':>8} {'beta':>8} "
+            f"{'alpha_cont':>11} {'beta_cont':>10} {'continuous':>11} {'pointwise':>10}"
+        )
+        for ev in report.evaluated_plans:
+            lines.append(
+                f"{str(ev.plan):>10} "
+                f"{100 * ev.risks.alpha:>7.2f}% {100 * ev.risks.beta:>7.2f}% "
+                f"{100 * ev.welmec.alpha_cont:>10.2f}% {100 * ev.welmec.beta_cont:>9.2f}% "
+                f"{_yes_no(ev.continuous_admissible):>11} {_yes_no(ev.pointwise_admissible):>10}"
+            )
+    return _lines(lines)
+
+
+def _simulation_text(estimate, analytic, sigma, deviation, trials, seed) -> str:
+    return f"empirical={estimate:.6f} analytic={analytic:.6f} deviation={deviation:+.3f} sigma\n"
+
+
+def _simulation_json(estimate, analytic, sigma, deviation, trials, seed) -> str:
+    return _json(
+        {
+            **_rounded(empirical=estimate, analytic=analytic, sigma=sigma),
+            "deviation_sigmas": round(deviation, 3) if math.isfinite(deviation) else "inf",
+            "trials": trials,
+            "seed": seed,
+        }
+    )
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+#: Every kind of output, with a renderer for each format it supports.
+RENDERERS = {
+    "plan": {
+        "text": _plan_text,
+        "csv": lambda lot, result: _plans_csv([(_count_token(lot.count), result)]),
+        "json": _plan_json_report,
+    },
+    "table": {"csv": lambda table: _plans_csv(table.rows)},
+    "oc": {
+        "text": lambda points, lot: _lines(f"{p:.6f} {pac:.6f}" for p, pac in points),
+        "csv": oc_curve_to_csv,
+        "json": lambda points, lot: oc_curve_to_json(points) + "\n",
+    },
+    "validation": {
+        "text": _validation_text,
+        "csv": validation_report_csv,
+        "json": _validation_json,
+    },
+    "lookup": {"text": lambda lot, plan: f"N={lot} n={plan.n} c={plan.c}\n", "json": _lookup_json},
+    "comparison": {
+        "text": comparison_to_text,
+        "json": lambda report: comparison_to_json(report) + "\n",
+    },
+    "simulation": {"text": _simulation_text, "json": _simulation_json},
+}
+
+
+def render(kind: str, fmt: str, *result) -> str:
+    """``result`` rendered as output ``kind`` in format ``fmt``; a format the
+    kind does not support raises ``ValueError``."""
+    formats = RENDERERS[kind]
+    if fmt not in formats:
+        raise ValueError(f"{kind} output supports the formats {', '.join(formats)}; got {fmt!r}")
+    return formats[fmt](*result)

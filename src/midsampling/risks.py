@@ -13,9 +13,6 @@ just under 29), which would silently corrupt entire plan tables.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +39,6 @@ __all__ = [
     "risk_pair",
     "is_admissible",
     "oc_curve",
-    "oc_curve_to_csv",
-    "oc_curve_to_json",
     "monte_carlo_acceptance",
 ]
 
@@ -339,36 +334,6 @@ def _realizable_count(p: LevelLike, N: int) -> int:
     if abs(pN - k) > 1e-9 * max(1.0, abs(pN)):
         raise ValueError(f"quality level {p!r} is not a multiple of 1/{N}")
     return int(k)
-
-
-def oc_curve_to_csv(points: Sequence, lot: LotSize) -> str:
-    """CSV rendering of an OC curve.
-
-    Columns: p_numerator, p_denominator_or_0_for_infinite, p_value,
-    acceptance_probability.  Finite lots carry the exact k/N rational in
-    the first two columns; infinite lots flag themselves with a zero
-    denominator.
-    """
-    lot = LotSize.of(lot)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["p_numerator", "p_denominator_or_0_for_infinite", "p_value", "acceptance_probability"]
-    )
-    for p, pac in points:
-        if lot.is_finite:
-            num = _realizable_count(p, lot.count)
-            den = lot.count
-        else:
-            num, den = 0, 0
-        writer.writerow([num, den, f"{float(p):.6f}", f"{pac:.6f}"])
-    return out.getvalue()
-
-
-def oc_curve_to_json(points: Sequence) -> str:
-    """JSON rendering of an OC curve: an array of {p, pac} objects."""
-    payload = [{"p": round(float(p), 6), "pac": round(float(pac), 6)} for p, pac in points]
-    return json.dumps(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,18 @@ Schemes can be read from and written to a one-row-per-line text format::
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import INFINITE_LOT, Plan, _hypergeometric_cdf_bulk, _tail_tolerance
+from .kernel import (
+    INFINITE_LOT,
+    Plan,
+    _check_count,
+    _hypergeometric_cdf_bulk,
+    _tail_tolerance,
+)
 from .risks import (
     QualitySpec,
     RiskBounds,
@@ -43,7 +47,6 @@ __all__ = [
     "validate_scheme",
     "parse_scheme",
     "format_scheme",
-    "validation_report_csv",
 ]
 
 #: Lot sizes checked explicitly for a scheme's unbounded final interval;
@@ -104,7 +107,8 @@ class PlanRule:
     def lot_offset(cls, k: int, c: int) -> "PlanRule":
         return cls(kind="offset", c=c, value=k)
 
-    def sample_size(self, N: int) -> int:
+    def sample_size(self, N):
+        """Sample size at lot size N, an int or an integer array."""
         if self.kind == "n":
             return self.value
         if self.kind == "full":
@@ -240,7 +244,7 @@ def default_mid_scheme() -> Scheme:
 
 def scheme_lookup(N: int, scheme: Scheme) -> Plan:
     """Plan prescribed by the scheme for a lot of size N."""
-    N = int(N)
+    N = _check_count("lot size N", N)
     row = scheme.row_for(N)
     plan = row.rule.plan_for(N)
     if plan.n > N:
@@ -271,12 +275,7 @@ def validate_scheme(
     for index, row in enumerate(scheme.rows):
         hi = row.n_to if row.n_to is not None else n_cap
         ns = np.arange(row.n_from, hi + 1, dtype=np.int64)
-        if row.rule.kind == "n":
-            sample = np.full_like(ns, row.rule.value)
-        elif row.rule.kind == "full":
-            sample = ns.copy()
-        else:
-            sample = ns - row.rule.value
+        sample = np.broadcast_to(row.rule.sample_size(ns), ns.shape)
         if np.any(sample > ns) or np.any(sample < 1) or row.rule.c > sample.min():
             bad = int(ns[np.argmax((sample > ns) | (sample < 1) | (row.rule.c > sample))])
             raise SchemeRuleError(
@@ -372,36 +371,3 @@ def format_scheme(scheme: Scheme) -> str:
         lines.append(f"{row.n_from},{to},{row.rule.token()},{row.rule.c}")
     return "\n".join(lines) + "\n"
 
-
-def validation_report_csv(results: List[RowValidation]) -> str:
-    """CSV report with one row per interval, risks in percent (2 decimals)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "N_from",
-            "N_to",
-            "n",
-            "c",
-            "alpha_min_pct",
-            "alpha_max_pct",
-            "beta_min_pct",
-            "beta_max_pct",
-            "admissible",
-        ]
-    )
-    for res in results:
-        writer.writerow(
-            [
-                res.row.n_from,
-                "inf" if res.row.n_to is None else res.row.n_to,
-                res.row.rule.label(),
-                res.row.rule.c,
-                f"{100 * res.alpha_min:.2f}",
-                f"{100 * res.alpha_max:.2f}",
-                f"{100 * res.beta_min:.2f}",
-                f"{100 * res.beta_max:.2f}",
-                "yes" if res.admissible else "no",
-            ]
-        )
-    return out.getvalue()

@@ -12,27 +12,18 @@ hypothesis-test risks, to make the interpretations directly comparable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from .kernel import (
-    LotSize,
-    Plan,
-    _hypergeometric_cdf_bulk,
-    _tail,
-    _tail_tolerance,
-    interpolated_acceptance,
-)
+from .kernel import LotSize, Plan, _tail, _tail_tolerance, interpolated_acceptance
 from .planner import PlanResult, optimal_plan
 from .risks import (
     QualitySpec,
     RiskBounds,
     RiskPair,
     _Bound,
+    _check_plan,
     _exact_acceptance,
     risk_pair,
 )
@@ -45,8 +36,6 @@ __all__ = [
     "welmec_admissible_continuous",
     "welmec_admissible_pointwise",
     "compare_interpretations",
-    "comparison_to_json",
-    "comparison_to_text",
 ]
 
 # OC anchor probabilities of the MID conditions: acceptance of 95% at the
@@ -80,15 +69,10 @@ class ComparisonReport:
 
 
 def _acceptance_at_nominal_levels(plan: Plan, lot: LotSize, spec: QualitySpec) -> tuple:
+    levels = (spec.p_aql, spec.p_lq)
     if lot.is_finite:
-        return (
-            interpolated_acceptance(plan, lot.count, spec.p_aql),
-            interpolated_acceptance(plan, lot.count, spec.p_lq),
-        )
-    return (
-        _tail(plan.c, plan.n, float(spec.p_aql), None),
-        _tail(plan.c, plan.n, float(spec.p_lq), None),
-    )
+        return tuple(interpolated_acceptance(plan, lot.count, p) for p in levels)
+    return tuple(_tail(plan.c, plan.n, float(p), None) for p in levels)
 
 
 def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
@@ -126,28 +110,24 @@ def welmec_admissible_pointwise(
     Every realizable proportion k/N at or above the AQL must be accepted
     with probability <= 95%, and every k/N at or above the LQ with
     probability <= 5%, decided as exact rational arithmetic would decide
-    it.  Raises ``ValueError`` for infinite lots, whose OC curve has no
-    discrete points to constrain.
+    it.  Acceptance does not increase with the defect count, so the
+    smallest count at or above each level decides.  Raises ``ValueError``
+    for infinite lots, whose OC curve has no discrete points to constrain.
     """
     lot = LotSize.of(lot)
     if not lot.is_finite:
         raise ValueError("the pointwise criterion is defined for finite lots only")
+    _check_plan(plan, lot)
     N = lot.count
-    if plan.n > N:
-        raise ValueError(f"sample size n={plan.n} exceeds lot size N={N}")
-    k_aql = math.ceil(spec.p_aql * N)
-    lq_offset = math.ceil(spec.p_lq * N) - k_aql  # >= 0, as p_lq > p_aql
-    acceptance = _hypergeometric_cdf_bulk(plan.c, plan.n, np.arange(k_aql, N + 1), N)
-    tol = _tail_tolerance(N)
+    tol = float(_tail_tolerance(N))
 
-    def exact_acceptance(i: int):
-        return _exact_acceptance(plan.c, plan.n, k_aql + i, N)
+    def admits(K: int, accept_level: float) -> bool:
+        return _Bound.around(accept_level, tol).admits(
+            _tail(plan.c, plan.n, K, N), lambda: _exact_acceptance(plan.c, plan.n, K, N)
+        )
 
-    return bool(
-        _Bound.around(ACCEPT_LEVEL_AQL, tol).admits_each(acceptance, exact_acceptance).all()
-        and _Bound.around(ACCEPT_LEVEL_LQ, tol)
-        .admits_each(acceptance[lq_offset:], lambda i: exact_acceptance(lq_offset + i))
-        .all()
+    return admits(math.ceil(spec.p_aql * N), ACCEPT_LEVEL_AQL) and admits(
+        math.ceil(spec.p_lq * N), ACCEPT_LEVEL_LQ
     )
 
 
@@ -183,65 +163,3 @@ def compare_interpretations(
         )
     return ComparisonReport(lot=lot, hypothesis_plan=reference, evaluated_plans=tuple(evaluated))
 
-
-# ---------------------------------------------------------------------------
-# Report rendering
-# ---------------------------------------------------------------------------
-
-def _plan_json(plan: Plan) -> dict:
-    return {"n": plan.n, "c": plan.c}
-
-
-def comparison_to_json(report: ComparisonReport) -> str:
-    payload = {
-        "lot": report.lot.count if report.lot.is_finite else "inf",
-        "hypothesis_plan": {
-            "plan": _plan_json(report.hypothesis_plan.plan),
-            "risks": {
-                "alpha": round(report.hypothesis_plan.risks.alpha, 6),
-                "beta": round(report.hypothesis_plan.risks.beta, 6),
-            },
-        },
-        "candidates": [
-            {
-                "plan": _plan_json(ev.plan),
-                "risks": {"alpha": round(ev.risks.alpha, 6), "beta": round(ev.risks.beta, 6)},
-                "welmec_risks": {
-                    "alpha_cont": round(ev.welmec.alpha_cont, 6),
-                    "beta_cont": round(ev.welmec.beta_cont, 6),
-                },
-                "continuous_admissible": ev.continuous_admissible,
-                "pointwise_admissible": ev.pointwise_admissible,
-            }
-            for ev in report.evaluated_plans
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def comparison_to_text(report: ComparisonReport) -> str:
-    """Aligned plain-text table for terminal display; risks in percent."""
-    lines = []
-    ref = report.hypothesis_plan
-    lines.append(f"lot size: {report.lot}")
-    lines.append(
-        f"hypothesis-test optimal plan: {ref.plan}  "
-        f"alpha={100 * ref.risks.alpha:.2f}%  beta={100 * ref.risks.beta:.2f}%"
-    )
-    if report.evaluated_plans:
-        header = (
-            f"{'plan':>10} {'alpha':>8} {'beta':>8} "
-            f"{'alpha_cont':>11} {'beta_cont':>10} {'continuous':>11} {'pointwise':>10}"
-        )
-        lines.append(header)
-        for ev in report.evaluated_plans:
-            pointwise = "-" if ev.pointwise_admissible is None else (
-                "yes" if ev.pointwise_admissible else "no"
-            )
-            lines.append(
-                f"{str(ev.plan):>10} "
-                f"{100 * ev.risks.alpha:>7.2f}% {100 * ev.risks.beta:>7.2f}% "
-                f"{100 * ev.welmec.alpha_cont:>10.2f}% {100 * ev.welmec.beta_cont:>9.2f}% "
-                f"{'yes' if ev.continuous_admissible else 'no':>11} {pointwise:>10}"
-            )
-    return "\n".join(lines) + "\n"

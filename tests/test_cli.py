@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,46 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
+
+
+def _golden_cases():
+    """(golden file name, argv) for every output whose bytes are pinned."""
+    cases = []
+
+    def add(name, argv, formats):
+        for fmt in formats:
+            cases.append((f"{name}.{_EXTENSIONS[fmt]}", argv + ["--format", fmt]))
+
+    all_formats = ("text", "csv", "json")
+    for lot in ("16", "25", "258", "inf"):
+        add(f"plan-{lot}", ["plan", "--lot-size", lot], all_formats)
+    for n, c, lot in (("30", "1", "200"), ("86", "2", "inf")):
+        add(f"oc-{n}-{c}-{lot}", ["oc", "--n", n, "--c", c, "--lot-size", lot], all_formats)
+    add("scheme-validate", ["scheme", "validate", "--builtin", "--n-cap", "20000"], all_formats)
+    add("scheme-lookup-22", ["scheme", "lookup", "--builtin", "--lot-size", "22"],
+        ("text", "json"))
+    add("compare-143", ["compare", "--lot-size", "143", "--candidates", "36:0,51:1,56:1"],
+        ("text", "json"))
+    add("compare-inf", ["compare", "--lot-size", "inf", "--candidates", "88:2"],
+        ("text", "json"))
+    add("simulate-109-3-inf",
+        ["simulate", "--n", "109", "--c", "3", "--lot-size", "inf", "--p", "0.07",
+         "--trials", "20000", "--seed", "7"],
+        ("text", "json"))
+    cases.append(("table-1-300.csv", ["table", "--from", "1", "--to", "300"]))
+    return cases
+
+
+@pytest.mark.parametrize("name, argv", _golden_cases(), ids=[n for n, _ in _golden_cases()])
+def test_output_matches_golden(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN_DIR / name).read_text()
 
 
 class TestPlanCommand:
@@ -136,6 +177,12 @@ class TestSchemeCommand:
         code, out, _ = run(capsys, "scheme", "lookup", "--builtin", "--lot-size", "22")
         assert code == 0
         assert "n=18" in out and "c=0" in out
+
+    def test_lookup_csv_rejected(self, capsys):
+        code, out, err = run(capsys, "scheme", "lookup", "--builtin", "--lot-size", "22",
+                             "--format", "csv")
+        assert code == 2
+        assert out == "" and "'csv'" in err
 
     def test_lookup_json(self, capsys):
         code, out, _ = run(capsys, "scheme", "lookup", "--builtin", "--lot-size", "5000",
@@ -261,6 +308,37 @@ class TestConfigFile:
                                   "--alpha-max", "0.05", "--beta-max", "0.05")
         assert code == 0
         assert from_config != overridden
+
+    def test_unsupported_format_for_plan_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("format = xml\n")
+        code, out, err = run(capsys, "plan", "--lot-size", "258", "--config", str(config))
+        assert code == 2
+        assert out == "" and "'xml'" in err
+
+    def test_unsupported_format_for_oc_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("format = xml\n")
+        code, out, err = run(capsys, "oc", "--n", "86", "--c", "2", "--lot-size", "inf",
+                             "--config", str(config))
+        assert code == 2
+        assert out == "" and "'xml'" in err
+
+    def test_csv_for_simulate_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("format = csv\n")
+        code, out, err = run(capsys, "simulate", "--n", "34", "--c", "0", "--lot-size", "inf",
+                             "--p", "0.03", "--trials", "100", "--seed", "1",
+                             "--config", str(config))
+        assert code == 2
+        assert out == "" and "'csv'" in err
+
+    def test_table_ignores_format_key(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("format = json\n")
+        code, out, _ = run(capsys, "table", "--from", "43", "--to", "43", "--config", str(config))
+        assert code == 0
+        assert out.startswith("N,n,c,")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

@@ -377,6 +377,30 @@ class TestPlanAndLotTypes:
         with pytest.raises(ValueError):
             LotSize.of(2.5)
 
+    def test_counts_of_planner_and_scheme_accept_whole_floats_only(self):
+        from midsampling import (
+            INFINITE_LOT,
+            LotSize,
+            default_mid_scheme,
+            max_acceptance_number,
+            optimal_plan,
+            plan_table,
+            scheme_lookup,
+        )
+
+        assert max_acceptance_number(57.0, LotSize(258)) == max_acceptance_number(57, LotSize(258))
+        assert len(plan_table(1.0, 3.0)) == 3
+        assert scheme_lookup(22.0, default_mid_scheme()) == Plan(18, 0)
+        assert optimal_plan(INFINITE_LOT, scan_cap=110.0).plan == Plan(109, 3)
+        with pytest.raises(ValueError):
+            max_acceptance_number(57.9, LotSize(258))
+        with pytest.raises(ValueError):
+            plan_table(1.5, 3.7)
+        with pytest.raises(ValueError):
+            scheme_lookup(22.9, default_mid_scheme())
+        with pytest.raises(ValueError):
+            optimal_plan(INFINITE_LOT, scan_cap=109.5)
+
 
 def test_import_does_not_load_scipy():
     proc = subprocess.run(

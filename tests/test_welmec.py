@@ -18,6 +18,7 @@ from midsampling import (
     interpolated_acceptance_curve,
     producers_risk,
     realized_quality_levels,
+    risk_pair,
     welmec_admissible_continuous,
     welmec_admissible_pointwise,
     welmec_risks,
@@ -97,6 +98,44 @@ class TestPointwiseAdmissibility:
     def test_infinite_lot_unsupported(self):
         with pytest.raises(ValueError):
             welmec_admissible_pointwise(Plan(109, 3), INFINITE_LOT)
+
+    def test_degenerate_plan_rejected_like_risk_pair(self):
+        with pytest.raises(ValueError):
+            risk_pair(Plan(0, 0), LotSize(5))
+        with pytest.raises(ValueError):
+            welmec_admissible_pointwise(Plan(0, 0), LotSize(5))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [QualitySpec(), QualitySpec(Fraction(1, 10), Fraction(3, 10))],
+        ids=["1-7", "10-30"],
+    )
+    def test_matches_every_k_definition_exactly(self, spec):
+        # the criterion as defined: every K >= ceil(p*N) is accepted with
+        # probability <= the anchor, in rational arithmetic, for all plans
+        aql_anchor, lq_anchor = Fraction(95, 100), Fraction(5, 100)
+        for N in range(1, 61):
+            k_aql, k_lq = math.ceil(spec.p_aql * N), math.ceil(spec.p_lq * N)
+            for n in range(1, N + 1):
+                # largest numerator of P(X <= c) over K at or above each level
+                worst_aql = [0] * (n + 1)
+                worst_lq = [0] * (n + 1)
+                for K in range(k_aql, N + 1):
+                    cumulative = 0
+                    for c in range(n + 1):
+                        cumulative += math.comb(K, c) * math.comb(N - K, n - c)
+                        worst_aql[c] = max(worst_aql[c], cumulative)
+                        if K >= k_lq:
+                            worst_lq[c] = max(worst_lq[c], cumulative)
+                total = math.comb(N, n)
+                for c in range(n + 1):
+                    expected = (
+                        Fraction(worst_aql[c], total) <= aql_anchor
+                        and Fraction(worst_lq[c], total) <= lq_anchor
+                    )
+                    assert welmec_admissible_pointwise(Plan(n, c), LotSize(N), spec) is expected, (
+                        N, n, c
+                    )
 
 
 class TestDominance:
