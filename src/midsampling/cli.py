@@ -38,14 +38,14 @@ EXIT_NO_PLAN = 3
 EXIT_VALIDATION = 4
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """A usage error; argparse reports its message when a ``type=`` raises it."""
 
 
 @dataclass
 class RunConfig:
-    spec: QualitySpec
-    bounds: RiskBounds
+    spec: Optional[QualitySpec]  # None for commands without quality levels
+    bounds: Optional[RiskBounds]
     fmt: str
     output: Optional[str]
     seed: Optional[int]
@@ -88,17 +88,16 @@ def _resolve_config(args: argparse.Namespace, default_cap: Optional[int] = None)
                 raise UsageError(f"config key {key!r}: {exc}") from exc
         return fallback
 
-    try:
+    spec = bounds = None
+    if hasattr(args, "aql"):  # the commands registered with _add_levels
         spec = QualitySpec(
-            p_aql=pick(getattr(args, "aql", None), "aql", Fraction, Fraction(1, 100)),
-            p_lq=pick(getattr(args, "lq", None), "lq", Fraction, Fraction(7, 100)),
+            p_aql=pick(args.aql, "aql", _parse_level, Fraction(1, 100)),
+            p_lq=pick(args.lq, "lq", _parse_level, Fraction(7, 100)),
         )
         bounds = RiskBounds(
-            alpha_max=pick(getattr(args, "alpha_max", None), "alpha_max", float, 0.05),
-            beta_max=pick(getattr(args, "beta_max", None), "beta_max", float, 0.05),
+            alpha_max=pick(args.alpha_max, "alpha_max", float, 0.05),
+            beta_max=pick(args.beta_max, "beta_max", float, 0.05),
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return RunConfig(
         spec=spec,
         bounds=bounds,
@@ -214,11 +213,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     lot = _parse_lot(args.lot_size)
-    level = _parse_level(args.p)
     plan = Plan(args.n, args.c)
     seed = config.seed if config.seed is not None else 0
-    estimate = monte_carlo_acceptance(plan, lot, level, args.trials, seed)
-    [(_, analytic)] = oc_curve(plan, lot, grid=[level])
+    estimate = monte_carlo_acceptance(plan, lot, args.p, args.trials, seed)
+    [(_, analytic)] = oc_curve(plan, lot, grid=[args.p])
     sigma = math.sqrt(analytic * (1.0 - analytic) / args.trials)
     if sigma > 0.0:
         deviation = (estimate - analytic) / sigma
@@ -235,17 +233,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, output: Optional[str]) -> None:
-    """The options every command takes; ``--format`` offers the formats its
-    ``output`` kind renders, none if ``output`` is None."""
-    parser.add_argument("--aql", type=Fraction, default=None,
+def _add_levels(parser: argparse.ArgumentParser) -> None:
+    """The quality levels and risk bounds, for the commands that search or
+    judge plans against them."""
+    parser.add_argument("--aql", type=_parse_level, default=None,
                         help="acceptable quality level (default 0.01)")
-    parser.add_argument("--lq", type=Fraction, default=None,
+    parser.add_argument("--lq", type=_parse_level, default=None,
                         help="limit quality level (default 0.07)")
     parser.add_argument("--alpha-max", type=float, default=None,
                         help="largest tolerated producers' risk (default 0.05)")
     parser.add_argument("--beta-max", type=float, default=None,
                         help="largest tolerated consumers' risk (default 0.05)")
+
+
+def _add_common(parser: argparse.ArgumentParser, output: Optional[str]) -> None:
+    """The options every command takes; ``--format`` offers the formats its
+    ``output`` kind renders, none if ``output`` is None."""
     parser.add_argument("--config", default=None,
                         help="key = value config file; flags take precedence")
     parser.add_argument("--output", default=None, help="write output to this path")
@@ -266,12 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--lot-size", required=True, help="positive integer or 'inf'")
     p_plan.add_argument("--n-cap", type=int, default=None,
                         help="sample-size scan cap for infinite lots")
+    _add_levels(p_plan)
     _add_common(p_plan, "plan")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_table = sub.add_parser("table", help="optimal plans for a range of lot sizes (CSV)")
     p_table.add_argument("--from", dest="n_min", type=int, required=True)
     p_table.add_argument("--to", dest="n_max", type=int, required=True)
+    _add_levels(p_table)
     _add_common(p_table, None)
     p_table.set_defaults(func=_cmd_table)
 
@@ -289,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scheme.add_argument("--lot-size", default=None, help="lot size for lookup")
     p_scheme.add_argument("--n-cap", type=int, default=None,
                           help="largest lot size checked for the unbounded row")
+    _add_levels(p_scheme)
     _add_common(p_scheme, "validation")
     p_scheme.set_defaults(func=_cmd_scheme)
 
@@ -296,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--lot-size", required=True)
     p_compare.add_argument("--candidates", required=True,
                            help="comma-separated n:c plans, e.g. 36:0,51:1")
+    _add_levels(p_compare)
     _add_common(p_compare, "comparison")
     p_compare.set_defaults(func=_cmd_compare)
 
@@ -303,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--c", type=int, required=True)
     p_sim.add_argument("--lot-size", required=True)
-    p_sim.add_argument("--p", required=True, help="quality level (decimal or fraction)")
+    p_sim.add_argument("--p", type=_parse_level, required=True,
+                       help="quality level (decimal or fraction)")
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     _add_common(p_sim, "simulation")

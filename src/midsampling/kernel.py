@@ -46,6 +46,8 @@ __all__ = [
 # anything beyond it indicates a logic error, not rounding.
 _PROB_GROSS_ERROR = 1e-6
 _INTEGER_TOL = 1e-9
+# Elements per block of the bulk tail: 64 KiB float64 temporaries.
+_BULK_BLOCK = 8192
 # Error of a tail per unit of log-term magnitude: 64 ulp(1).
 _ERROR_PER_LOG_UNIT = 2.0 ** -46
 
@@ -352,19 +354,26 @@ def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom) -> np.ndarray:
 
 def _hypergeometric_cdf_bulk(c: int, n, K, N) -> np.ndarray:
     """hypergeometric_cdf over aligned integer arrays n, K, N with a shared
-    acceptance number c, unchecked.  Loops over x, so its temporaries stay
-    the size of the inputs."""
+    acceptance number c, unchecked.  Works through blocks of _BULK_BLOCK
+    elements and loops over x within each, so its temporaries stay below
+    malloc's mmap threshold and reuse heap pages: at 10^5 lots, page faults
+    on freshly mapped temporaries cost as much as the arithmetic."""
     n, K, N = np.broadcast_arrays(
         np.asarray(n, dtype=np.int64),
         np.asarray(K, dtype=np.int64),
         np.asarray(N, dtype=np.int64),
     )
+    shape = N.shape
+    n, K, N = n.reshape(-1), K.reshape(-1), N.reshape(-1)
     lf = _log_factorial_array(int(N.max(initial=1)))
-    ln_denom = lf[N] - lf[n] - lf[N - n]
     total = np.zeros(N.shape, dtype=np.float64)
-    for x in range(c + 1):
-        total += _hypergeometric_terms(x, n, K, N, lf, ln_denom)
-    return np.minimum(total, 1.0)
+    for start in range(0, N.size, _BULK_BLOCK):
+        block = slice(start, start + _BULK_BLOCK)
+        nb, Kb, Nb, total_b = n[block], K[block], N[block], total[block]
+        ln_denom = lf[Nb] - lf[nb] - lf[Nb - nb]
+        for x in range(c + 1):
+            total_b += _hypergeometric_terms(x, nb, Kb, Nb, lf, ln_denom)
+    return np.minimum(total, 1.0).reshape(shape)
 
 
 def hypergeometric_acceptance_curve(n: int, K: int, N: int) -> np.ndarray:
@@ -383,13 +392,12 @@ def hypergeometric_acceptance_curve(n: int, K: int, N: int) -> np.ndarray:
 # Gamma-interpolated hypergeometric model (WELMEC-style continuous risks)
 # ---------------------------------------------------------------------------
 
-def _as_defective_level(p, N: int) -> tuple:
-    """Return (pN as float, integer count or None) for a quality level p."""
-    if isinstance(p, Fraction):
-        pN = p * N
-        if pN.denominator == 1:
-            return float(pN), int(pN)
-        return float(pN), None
+def _defect_count(p, N: int) -> tuple:
+    """(p*N as a float, the whole count p*N or None) for a quality level p:
+    exact for Fractions, ints and strings, within _INTEGER_TOL for floats."""
+    if isinstance(p, (Fraction, int, str)):
+        pN = Fraction(p) * N
+        return float(pN), (int(pN) if pN.denominator == 1 else None)
     pN = float(p) * N
     nearest = round(pN)
     if abs(pN - nearest) <= _INTEGER_TOL * max(1.0, abs(pN)):
@@ -397,13 +405,13 @@ def _as_defective_level(p, N: int) -> tuple:
     return pN, None
 
 
-def _checked_level(n: int, N, p) -> tuple:
+def _checked_interpolation_args(n: int, N, p) -> tuple:
     N = _check_count("N", N)
     if N < 1:
         raise ValueError("lot size N must be >= 1")
     if n > N:
         raise ValueError(f"sample size n={n} exceeds lot size N={N}")
-    pN, integer_count = _as_defective_level(p, N)
+    pN, integer_count = _defect_count(p, N)
     if pN < 0.0 or pN > N:
         raise ValueError(f"defective level p*N={pN!r} outside [0, {N}]")
     return N, pN, integer_count
@@ -452,7 +460,7 @@ def interpolated_acceptance(plan: Plan, N: int, p) -> float:
     [0, 1].  At the acceptance numbers of practically relevant plans the
     continuation is probability-like and the clip is inactive.
     """
-    N, pN, integer_count = _checked_level(plan.n, N, p)
+    N, pN, integer_count = _checked_interpolation_args(plan.n, N, p)
     if integer_count is not None:
         return _tail(plan.c, plan.n, integer_count, N)
     total = math.fsum(_interpolated_terms(plan.c, plan.n, N, pN))
@@ -466,7 +474,7 @@ def interpolated_acceptance_curve(n: int, N: int, p) -> np.ndarray:
     rounding, clipped into [0, 1] like the scalar version.
     """
     n = _check_count("n", n)
-    N, pN, integer_count = _checked_level(n, N, p)
+    N, pN, integer_count = _checked_interpolation_args(n, N, p)
     if integer_count is not None:
         return hypergeometric_acceptance_curve(n, integer_count, N)
     return np.clip(np.cumsum(_interpolated_terms(n, n, N, pN)), 0.0, 1.0)

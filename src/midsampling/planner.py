@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .kernel import LotSize, Plan, _check_count, _tail, hypergeometric_acceptance_curve
+from .kernel import LotSize, Plan, _check_count, _tail
 from .render import render
 from .risks import (
     QualitySpec,
@@ -33,14 +31,10 @@ __all__ = [
     "max_acceptance_number",
     "optimal_plan",
     "plan_table",
-    "brute_force_oracle",
 ]
 
 #: Largest sample size tried for infinite lots before giving up.
 DEFAULT_SCAN_CAP = 1_000_000
-
-#: Cost guard for the exhaustive oracle.
-ORACLE_LOT_LIMIT = 2000
 
 
 class NoPlanWithinCapError(Exception):
@@ -153,37 +147,3 @@ def plan_table(
     )
     return PlanTable(rows=rows)
 
-
-def brute_force_oracle(
-    lot: LotSize,
-    spec: QualitySpec = QualitySpec(),
-    bounds: RiskBounds = RiskBounds(),
-) -> PlanResult:
-    """Independent exhaustive search over every plan (n, c) with c <= n <= N.
-
-    Computes both risks for every c at each n straight from the
-    hypergeometric acceptance probabilities (no feasibility shortcuts)
-    and returns the admissible plan with the smallest n, breaking ties by
-    the largest c; admissibility goes through the same exact tie rule as
-    the planner's.  Meant as a verification oracle for
-    :func:`optimal_plan`; refuses lots above ``ORACLE_LOT_LIMIT``.
-    """
-    lot = LotSize.of(lot)
-    if not lot.is_finite:
-        raise ValueError("the exhaustive oracle is defined for finite lots only")
-    N = lot.count
-    if N > ORACLE_LOT_LIMIT:
-        raise ValueError(f"lot size {N} exceeds the oracle cost guard ({ORACLE_LOT_LIMIT})")
-    rule = _LotRule(lot, spec, bounds, N)
-    levels = rule.levels
-    for n in range(1, N + 1):
-        accept_alpha = hypergeometric_acceptance_curve(n, levels.k_alpha, N)
-        accept_beta = hypergeometric_acceptance_curve(n, levels.k_beta, N)
-        admissible = rule.alpha_bound.admits_each(
-            1.0 - accept_alpha, lambda c: rule.exact_alpha(n, c)
-        ) & rule.beta_bound.admits_each(accept_beta, lambda c: rule.exact_beta(n, c))
-        if np.any(admissible):
-            c = int(np.nonzero(admissible)[0].max())
-            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=levels)
-    # cannot happen: full inspection is always admissible
-    raise NoPlanWithinCapError(f"no admissible plan for lot size {N}")

@@ -9,6 +9,10 @@ acceptance probability makes these two levels sufficient.
 Quality levels are kept as exact rationals throughout.  Computing
 floor(0.01*N) in floating point misrounds for many N (0.01*2900 comes out
 just under 29), which would silently corrupt entire plan tables.
+
+Every admissibility decision of the package is made here, by one exact
+tie rule (``_Bound``): the planner's, a scheme row's over its lot range
+and the pointwise WELMEC reading's.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .kernel import (
+    INFINITE_LOT,
     LotSize,
     Plan,
+    _check_count,
+    _defect_count,
     _hypergeometric_cdf_bulk,
     _tail,
     _tail_tolerance,
@@ -226,13 +233,25 @@ class _LotRule:
     def exact_beta(self, n: int, c: int) -> Fraction:
         return _exact_acceptance(c, n, self._exact_levels[1], self.N)
 
-    def risks(self, n: int, c: int) -> RiskPair:
-        alpha = 1.0 - _tail(c, n, self.alpha_level, self.N)
-        beta = _tail(c, n, self.beta_level, self.N)
+    def _float_risks(self, n: int, c: int) -> tuple:
+        return 1.0 - _tail(c, n, self.alpha_level, self.N), _tail(c, n, self.beta_level, self.N)
+
+    def _reported_risks(self, n: int, c: int, alpha: float, beta: float) -> RiskPair:
         return RiskPair(
             alpha=_reported(alpha, self.alpha_tol, lambda: self.exact_alpha(n, c)),
             beta=_reported(beta, self.beta_tol, lambda: self.exact_beta(n, c)),
         )
+
+    def risks(self, n: int, c: int) -> RiskPair:
+        return self._reported_risks(n, c, *self._float_risks(n, c))
+
+    def judge(self, n: int, c: int) -> tuple:
+        """(reported risks, admissible) from one evaluation of each tail."""
+        alpha, beta = self._float_risks(n, c)
+        admitted = self.alpha_bound.admits(
+            alpha, lambda: self.exact_alpha(n, c)
+        ) and self.beta_bound.admits(beta, lambda: self.exact_beta(n, c))
+        return self._reported_risks(n, c, alpha, beta), admitted
 
     def admits_beta(self, n: int, c: int) -> bool:
         beta = _tail(c, n, self.beta_level, self.N)
@@ -277,6 +296,48 @@ def is_admissible(
     return _LotRule(lot, spec, bounds, plan.n).admits(plan.n, plan.c)
 
 
+def _lot_range_risks(
+    c: int, sample, lots, spec: QualitySpec, bounds: RiskBounds, limit_n: Optional[int] = None
+) -> tuple:
+    """Both risks of the plans (sample[i], c) against the finite lots
+    lots[i] (integer arrays), and whether every plan is admissible.  Given
+    ``limit_n``, the binomial limit of plan (limit_n, c) is appended to both
+    risk arrays and joins the decision."""
+    p_aql, p_lq = spec.p_aql, spec.p_lq
+    # exact realized defective counts, floor(p_aql*N) and ceil(p_lq*N)
+    k_alpha = (p_aql.numerator * lots) // p_aql.denominator
+    k_beta = -((-p_lq.numerator * lots) // p_lq.denominator)
+    alphas = 1.0 - _hypergeometric_cdf_bulk(c, sample, k_alpha, lots)
+    betas = _hypergeometric_cdf_bulk(c, sample, k_beta, lots)
+    tol = _tail_tolerance(lots)
+
+    def exact_acceptance(i, k):
+        return _exact_acceptance(c, int(sample[i]), int(k[i]), int(lots[i]))
+
+    admissible = bool(
+        _Bound.around(bounds.alpha_max, tol)
+        .admits_each(alphas, lambda i: 1 - exact_acceptance(i, k_alpha))
+        .all()
+        and _Bound.around(bounds.beta_max, tol)
+        .admits_each(betas, lambda i: exact_acceptance(i, k_beta))
+        .all()
+    )
+    if limit_n is not None:
+        limit, limit_admissible = _LotRule(INFINITE_LOT, spec, bounds, limit_n).judge(limit_n, c)
+        alphas = np.append(alphas, limit.alpha)
+        betas = np.append(betas, limit.beta)
+        admissible = admissible and limit_admissible
+    return alphas, betas, admissible
+
+
+def _acceptance_at_most(plan: Plan, K: int, N: int, level: float) -> bool:
+    """Whether ``plan`` accepts a lot of N items holding K defectives with
+    probability at most ``level``, decided as exact arithmetic would."""
+    return _Bound.around(level, float(_tail_tolerance(N))).admits(
+        _tail(plan.c, plan.n, K, N), lambda: _exact_acceptance(plan.c, plan.n, K, N)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Operating characteristic curves
 # ---------------------------------------------------------------------------
@@ -310,11 +371,11 @@ def oc_curve(
     if grid is None:
         ps = [k / 1000 for k in range(DEFAULT_OC_POINTS)]
     else:
-        ps = [_checked_level(p) for p in grid]
+        ps = [_checked_proportion(p) for p in grid]
     return [(p, _tail(plan.c, plan.n, p, None)) for p in ps]
 
 
-def _checked_level(p: LevelLike) -> float:
+def _checked_proportion(p: LevelLike) -> float:
     value = float(p)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"quality level {p!r} outside [0, 1]")
@@ -323,17 +384,11 @@ def _checked_level(p: LevelLike) -> float:
 
 def _realizable_count(p: LevelLike, N: int) -> int:
     """Defective count k with p == k/N, or ValueError if p is not realizable."""
-    _checked_level(p)
-    if isinstance(p, (Fraction, str, int)):
-        exact = Fraction(p) * N
-        if exact.denominator != 1:
-            raise ValueError(f"quality level {p} is not a multiple of 1/{N}")
-        return int(exact)
-    pN = float(p) * N
-    k = round(pN)
-    if abs(pN - k) > 1e-9 * max(1.0, abs(pN)):
-        raise ValueError(f"quality level {p!r} is not a multiple of 1/{N}")
-    return int(k)
+    _checked_proportion(p)
+    k = _defect_count(p, N)[1]
+    if k is None:
+        raise ValueError(f"quality level {p} is not a multiple of 1/{N}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +416,7 @@ def monte_carlo_acceptance(
     """
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    trials = int(trials)
+    trials = _check_count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -381,7 +436,7 @@ def monte_carlo_acceptance(
             accepted += int(np.count_nonzero(defects <= plan.c))
             done += m
     else:
-        prob = _checked_level(p)
+        prob = _checked_proportion(p)
         chunk = max(1, _MC_CHUNK_ELEMENTS // max(plan.n, 1))
         done = 0
         while done < trials:

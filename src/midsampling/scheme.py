@@ -18,21 +18,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import (
-    INFINITE_LOT,
-    Plan,
-    _check_count,
-    _hypergeometric_cdf_bulk,
-    _tail_tolerance,
-)
-from .risks import (
-    QualitySpec,
-    RiskBounds,
-    _Bound,
-    _exact_acceptance,
-    is_admissible,
-    risk_pair,
-)
+from .kernel import Plan, _check_count
+from .risks import QualitySpec, RiskBounds, _lot_range_risks
 
 __all__ = [
     "PlanRule",
@@ -267,10 +254,10 @@ def validate_scheme(
     (infinite-lot) limit, which convergence makes a faithful stand-in for
     the remaining tail.
     """
+    n_cap = _check_count("n_cap", n_cap)
     largest_finite = max((row.n_to for row in scheme.rows if row.n_to is not None), default=1)
     if n_cap < largest_finite:
         raise ValueError(f"n_cap={n_cap} below the largest finite row boundary {largest_finite}")
-    p_aql, p_lq = spec.p_aql, spec.p_lq
     results = []
     for index, row in enumerate(scheme.rows):
         hi = row.n_to if row.n_to is not None else n_cap
@@ -283,34 +270,12 @@ def validate_scheme(
             )
         if row.n_to is None and row.rule.kind != "n":
             raise SchemeRuleError(index, "an unbounded interval requires a fixed sample size rule")
-        c = row.rule.c
-        # exact realized defective counts, floor(p_aql*N) and ceil(p_lq*N)
-        k_alpha = (p_aql.numerator * ns) // p_aql.denominator
-        k_beta = -((-p_lq.numerator * ns) // p_lq.denominator)
-        alphas = 1.0 - _hypergeometric_cdf_bulk(c, sample, k_alpha, ns)
-        betas = _hypergeometric_cdf_bulk(c, sample, k_beta, ns)
-        tol = _tail_tolerance(ns)
-
-        def exact_acceptance(i, k):
-            return _exact_acceptance(c, int(sample[i]), int(k[i]), int(ns[i]))
-
-        admissible = bool(
-            _Bound.around(bounds.alpha_max, tol)
-            .admits_each(alphas, lambda i: 1 - exact_acceptance(i, k_alpha))
-            .all()
-            and _Bound.around(bounds.beta_max, tol)
-            .admits_each(betas, lambda i: exact_acceptance(i, k_beta))
-            .all()
+        # the binomial limit stands in for the lots beyond n_cap
+        limit_n = row.rule.value if row.n_to is None else None
+        alphas, betas, admissible = _lot_range_risks(
+            row.rule.c, sample, ns, spec, bounds, limit_n
         )
-        lots = ns.tolist()
-        if row.n_to is None:
-            # the binomial limit stands in for the lots beyond n_cap
-            plan = Plan(row.rule.value, c)
-            limit = risk_pair(plan, INFINITE_LOT, spec)
-            alphas = np.append(alphas, limit.alpha)
-            betas = np.append(betas, limit.beta)
-            lots.append(None)
-            admissible = admissible and is_admissible(plan, INFINITE_LOT, spec, bounds)
+        lots = ns.tolist() + ([None] if row.n_to is None else [])
         a_min, a_max = int(np.argmin(alphas)), int(np.argmax(alphas))
         b_min, b_max = int(np.argmin(betas)), int(np.argmax(betas))
         results.append(

@@ -16,15 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .kernel import LotSize, Plan, _tail, _tail_tolerance, interpolated_acceptance
+from .kernel import LotSize, Plan, _tail, interpolated_acceptance
 from .planner import PlanResult, optimal_plan
 from .risks import (
     QualitySpec,
     RiskBounds,
     RiskPair,
-    _Bound,
+    _acceptance_at_most,
     _check_plan,
-    _exact_acceptance,
     risk_pair,
 )
 
@@ -119,16 +118,9 @@ def welmec_admissible_pointwise(
         raise ValueError("the pointwise criterion is defined for finite lots only")
     _check_plan(plan, lot)
     N = lot.count
-    tol = float(_tail_tolerance(N))
-
-    def admits(K: int, accept_level: float) -> bool:
-        return _Bound.around(accept_level, tol).admits(
-            _tail(plan.c, plan.n, K, N), lambda: _exact_acceptance(plan.c, plan.n, K, N)
-        )
-
-    return admits(math.ceil(spec.p_aql * N), ACCEPT_LEVEL_AQL) and admits(
-        math.ceil(spec.p_lq * N), ACCEPT_LEVEL_LQ
-    )
+    return _acceptance_at_most(
+        plan, math.ceil(spec.p_aql * N), N, ACCEPT_LEVEL_AQL
+    ) and _acceptance_at_most(plan, math.ceil(spec.p_lq * N), N, ACCEPT_LEVEL_LQ)
 
 
 def compare_interpretations(

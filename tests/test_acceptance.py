@@ -18,7 +18,6 @@ from midsampling import (
     QualitySpec,
     binomial_cdf,
     binomial_pmf,
-    brute_force_oracle,
     default_mid_scheme,
     hypergeometric_acceptance_curve,
     hypergeometric_cdf,
@@ -34,6 +33,8 @@ from midsampling import (
     welmec_risks,
 )
 from midsampling.cli import main as cli_main
+
+from exact_oracle import exact_optimal_plan, judge, largest_beta_feasible_c
 
 
 def report(criterion, ok, detail=""):
@@ -203,7 +204,7 @@ def test_criterion_08_oracle_equivalence():
     mismatches = [
         N
         for N in range(1, 601)
-        if optimal_plan(LotSize(N)).plan != brute_force_oracle(LotSize(N)).plan
+        if optimal_plan(LotSize(N)).plan != Plan(*exact_optimal_plan(N))
     ]
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 180.0
@@ -211,6 +212,29 @@ def test_criterion_08_oracle_equivalence():
         "criterion 8 (exhaustive-oracle equivalence, N <= 600)",
         ok,
         f"mismatches={mismatches[:5]} in {elapsed:.1f}s",
+    )
+
+
+def test_exact_decision_pairs_to_10_000(full_table):
+    # For every N <= 10^4, in exact arithmetic: c* is the largest c whose
+    # beta is within bound at n*, alpha holds at (n*, c*), and at n*-1 the
+    # largest beta-feasible c (if any) fails the alpha bound.
+    start = time.perf_counter()
+    wrong = []
+    for N, result in full_table.rows:
+        n, c = result.plan.n, result.plan.c
+        c_below = largest_beta_feasible_c(n - 1, N) if n > 1 else None
+        if not (
+            largest_beta_feasible_c(n, N) == c
+            and judge(n, c, N)[0]
+            and (c_below is None or not judge(n - 1, c_below, N)[0])
+        ):
+            wrong.append(N)
+    elapsed = time.perf_counter() - start
+    report(
+        "exact decision pairs (n*, c*) and (n*-1, c), N <= 10^4",
+        not wrong,
+        f"lots decided wrongly={wrong[:5]} in {elapsed:.1f}s",
     )
 
 

@@ -17,6 +17,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "midsampling", *argv], capture_output=True, text=True
+    )
+
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 _EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
@@ -98,6 +104,12 @@ class TestPlanCommand:
         assert code == 3
         assert "no admissible plan" in err
 
+    def test_zero_denominator_level_is_usage_error(self):
+        proc = run_module("plan", "--lot-size", "10", "--aql", "1/0")
+        assert proc.returncode == 2
+        assert "invalid quality level '1/0'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTableCommand:
     def test_single_row(self, capsys):
@@ -151,6 +163,17 @@ class TestOcCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload[0] == {"p": 0.0, "pac": 1.0}
+
+    @pytest.mark.parametrize("flag", ["--aql", "--lq", "--alpha-max", "--beta-max"])
+    def test_levels_and_bounds_are_not_options(self, capsys, flag):
+        # oc and simulate read neither quality levels nor risk bounds
+        for argv in (["oc", "--n", "30", "--c", "1", "--lot-size", "200"],
+                     ["simulate", "--n", "30", "--c", "1", "--lot-size", "200",
+                      "--p", "0.01", "--trials", "10"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + [flag, "0.5"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_plan(self, capsys):
         code, _, _ = run(capsys, "oc", "--n", "2", "--c", "3", "--lot-size", "inf")
@@ -339,6 +362,14 @@ class TestConfigFile:
         code, out, _ = run(capsys, "table", "--from", "43", "--to", "43", "--config", str(config))
         assert code == 0
         assert out.startswith("N,n,c,")
+
+    def test_zero_denominator_level_is_usage_error(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("aql = 1/0\n")
+        proc = run_module("plan", "--lot-size", "10", "--config", str(config))
+        assert proc.returncode == 2
+        assert "config key 'aql': invalid quality level '1/0'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

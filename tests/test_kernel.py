@@ -383,15 +383,23 @@ class TestPlanAndLotTypes:
             LotSize,
             default_mid_scheme,
             max_acceptance_number,
+            monte_carlo_acceptance,
             optimal_plan,
             plan_table,
             scheme_lookup,
+            validate_scheme,
         )
 
         assert max_acceptance_number(57.0, LotSize(258)) == max_acceptance_number(57, LotSize(258))
         assert len(plan_table(1.0, 3.0)) == 3
         assert scheme_lookup(22.0, default_mid_scheme()) == Plan(18, 0)
         assert optimal_plan(INFINITE_LOT, scan_cap=110.0).plan == Plan(109, 3)
+        assert monte_carlo_acceptance(Plan(5, 0), INFINITE_LOT, 0.01, 2.0, 1) == (
+            monte_carlo_acceptance(Plan(5, 0), INFINITE_LOT, 0.01, 2, 1)
+        )
+        assert validate_scheme(default_mid_scheme(), n_cap=20000.0) == validate_scheme(
+            default_mid_scheme(), n_cap=20000
+        )
         with pytest.raises(ValueError):
             max_acceptance_number(57.9, LotSize(258))
         with pytest.raises(ValueError):
@@ -400,6 +408,10 @@ class TestPlanAndLotTypes:
             scheme_lookup(22.9, default_mid_scheme())
         with pytest.raises(ValueError):
             optimal_plan(INFINITE_LOT, scan_cap=109.5)
+        with pytest.raises(ValueError):
+            monte_carlo_acceptance(Plan(5, 0), INFINITE_LOT, 0.01, 2.5, 1)
+        with pytest.raises(ValueError):
+            validate_scheme(default_mid_scheme(), n_cap=20000.5)
 
 
 def test_import_does_not_load_scipy():

@@ -15,7 +15,6 @@ from midsampling import (
     QualitySpec,
     RiskBounds,
     binomial_cdf,
-    brute_force_oracle,
     hypergeometric_acceptance_curve,
     is_admissible,
     max_acceptance_number,
@@ -25,6 +24,8 @@ from midsampling import (
     risk_pair,
     welmec_admissible_pointwise,
 )
+
+from exact_oracle import exact_optimal_plan
 
 
 def exact_consumers_risk(plan, N):
@@ -132,7 +133,7 @@ class TestExactTies:
         lot = LotSize(N)
         assert exact_consumers_risk(plan, N) == Fraction(1, 20)
         assert optimal_plan(lot).plan == plan
-        assert brute_force_oracle(lot).plan == plan
+        assert exact_optimal_plan(N) == (plan.n, plan.c)
         assert max_acceptance_number(plan.n, lot) == plan.c
         assert is_admissible(plan, lot)
         row = plan_table(N, N).to_csv().splitlines()[1]
@@ -194,30 +195,25 @@ class TestPlanTable:
 
 
 class TestBruteForceOracle:
+    """The planner against the exhaustive exact search of exact_oracle.py."""
+
     def test_matches_quoted_plans(self):
-        assert brute_force_oracle(LotSize(258)).plan == Plan(57, 1)
-        assert brute_force_oracle(LotSize(14)).plan == Plan(14, 0)
+        assert exact_optimal_plan(258) == (57, 1)
+        assert exact_optimal_plan(14) == (14, 0)
 
     def test_self_consistency_at_600(self):
-        oracle = brute_force_oracle(LotSize(600))
-        assert oracle.plan == optimal_plan(LotSize(600)).plan
+        assert Plan(*exact_optimal_plan(600)) == optimal_plan(LotSize(600)).plan
 
     def test_equivalence_sample(self):
         for N in (1, 7, 15, 43, 99, 100, 101, 143, 255, 400):
-            assert brute_force_oracle(LotSize(N)).plan == optimal_plan(LotSize(N)).plan
-
-    def test_cost_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_oracle(LotSize(2001))
-        with pytest.raises(ValueError):
-            brute_force_oracle(INFINITE_LOT)
+            assert Plan(*exact_optimal_plan(N)) == optimal_plan(LotSize(N)).plan
 
     def test_custom_parameters_equivalence(self):
         spec = QualitySpec(p_aql=0.02, p_lq=0.12)
         bounds = RiskBounds(alpha_max=0.08, beta_max=0.03)
         for N in (20, 77, 150):
             assert (
-                brute_force_oracle(LotSize(N), spec, bounds).plan
+                Plan(*exact_optimal_plan(N, 0.02, 0.12, 0.08, 0.03))
                 == optimal_plan(LotSize(N), spec, bounds).plan
             )
 
