@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .kernel import LotSize, Plan
 from .planner import DEFAULT_SCAN_CAP, NoPlanWithinCapError, optimal_plan, plan_table
 from .render import RENDERERS, render
-from .risks import QualitySpec, RiskBounds, monte_carlo_acceptance, oc_curve
+from .risks import QualitySpec, RiskBounds, as_exact_level, monte_carlo_acceptance, oc_curve
 from .scheme import (
     DEFAULT_VALIDATION_CAP,
     SchemeCoverageError,
@@ -95,8 +95,8 @@ def _resolve_config(args: argparse.Namespace, default_cap: Optional[int] = None)
             p_lq=pick(args.lq, "lq", _parse_level, Fraction(7, 100)),
         )
         bounds = RiskBounds(
-            alpha_max=pick(args.alpha_max, "alpha_max", float, 0.05),
-            beta_max=pick(args.beta_max, "beta_max", float, 0.05),
+            alpha_max=pick(args.alpha_max, "alpha_max", _parse_level, Fraction(1, 20)),
+            beta_max=pick(args.beta_max, "beta_max", _parse_level, Fraction(1, 20)),
         )
     return RunConfig(
         spec=spec,
@@ -124,8 +124,8 @@ def _parse_lot(token: str) -> LotSize:
 
 def _parse_level(token: str) -> Fraction:
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        return as_exact_level(token)
+    except ValueError as exc:
         raise UsageError(f"invalid quality level {token!r}") from exc
 
 
@@ -240,9 +240,9 @@ def _add_levels(parser: argparse.ArgumentParser) -> None:
                         help="acceptable quality level (default 0.01)")
     parser.add_argument("--lq", type=_parse_level, default=None,
                         help="limit quality level (default 0.07)")
-    parser.add_argument("--alpha-max", type=float, default=None,
+    parser.add_argument("--alpha-max", type=_parse_level, default=None,
                         help="largest tolerated producers' risk (default 0.05)")
-    parser.add_argument("--beta-max", type=float, default=None,
+    parser.add_argument("--beta-max", type=_parse_level, default=None,
                         help="largest tolerated consumers' risk (default 0.05)")
 
 

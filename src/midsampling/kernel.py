@@ -32,12 +32,8 @@ __all__ = [
     "LotSize",
     "INFINITE_LOT",
     "Plan",
-    "log_binomial_coefficient",
-    "binomial_pmf",
     "binomial_cdf",
-    "hypergeometric_pmf",
     "hypergeometric_cdf",
-    "hypergeometric_acceptance_curve",
     "interpolated_acceptance",
     "interpolated_acceptance_curve",
 ]
@@ -184,33 +180,8 @@ class Plan:
         if self.c > self.n:
             raise ValueError(f"acceptance number c={self.c} exceeds sample size n={self.n}")
 
-    def valid_for(self, lot: LotSize) -> bool:
-        return not lot.is_finite or self.n <= lot.count
-
     def __str__(self) -> str:
         return f"({self.n},{self.c})"
-
-
-# ---------------------------------------------------------------------------
-# Log-space combinatorics
-# ---------------------------------------------------------------------------
-
-def log_binomial_coefficient(a: float, b: float) -> float:
-    """Natural log of the (Gamma-generalized) binomial coefficient C(a, b).
-
-    Computed as ``lgamma(a+1) - lgamma(b+1) - lgamma(a-b+1)``, which extends
-    the integer coefficient to real arguments with ``0 <= b <= a``.  Integer
-    arguments below the table's end are served from the precomputed table.
-
-    Raises ``ValueError`` for ``a < 0`` or ``b`` outside ``[0, a]``.
-    """
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a!r}")
-    if b < 0 or b > a:
-        raise ValueError(f"b must lie in [0, {a}], got {b!r}")
-    if float(a).is_integer() and float(b).is_integer():
-        return _ln_comb(int(a), int(b))
-    return math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(a - b + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +233,6 @@ def _tail(c: int, n: int, level, N: Optional[int]) -> float:
 # Binomial model (infinite lots)
 # ---------------------------------------------------------------------------
 
-def binomial_pmf(x: int, n: int, p: float) -> float:
-    """P(X == x) for X ~ Binomial(n, p)."""
-    x = _check_count("x", x)
-    n = _check_count("n", n)
-    if x > n:
-        raise ValueError(f"x={x} exceeds n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if p == 0.0:
-        return 1.0 if x == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if x == n else 0.0
-    return math.exp(_ln_comb(n, x) + x * math.log(p) + (n - x) * math.log1p(-p))
-
-
 def binomial_cdf(c: int, n: int, p: float) -> float:
     """P(X <= c) for X ~ Binomial(n, p), i.e. the acceptance probability of
     plan (n, c) against an infinite lot with defective proportion p.
@@ -297,29 +253,6 @@ def binomial_cdf(c: int, n: int, p: float) -> float:
 # Hypergeometric model (finite lots)
 # ---------------------------------------------------------------------------
 
-def _check_hypergeometric_args(n: int, K: int, N: int) -> tuple:
-    n = _check_count("n", n)
-    K = _check_count("K", K)
-    N = _check_count("N", N)
-    if K > N:
-        raise ValueError(f"defective count K={K} exceeds lot size N={N}")
-    if n > N:
-        raise ValueError(f"sample size n={n} exceeds lot size N={N}")
-    return n, K, N
-
-
-def hypergeometric_pmf(x: int, n: int, K: int, N: int) -> float:
-    """P(X == x) defectives in a sample of n drawn without replacement from
-    a lot of N items containing K defectives."""
-    x = _check_count("x", x)
-    n, K, N = _check_hypergeometric_args(n, K, N)
-    if x > n:
-        raise ValueError(f"x={x} exceeds n={n}")
-    if x > K or n - x > N - K:
-        return 0.0  # C(a, b) == 0 for b > a, decided before any log is taken
-    return math.exp(_ln_comb(K, x) + _ln_comb(N - K, n - x) - _ln_comb(N, n))
-
-
 def hypergeometric_cdf(c: int, n: int, K: int, N: int) -> float:
     """P(X <= c) under the hypergeometric model: acceptance probability of
     plan (n, c) against a finite lot of N items with K defectives.
@@ -330,7 +263,13 @@ def hypergeometric_cdf(c: int, n: int, K: int, N: int) -> float:
     errors are some forty times smaller.
     """
     c = _check_count("c", c)
-    n, K, N = _check_hypergeometric_args(n, K, N)
+    n = _check_count("n", n)
+    K = _check_count("K", K)
+    N = _check_count("N", N)
+    if K > N:
+        raise ValueError(f"defective count K={K} exceeds lot size N={N}")
+    if n > N:
+        raise ValueError(f"sample size n={n} exceeds lot size N={N}")
     if c > n:
         raise ValueError(f"c={c} exceeds n={n}")
     return _tail(c, n, K, N)
@@ -374,18 +313,6 @@ def _hypergeometric_cdf_bulk(c: int, n, K, N) -> np.ndarray:
         for x in range(c + 1):
             total_b += _hypergeometric_terms(x, nb, Kb, Nb, lf, ln_denom)
     return np.minimum(total, 1.0).reshape(shape)
-
-
-def hypergeometric_acceptance_curve(n: int, K: int, N: int) -> np.ndarray:
-    """Acceptance probabilities of the plans (n, 0), (n, 1), ..., (n, n).
-
-    Returns an array ``a`` with ``a[c] == hypergeometric_cdf(c, n, K, N)``
-    (up to rounding), computed in one vectorized pass.
-    """
-    n, K, N = _check_hypergeometric_args(n, K, N)
-    lf = _log_factorial_array(N)
-    terms = _hypergeometric_terms(np.arange(n + 1), n, K, N, lf, lf[N] - lf[n] - lf[N - n])
-    return np.minimum(np.cumsum(terms), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +398,16 @@ def interpolated_acceptance_curve(n: int, N: int, p) -> np.ndarray:
     """Gamma-interpolated acceptance probabilities for c = 0..n at once.
 
     ``out[c]`` equals ``interpolated_acceptance(Plan(n, c), N, p)`` up to
-    rounding, clipped into [0, 1] like the scalar version.
+    rounding, clipped into [0, 1] like the scalar version.  At a whole
+    defect count K = p*N the curve is the hypergeometric one, ``out[c]`` ==
+    ``hypergeometric_cdf(c, n, K, N)`` up to rounding, in one vectorized pass.
     """
     n = _check_count("n", n)
     N, pN, integer_count = _checked_interpolation_args(n, N, p)
     if integer_count is not None:
-        return hypergeometric_acceptance_curve(n, integer_count, N)
+        lf = _log_factorial_array(N)
+        terms = _hypergeometric_terms(
+            np.arange(n + 1), n, integer_count, N, lf, lf[N] - lf[n] - lf[N - n]
+        )
+        return np.minimum(np.cumsum(terms), 1.0)
     return np.clip(np.cumsum(_interpolated_terms(n, n, N, pN)), 0.0, 1.0)

@@ -41,8 +41,6 @@ __all__ = [
     "RealizedLevels",
     "RiskPair",
     "realized_quality_levels",
-    "producers_risk",
-    "consumers_risk",
     "risk_pair",
     "is_admissible",
     "oc_curve",
@@ -53,17 +51,21 @@ LevelLike = Union[Fraction, float, int, str]
 
 
 def as_exact_level(value: LevelLike) -> Fraction:
-    """Convert a quality level to an exact Fraction.
+    """Convert a quality level or risk bound to an exact Fraction.
 
     Floats go through their shortest decimal representation, so the
     literal a user typed (0.07) becomes the rational they meant (7/100)
-    rather than the nearest binary double.
+    rather than the nearest binary double.  Malformed strings, "1/0"
+    included, raise ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(str(value))
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"level {value!r} has a zero denominator") from exc
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,16 @@ class QualitySpec:
 
 @dataclass(frozen=True)
 class RiskBounds:
-    """Largest tolerated producers' risk (alpha) and consumers' risk (beta)."""
+    """Largest tolerated producers' risk (alpha) and consumers' risk (beta),
+    stored as exact rationals like the quality levels (0.05 is 1/20)."""
 
-    alpha_max: float = 0.05
-    beta_max: float = 0.05
+    alpha_max: Fraction = Fraction(1, 20)
+    beta_max: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_max < 1.0 and 0.0 < self.beta_max < 1.0):
+        object.__setattr__(self, "alpha_max", as_exact_level(self.alpha_max))
+        object.__setattr__(self, "beta_max", as_exact_level(self.beta_max))
+        if not (0 < self.alpha_max < 1 and 0 < self.beta_max < 1):
             raise ValueError(
                 f"risk bounds must lie strictly inside (0, 1), "
                 f"got ({self.alpha_max}, {self.beta_max})"
@@ -192,8 +197,9 @@ class _Bound(NamedTuple):
     exact: Fraction
 
     @classmethod
-    def around(cls, bound: float, tol) -> "_Bound":
-        return cls(bound - tol, bound + tol, as_exact_level(bound))
+    def around(cls, bound: Fraction, tol) -> "_Bound":
+        nearest = float(bound)
+        return cls(nearest - tol, nearest + tol, bound)
 
     def admits(self, risk: float, exact_risk) -> bool:
         """The rule for one risk; ``exact_risk()`` is called inside the band only."""
@@ -263,21 +269,15 @@ class _LotRule:
         return admitted and self.admits_beta(n, c)
 
 
-def producers_risk(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> float:
-    """Probability of rejecting a lot whose quality meets the AQL.
-
-    Evaluated at the realized level floor(p_aql*N)/N; by monotonicity of
-    the acceptance probability this bounds the risk for every p below it.
-    """
-    return risk_pair(plan, lot, spec).alpha
-
-
-def consumers_risk(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> float:
-    """Probability of accepting a lot whose quality is at or beyond the LQ."""
-    return risk_pair(plan, lot, spec).beta
-
-
 def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> RiskPair:
+    """Producers' risk (alpha), the probability of rejecting a lot whose
+    quality meets the AQL, and consumers' risk (beta), the probability of
+    accepting a lot at or beyond the LQ.
+
+    Evaluated at the realized levels floor(p_aql*N)/N and ceil(p_lq*N)/N;
+    by monotonicity of the acceptance probability these bound the risks
+    for every level below the AQL and above the LQ respectively.
+    """
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
     return _LotRule(lot, spec, None, plan.n).risks(plan.n, plan.c)
@@ -330,7 +330,7 @@ def _lot_range_risks(
     return alphas, betas, admissible
 
 
-def _acceptance_at_most(plan: Plan, K: int, N: int, level: float) -> bool:
+def _acceptance_at_most(plan: Plan, K: int, N: int, level: Fraction) -> bool:
     """Whether ``plan`` accepts a lot of N items holding K defectives with
     probability at most ``level``, decided as exact arithmetic would."""
     return _Bound.around(level, float(_tail_tolerance(N))).admits(
@@ -376,10 +376,10 @@ def oc_curve(
 
 
 def _checked_proportion(p: LevelLike) -> float:
-    value = float(p)
-    if not 0.0 <= value <= 1.0:
+    value = as_exact_level(p)
+    if not 0 <= value <= 1:
         raise ValueError(f"quality level {p!r} outside [0, 1]")
-    return value
+    return float(value)
 
 
 def _realizable_count(p: LevelLike, N: int) -> int:

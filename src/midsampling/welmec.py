@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .kernel import LotSize, Plan, _tail, interpolated_acceptance
@@ -39,8 +40,8 @@ __all__ = [
 
 # OC anchor probabilities of the MID conditions: acceptance of 95% at the
 # acceptable quality level and 5% at the limit quality.
-ACCEPT_LEVEL_AQL = 0.95
-ACCEPT_LEVEL_LQ = 0.05
+ACCEPT_LEVEL_AQL = Fraction(19, 20)
+ACCEPT_LEVEL_LQ = Fraction(1, 20)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,10 @@ def _acceptance_at_nominal_levels(plan: Plan, lot: LotSize, spec: QualitySpec) -
 
 
 def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
-    return at_aql <= ACCEPT_LEVEL_AQL and at_lq <= ACCEPT_LEVEL_LQ
+    # Interpolated risks are compared as floats with the anchors' nearest
+    # doubles: float 0.05 lies above 1/20, so an exact comparison could
+    # turn a boundary decision.
+    return at_aql <= float(ACCEPT_LEVEL_AQL) and at_lq <= float(ACCEPT_LEVEL_LQ)
 
 
 def welmec_risks(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> WelmecRisks:

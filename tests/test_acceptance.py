@@ -17,17 +17,15 @@ from midsampling import (
     Plan,
     QualitySpec,
     binomial_cdf,
-    binomial_pmf,
     default_mid_scheme,
-    hypergeometric_acceptance_curve,
     hypergeometric_cdf,
-    hypergeometric_pmf,
     interpolated_acceptance,
     interpolated_acceptance_curve,
     monte_carlo_acceptance,
     optimal_plan,
     plan_table,
     realized_quality_levels,
+    risk_pair,
     validate_scheme,
     welmec_admissible_continuous,
     welmec_risks,
@@ -180,9 +178,7 @@ def test_criterion_07_welmec_retro_risks():
     close(welmec_risks(Plan(27, 0), LotSize(43)).alpha_cont, 0.343, 2e-3)
     close(welmec_risks(Plan(27, 0), LotSize(43)).beta_cont, 0.045, 2e-3)
     close(welmec_risks(Plan(36, 0), LotSize(143)).alpha_cont, 0.340, 2e-3)
-    from midsampling import producers_risk
-
-    close(producers_risk(Plan(36, 0), LotSize(143)), 0.252, 2e-3)
+    close(risk_pair(Plan(36, 0), LotSize(143)).alpha, 0.252, 2e-3)
     close(welmec_risks(Plan(56, 1), LotSize(143)).alpha_cont, 0.055, 2e-3)
     close(welmec_risks(Plan(40, 0), LotSize(400)).alpha_cont, 0.345, 2e-3)
     close(welmec_risks(Plan(62, 1), LotSize(400)).alpha_cont, 0.115, 2e-3)
@@ -241,18 +237,18 @@ def test_exact_decision_pairs_to_10_000(full_table):
 def test_criterion_09_property_suite():
     failures = []
 
-    # pmf normalization within 1e-10
+    # normalization within 1e-10: the tail at n - 1 plus the last mass, P(X = n)
     for N in (1, 17, 120, 500):
         for K in {0, 1, N // 7, N // 2, N}:
             for n in {1, N // 2, N}:
                 if n < 1:
                     continue
-                total = math.fsum(hypergeometric_pmf(x, n, K, N) for x in range(n + 1))
+                total = hypergeometric_cdf(n - 1, n, K, N) + math.comb(K, n) / math.comb(N, n)
                 if abs(total - 1.0) > 1e-10:
                     failures.append(f"hyper normalization ({n},{K},{N})")
     for n in (1, 200, 1000):
         for p in (0.0, 0.01, 0.07, 0.41, 1.0):
-            total = math.fsum(binomial_pmf(x, n, p) for x in range(n + 1))
+            total = binomial_cdf(n - 1, n, p) + p**n
             if abs(total - 1.0) > 1e-10:
                 failures.append(f"binom normalization ({n},{p})")
 
@@ -260,7 +256,7 @@ def test_criterion_09_property_suite():
     for n, N in ((57, 258), (82, 400), (34, 99)):
         levels = realized_quality_levels(LotSize(N))
         for K in (levels.k_alpha, levels.k_beta, N // 3):
-            curve = hypergeometric_acceptance_curve(n, K, N)
+            curve = interpolated_acceptance_curve(n, N, Fraction(K, N))
             if np.any(np.diff(curve) < -1e-12):
                 failures.append(f"monotonicity in c ({n},{K},{N})")
         for c in (0, 1, 3):
@@ -302,8 +298,8 @@ def test_criterion_09_property_suite():
     for N in range(1, 301):
         levels = realized_quality_levels(LotSize(N), spec)
         for n in range(1, N + 1):
-            acc_a = hypergeometric_acceptance_curve(n, levels.k_alpha, N)
-            acc_b = hypergeometric_acceptance_curve(n, levels.k_beta, N)
+            acc_a = interpolated_acceptance_curve(n, N, levels.p_alpha)
+            acc_b = interpolated_acceptance_curve(n, N, levels.p_beta)
             cont_a = interpolated_acceptance_curve(n, N, spec.p_aql)
             cont_b = interpolated_acceptance_curve(n, N, spec.p_lq)
             if np.any(cont_a - acc_a > 5e-6):

@@ -86,6 +86,13 @@ class TestPlanCommand:
         assert code == 0
         assert out == reference
 
+    def test_fraction_bound_matches_decimal(self, capsys):
+        code, decimal_out, _ = run(capsys, "plan", "--lot-size", "43", "--alpha-max", "0.05")
+        assert code == 0
+        code, fraction_out, _ = run(capsys, "plan", "--lot-size", "43", "--alpha-max", "1/20")
+        assert code == 0
+        assert fraction_out == decimal_out
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "plan", "--lot-size", "258", "--format", "json")
         assert code == 0

@@ -13,13 +13,9 @@ from hypothesis import given, settings, strategies as st
 from midsampling import (
     Plan,
     binomial_cdf,
-    binomial_pmf,
-    hypergeometric_acceptance_curve,
     hypergeometric_cdf,
-    hypergeometric_pmf,
     interpolated_acceptance,
     interpolated_acceptance_curve,
-    log_binomial_coefficient,
 )
 from midsampling.kernel import _tail_tolerance
 
@@ -49,20 +45,33 @@ def product_log_coefficient(a: float, b: int) -> float:
     return math.fsum(math.log((a - i) / (b - i)) for i in range(b))
 
 
+def ln_coefficient_from_tail(a: int, b: int) -> float:
+    # ln C(a, b) read off a public tail: b draws from a + 1 items holding one
+    # defective contain none with probability C(a, b) / C(a + 1, b)
+    return math.log(hypergeometric_cdf(0, b, 1, a + 1)) + product_log_coefficient(a + 1.0, b)
+
+
 # ---------------------------------------------------------------------------
-# log_binomial_coefficient
+# Log binomial coefficients, as the tails use them
 # ---------------------------------------------------------------------------
 
 class TestLogBinomialCoefficient:
     def test_integer_small(self):
-        assert log_binomial_coefficient(5, 2) == pytest.approx(math.log(10), rel=1e-12)
+        assert ln_coefficient_from_tail(5, 2) == pytest.approx(math.log(10), rel=1e-12)
 
     def test_choose_zero_is_one(self):
+        # the x = 0 term of a binomial tail is C(n, 0) q**n
+        p = 1e-7
         for n in (0, 1, 7, 1000, 10**6):
-            assert log_binomial_coefficient(n, 0) == pytest.approx(0.0, abs=1e-10)
+            assert math.log(binomial_cdf(0, n, p)) - n * math.log1p(-p) == pytest.approx(
+                0.0, abs=1e-10
+            )
 
     def test_real_arguments_match_product_formula(self):
-        got = log_binomial_coefficient(43.57, 27)
+        # at c = 0 the continued model accepts with probability
+        # C(N - p*N, n) / C(N, n); N - p*N = 43.57 at N = 44
+        got = math.log(interpolated_acceptance(Plan(27, 0), 44, Fraction(43, 4400)))
+        got += math.log(math.comb(44, 27))
         want = product_log_coefficient(43.57, 27)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -70,26 +79,18 @@ class TestLogBinomialCoefficient:
         # independent route: compensated sum of term-by-term log ratios
         n, k = 10**6, 345_678
         want = product_log_coefficient(float(n), k)
-        assert log_binomial_coefficient(n, k) == pytest.approx(want, rel=1e-10)
+        assert ln_coefficient_from_tail(n, k) == pytest.approx(want, rel=1e-10)
         n, k = 10**6, 17
-        assert log_binomial_coefficient(n, k) == pytest.approx(
+        assert ln_coefficient_from_tail(n, k) == pytest.approx(
             math.log(math.comb(n, k)), rel=1e-10
         )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_binomial_coefficient(-1.0, 0)
-        with pytest.raises(ValueError):
-            log_binomial_coefficient(5, -1)
-        with pytest.raises(ValueError):
-            log_binomial_coefficient(5, 6)
 
     @given(st.integers(0, 2000), st.data())
     @settings(max_examples=60, deadline=None)
     def test_integer_agreement_with_math_comb(self, a, data):
         b = data.draw(st.integers(0, a))
         want = math.log(math.comb(a, b)) if math.comb(a, b) > 0 else 0.0
-        assert log_binomial_coefficient(a, b) == pytest.approx(want, rel=1e-10, abs=1e-10)
+        assert ln_coefficient_from_tail(a, b) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +148,10 @@ class TestBinomialCdf:
         assert binomial_cdf(c, n, lo) >= binomial_cdf(c, n, hi) - 1e-12
 
     def test_normalization_over_grid(self):
+        # every term but the last, P(X = n) = p**n, is summed by the tail at n - 1
         for n in (1, 10, 137, 500, 1000):
             for p in (0.0, 1e-6, 0.01, 0.07, 0.3, 0.5, 0.77, 1.0):
-                total = math.fsum(binomial_pmf(x, n, p) for x in range(n + 1))
+                total = binomial_cdf(n - 1, n, p) + p**n
                 assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -220,9 +222,9 @@ class TestHypergeometricCdf:
                 for n in {1, N // 3, N // 2, N}:
                     if n < 1:
                         continue
-                    total = math.fsum(
-                        hypergeometric_pmf(x, n, K, N) for x in range(n + 1)
-                    )
+                    # P(X = n) = C(K, n) / C(N, n) completes the tail at n - 1
+                    last = math.comb(K, n) / math.comb(N, n)
+                    total = hypergeometric_cdf(n - 1, n, K, N) + last
                     assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_binomial_limit_law(self):
@@ -235,7 +237,7 @@ class TestHypergeometricCdf:
 
     def test_acceptance_curve_matches_scalar(self):
         for n, K, N in [(22, 3, 43), (57, 19, 258), (82, 4, 400), (5, 0, 9)]:
-            curve = hypergeometric_acceptance_curve(n, K, N)
+            curve = interpolated_acceptance_curve(n, N, Fraction(K, N))
             assert len(curve) == n + 1
             for c in range(n + 1):
                 assert curve[c] == pytest.approx(

@@ -15,7 +15,7 @@ from midsampling import (
     QualitySpec,
     RiskBounds,
     binomial_cdf,
-    hypergeometric_acceptance_curve,
+    interpolated_acceptance_curve,
     is_admissible,
     max_acceptance_number,
     optimal_plan,
@@ -108,8 +108,8 @@ class TestOptimalPlan:
             n_star = result.plan.n
             if n_star > 1:
                 levels = realized_quality_levels(lot)
-                acc_a = hypergeometric_acceptance_curve(n_star - 1, levels.k_alpha, N)
-                acc_b = hypergeometric_acceptance_curve(n_star - 1, levels.k_beta, N)
+                acc_a = interpolated_acceptance_curve(n_star - 1, N, levels.p_alpha)
+                acc_b = interpolated_acceptance_curve(n_star - 1, N, levels.p_beta)
                 assert not np.any((1 - acc_a <= 0.05) & (acc_b <= 0.05))
 
     def test_infinite_scan_cap(self):
@@ -217,29 +217,46 @@ class TestBruteForceOracle:
                 == optimal_plan(LotSize(N), spec, bounds).plan
             )
 
+    @given(
+        st.tuples(
+            st.fractions(min_value=0, max_value=1, max_denominator=20),
+            st.fractions(min_value=0, max_value=1, max_denominator=20),
+        ).filter(lambda levels: 0 < levels[0] < levels[1] < 1),
+        st.one_of(st.integers(10, 200).map(lambda k: k / 1000), st.just(Fraction(1, 7))),
+        st.one_of(st.integers(10, 200).map(lambda k: k / 1000), st.just(Fraction(1, 7))),
+        st.integers(1, 150),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_custom_specs_match_exact_oracle(self, levels, alpha_max, beta_max, N):
+        # bounds are short decimals, read as written, or an exact fraction
+        aql, lq = levels
+        result = optimal_plan(LotSize(N), QualitySpec(aql, lq), RiskBounds(alpha_max, beta_max))
+        assert result.plan == Plan(*exact_optimal_plan(N, aql, lq, alpha_max, beta_max))
+
 
 class TestCFeasibilityStructure:
     def test_c_max_sufficiency(self):
         # (n, c) admissible for some c iff (n, c_max) is admissible
         bounds = RiskBounds()
+        alpha_max, beta_max = float(bounds.alpha_max), float(bounds.beta_max)
         for N in (9, 43, 100, 143, 258, 300):
             lot = LotSize(N)
             levels = realized_quality_levels(lot)
             for n in range(1, N + 1):
-                acc_a = hypergeometric_acceptance_curve(n, levels.k_alpha, N)
-                acc_b = hypergeometric_acceptance_curve(n, levels.k_beta, N)
-                admissible = (1 - acc_a <= bounds.alpha_max) & (acc_b <= bounds.beta_max)
+                acc_a = interpolated_acceptance_curve(n, N, levels.p_alpha)
+                acc_b = interpolated_acceptance_curve(n, N, levels.p_beta)
+                admissible = (1 - acc_a <= alpha_max) & (acc_b <= beta_max)
                 c_max = max_acceptance_number(n, lot)
                 if c_max is None:
-                    assert not np.any(acc_b <= bounds.beta_max)
+                    assert not np.any(acc_b <= beta_max)
                 else:
                     assert bool(np.any(admissible)) == bool(admissible[c_max])
 
     def test_alpha_decreases_and_beta_increases_in_c(self):
         for N, n in [(143, 51), (258, 57), (400, 82)]:
             levels = realized_quality_levels(LotSize(N))
-            acc_a = hypergeometric_acceptance_curve(n, levels.k_alpha, N)
-            acc_b = hypergeometric_acceptance_curve(n, levels.k_beta, N)
+            acc_a = interpolated_acceptance_curve(n, N, levels.p_alpha)
+            acc_b = interpolated_acceptance_curve(n, N, levels.p_beta)
             alphas = 1 - acc_a
             assert np.all(np.diff(alphas) <= 1e-12)
             assert np.all(np.diff(acc_b) >= -1e-12)

@@ -16,15 +16,14 @@ from midsampling import (
     QualitySpec,
     RiskBounds,
     binomial_cdf,
-    consumers_risk,
     hypergeometric_cdf,
     is_admissible,
     monte_carlo_acceptance,
     oc_curve,
     oc_curve_to_csv,
     oc_curve_to_json,
-    producers_risk,
     realized_quality_levels,
+    risk_pair,
 )
 
 
@@ -34,7 +33,7 @@ class TestQualitySpecAndBounds:
         assert spec.p_aql == Fraction(1, 100)
         assert spec.p_lq == Fraction(7, 100)
         bounds = RiskBounds()
-        assert bounds.alpha_max == bounds.beta_max == 0.05
+        assert bounds.alpha_max == bounds.beta_max == Fraction(1, 20)
 
     def test_float_levels_become_exact_decimals(self):
         spec = QualitySpec(p_aql=0.015, p_lq=0.08)
@@ -93,27 +92,27 @@ class TestRealizedLevels:
 
 class TestRisks:
     def test_producers_risk_examples(self):
-        assert producers_risk(Plan(82, 2), LotSize(400)) == pytest.approx(0.028, abs=1e-3)
-        assert producers_risk(Plan(22, 0), LotSize(43)) == 0.0
-        assert producers_risk(Plan(40, 40), LotSize(40)) == 0.0
+        assert risk_pair(Plan(82, 2), LotSize(400)).alpha == pytest.approx(0.028, abs=1e-3)
+        assert risk_pair(Plan(22, 0), LotSize(43)).alpha == 0.0
+        assert risk_pair(Plan(40, 40), LotSize(40)).alpha == 0.0
 
     def test_consumers_risk_examples(self):
-        assert consumers_risk(Plan(22, 0), LotSize(43)) == pytest.approx(0.048, abs=1e-3)
-        assert consumers_risk(Plan(109, 3), INFINITE_LOT) == pytest.approx(0.0485, abs=5e-4)
+        assert risk_pair(Plan(22, 0), LotSize(43)).beta == pytest.approx(0.048, abs=1e-3)
+        assert risk_pair(Plan(109, 3), INFINITE_LOT).beta == pytest.approx(0.0485, abs=5e-4)
 
     def test_full_inspection_has_zero_risks(self):
         for N in (1, 14, 99, 258):
             c = N // 100
-            assert producers_risk(Plan(N, c), LotSize(N)) == 0.0
-            assert consumers_risk(Plan(N, c), LotSize(N)) == 0.0
+            assert risk_pair(Plan(N, c), LotSize(N)).alpha == 0.0
+            assert risk_pair(Plan(N, c), LotSize(N)).beta == 0.0
 
     def test_definitional_consistency_with_kernel(self):
         for N, plan in [(258, Plan(57, 1)), (43, Plan(22, 0)), (400, Plan(82, 2))]:
             levels = realized_quality_levels(LotSize(N))
-            assert producers_risk(plan, LotSize(N)) == pytest.approx(
+            assert risk_pair(plan, LotSize(N)).alpha == pytest.approx(
                 1.0 - hypergeometric_cdf(plan.c, plan.n, levels.k_alpha, N), abs=1e-15
             )
-            assert consumers_risk(plan, LotSize(N)) == pytest.approx(
+            assert risk_pair(plan, LotSize(N)).beta == pytest.approx(
                 hypergeometric_cdf(plan.c, plan.n, levels.k_beta, N), abs=1e-15
             )
 
@@ -121,7 +120,7 @@ class TestRisks:
         # a lot below 100(c+1) cannot hold more than c defectives at 1% quality
         for N, c in [(99, 0), (150, 1), (299, 2), (399, 3)]:
             n = min(N, 50 + c * 30)
-            assert producers_risk(Plan(n, c), LotSize(N)) == 0.0
+            assert risk_pair(Plan(n, c), LotSize(N)).alpha == 0.0
 
     def test_admissibility(self):
         assert is_admissible(Plan(57, 1), LotSize(258))
@@ -130,11 +129,11 @@ class TestRisks:
 
     def test_degenerate_plan_rejected(self):
         with pytest.raises(ValueError):
-            producers_risk(Plan(0, 0), LotSize(10))
+            risk_pair(Plan(0, 0), LotSize(10))
         with pytest.raises(ValueError):
-            consumers_risk(Plan(0, 0), INFINITE_LOT)
+            risk_pair(Plan(0, 0), INFINITE_LOT)
         with pytest.raises(ValueError):
-            producers_risk(Plan(11, 0), LotSize(10))
+            risk_pair(Plan(11, 0), LotSize(10))
 
 
 class TestOcCurve:
@@ -161,12 +160,18 @@ class TestOcCurve:
         assert lookup[0.01] == pytest.approx(0.944466, abs=1e-6)
 
     def test_custom_grid_and_errors(self):
-        points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.0, 0.01, 0.07])
-        assert [p for p, _ in points] == [0.0, 0.01, 0.07]
+        points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.0, 0.01, 0.07, "7/100"])
+        assert [p for p, _ in points] == [0.0, 0.01, 0.07, 0.07]
+        assert points[3] == points[2]
+        finite = oc_curve(Plan(22, 0), LotSize(43), grid=["3/43", Fraction(3, 43)])
+        assert finite[0] == finite[1]
+        assert finite[0][1] == pytest.approx(hypergeometric_cdf(0, 22, 3, 43), abs=1e-12)
         with pytest.raises(ValueError):
             oc_curve(Plan(86, 2), INFINITE_LOT, grid=[-0.1])
         with pytest.raises(ValueError):
             oc_curve(Plan(86, 2), INFINITE_LOT, grid=[1.5])
+        with pytest.raises(ValueError):
+            oc_curve(Plan(86, 2), INFINITE_LOT, grid=["1/0"])
         with pytest.raises(ValueError):
             oc_curve(Plan(22, 0), LotSize(43), grid=[0.05])  # 0.05*43 not integral
 
@@ -226,6 +231,9 @@ class TestMonteCarlo:
         )
         sigma = math.sqrt(analytic * (1 - analytic) / trials)
         assert abs(estimate - analytic) <= 3 * sigma
+        assert monte_carlo_acceptance(Plan(22, 0), LotSize(43), "3/43", 1000, seed=11) == (
+            monte_carlo_acceptance(Plan(22, 0), LotSize(43), Fraction(3, 43), 1000, seed=11)
+        )
 
     def test_non_integral_defective_count_rejected(self):
         with pytest.raises(ValueError):
@@ -240,9 +248,9 @@ def test_risks_do_not_depend_on_call_history():
     # a fresh interpreter, so that no earlier call has grown the
     # log-factorial table; the curve at N = 400000 grows it
     script = (
-        "from midsampling import LotSize, Plan, risk_pair, hypergeometric_acceptance_curve\n"
+        "from midsampling import LotSize, Plan, risk_pair, oc_curve\n"
         "before = risk_pair(Plan(109, 3), LotSize(150_000))\n"
-        "hypergeometric_acceptance_curve(1, 0, 400_000)\n"
+        "oc_curve(Plan(1, 0), LotSize(400_000), grid=[0])\n"
         "after = risk_pair(Plan(109, 3), LotSize(150_000))\n"
         "print(before == after, before, after)\n"
     )

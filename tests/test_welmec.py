@@ -12,11 +12,8 @@ from midsampling import (
     compare_interpretations,
     comparison_to_json,
     comparison_to_text,
-    consumers_risk,
-    hypergeometric_acceptance_curve,
     interpolated_acceptance,
     interpolated_acceptance_curve,
-    producers_risk,
     realized_quality_levels,
     risk_pair,
     welmec_admissible_continuous,
@@ -43,8 +40,8 @@ class TestWelmecRisks:
     def test_infinite_lot_equals_binomial_risks(self):
         for plan in (Plan(88, 2), Plan(66, 1), Plan(42, 0), Plan(109, 3)):
             risks = welmec_risks(plan, INFINITE_LOT)
-            assert risks.alpha_cont == producers_risk(plan, INFINITE_LOT)
-            assert risks.beta_cont == consumers_risk(plan, INFINITE_LOT)
+            assert risks.alpha_cont == risk_pair(plan, INFINITE_LOT).alpha
+            assert risks.beta_cont == risk_pair(plan, INFINITE_LOT).beta
         assert welmec_risks(Plan(88, 2), INFINITE_LOT).alpha_cont == pytest.approx(
             0.0587, abs=5e-4
         )
@@ -55,7 +52,7 @@ class TestWelmecRisks:
         for plan in (Plan(40, 0), Plan(62, 1), Plan(101, 2)):
             risks = welmec_risks(plan, LotSize(400))
             assert risks.alpha_cont == pytest.approx(
-                producers_risk(plan, LotSize(400)), abs=1e-12
+                risk_pair(plan, LotSize(400)).alpha, abs=1e-12
             )
         assert welmec_risks(Plan(40, 0), LotSize(400)).alpha_cont == pytest.approx(
             0.345, abs=2e-3
@@ -151,8 +148,8 @@ class TestDominance:
         ]
         for plan, lot in cases:
             cont = welmec_risks(plan, lot)
-            assert producers_risk(plan, lot) <= cont.alpha_cont + 1e-12
-            assert consumers_risk(plan, lot) <= cont.beta_cont + 1e-12
+            assert risk_pair(plan, lot).alpha <= cont.alpha_cont + 1e-12
+            assert risk_pair(plan, lot).beta <= cont.beta_cont + 1e-12
 
     def test_dominance_for_meaningful_plans_sampled(self):
         # exact dominance holds whenever the consumers' side is non-trivial
@@ -162,8 +159,8 @@ class TestDominance:
         for N in (9, 43, 77, 143, 216, 258, 300):
             levels = realized_quality_levels(LotSize(N), spec)
             for n in range(1, N + 1, 7):
-                acc_a = hypergeometric_acceptance_curve(n, levels.k_alpha, N)
-                acc_b = hypergeometric_acceptance_curve(n, levels.k_beta, N)
+                acc_a = interpolated_acceptance_curve(n, N, levels.p_alpha)
+                acc_b = interpolated_acceptance_curve(n, N, levels.p_beta)
                 cont_a = interpolated_acceptance_curve(n, N, spec.p_aql)
                 cont_b = interpolated_acceptance_curve(n, N, spec.p_lq)
                 top = min(levels.k_beta, n + 1)
