@@ -95,8 +95,8 @@ def _resolve_config(args: argparse.Namespace, default_cap: Optional[int] = None)
             p_lq=pick(args.lq, "lq", _parse_level, Fraction(7, 100)),
         )
         bounds = RiskBounds(
-            alpha_max=pick(args.alpha_max, "alpha_max", _parse_level, Fraction(1, 20)),
-            beta_max=pick(args.beta_max, "beta_max", _parse_level, Fraction(1, 20)),
+            alpha_max=pick(args.alpha_max, "alpha_max", _parse_bound, Fraction(1, 20)),
+            beta_max=pick(args.beta_max, "beta_max", _parse_bound, Fraction(1, 20)),
         )
     return RunConfig(
         spec=spec,
@@ -122,11 +122,15 @@ def _parse_lot(token: str) -> LotSize:
         raise UsageError(f"invalid lot size {token!r}: {exc}") from exc
 
 
-def _parse_level(token: str) -> Fraction:
+def _parse_level(token: str, what: str = "quality level") -> Fraction:
     try:
         return as_exact_level(token)
     except ValueError as exc:
-        raise UsageError(f"invalid quality level {token!r}") from exc
+        raise UsageError(f"invalid {what} {token!r}") from exc
+
+
+def _parse_bound(token: str) -> Fraction:
+    return _parse_level(token, "risk bound")
 
 
 def _parse_candidates(token: str) -> list:
@@ -240,9 +244,9 @@ def _add_levels(parser: argparse.ArgumentParser) -> None:
                         help="acceptable quality level (default 0.01)")
     parser.add_argument("--lq", type=_parse_level, default=None,
                         help="limit quality level (default 0.07)")
-    parser.add_argument("--alpha-max", type=_parse_level, default=None,
+    parser.add_argument("--alpha-max", type=_parse_bound, default=None,
                         help="largest tolerated producers' risk (default 0.05)")
-    parser.add_argument("--beta-max", type=_parse_level, default=None,
+    parser.add_argument("--beta-max", type=_parse_bound, default=None,
                         help="largest tolerated consumers' risk (default 0.05)")
 
 

@@ -3,9 +3,10 @@
 For a fixed sample size n the acceptance probability is non-decreasing in
 the acceptance number c, so the consumers' bound admits exactly the
 acceptance numbers 0..c_n for some maximal c_n (or none), and among those
-c_n itself has the smallest producers' risk.  The optimal plan is found by
-scanning n upward and risk-checking only (n, c_n), which keeps the search
-at O(n) tail evaluations per lot size.
+c_n itself has the smallest producers' risk.  Neither c_n nor the
+producers' risk of a fixed c decreases with n, so the scan over n checks
+the producers' bound only where c_n grows, once per new c.  The lot rule
+in ``risks`` makes every decision exactly, so this argument holds exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .kernel import LotSize, Plan, _check_count, _tail
+from .kernel import LotSize, Plan, _check_count
 from .render import render
 from .risks import (
     QualitySpec,
@@ -79,10 +80,7 @@ def max_acceptance_number(
     lot = LotSize.of(lot)
     n = _check_count("sample size n", n)
     _check_plan(Plan(n, 0), lot)
-    rule = _LotRule(lot, spec, bounds, n)
-    c = -1
-    while c < n and rule.admits_beta(n, c + 1):
-        c += 1
+    c = _LotRule(lot, spec, bounds, n).largest_beta_c(n)
     return None if c < 0 else c
 
 
@@ -96,30 +94,20 @@ def optimal_plan(
 
     Scans n upward, pairing each n with its maximal feasible acceptance
     number; ties at the minimal n resolve to the largest such c, which
-    minimizes the producers' risk at no extra inspection cost.  Finite
-    lots always succeed (full inspection is admissible); infinite lots
-    raise :class:`NoPlanWithinCapError` beyond ``scan_cap``.
+    minimizes the producers' risk at no extra inspection cost.  The
+    producers' bound is checked only where that c grows: a c that failed
+    it at a smaller n fails it again.  Finite lots always succeed (full
+    inspection is admissible); infinite lots raise
+    :class:`NoPlanWithinCapError` beyond ``scan_cap``.
     """
     lot = LotSize.of(lot)
     scan_cap = _check_count("scan_cap", scan_cap)
     highest_n = lot.count if lot.is_finite else scan_cap
     rule = _LotRule(lot, spec, bounds, highest_n)
-    # The scan calls the scalar core and compares with the tie bands inline;
-    # only a risk inside a band is settled through the rule's exact risks.
-    k_alpha, k_beta, N = rule.alpha_level, rule.beta_level, rule.N
-    alpha_lo, alpha_hi, alpha_exact = rule.alpha_bound
-    beta_lo, beta_hi, beta_exact = rule.beta_bound
     c = -1  # largest feasible c at the previous n; it stays feasible as n grows
     for n in range(1, highest_n + 1):
-        while c < n:
-            b = _tail(c + 1, n, k_beta, N)
-            if b > beta_hi or (b > beta_lo and rule.exact_beta(n, c + 1) > beta_exact):
-                break
-            c += 1
-        if c < 0:
-            continue
-        a = 1.0 - _tail(c, n, k_alpha, N)
-        if a <= alpha_lo or (a <= alpha_hi and rule.exact_alpha(n, c) <= alpha_exact):
+        previous, c = c, rule.largest_beta_c(n, c)
+        if c > previous and rule.admits_alpha(n, c):
             return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=rule.levels)
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {highest_n} "

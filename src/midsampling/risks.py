@@ -132,8 +132,7 @@ def realized_quality_levels(lot: LotSize, spec: QualitySpec = QualitySpec()) -> 
     if not lot.is_finite:
         return RealizedLevels(p_alpha=spec.p_aql, p_beta=spec.p_lq)
     N = lot.count
-    k_alpha = math.floor(spec.p_aql * N)
-    k_beta = math.ceil(spec.p_lq * N)
+    k_alpha, k_beta = _realized_counts(spec, N)
     return RealizedLevels(
         p_alpha=Fraction(k_alpha, N),
         p_beta=Fraction(k_beta, N),
@@ -141,6 +140,23 @@ def realized_quality_levels(lot: LotSize, spec: QualitySpec = QualitySpec()) -> 
         k_beta=k_beta,
         denominator=N,
     )
+
+
+def _realized_counts(spec: QualitySpec, lots) -> tuple:
+    """floor(p_aql*N) and ceil(p_lq*N), exactly, for a lot size N or an
+    int64 array of them.  An array whose products would overflow int64 is
+    computed with Python ints."""
+    p_aql, p_lq = spec.p_aql, spec.p_lq
+    wide = isinstance(lots, np.ndarray) and (
+        max(p_aql.denominator, p_lq.denominator) * int(lots.max()) >= 2**63
+    )
+    if wide:
+        lots = lots.astype(object)
+    k_alpha = (p_aql.numerator * lots) // p_aql.denominator
+    k_beta = -((-p_lq.numerator * lots) // p_lq.denominator)
+    if wide:
+        return k_alpha.astype(np.int64), k_beta.astype(np.int64)
+    return k_alpha, k_beta
 
 
 def _check_plan(plan: Plan, lot: LotSize) -> None:
@@ -215,9 +231,8 @@ class _Bound(NamedTuple):
 
 class _LotRule:
     """Both risks of plans (n, c) against one lot, and their bounds if given,
-    resolved once so that loops over plans can call the scalar core
-    directly.  The tolerance of binomial tails grows with the largest
-    sample size n_max."""
+    resolved once for many plans, with the planner's two search steps.  The
+    tolerance of binomial tails grows with the largest sample size n_max."""
 
     def __init__(self, lot: LotSize, spec: QualitySpec, bounds, n_max: int):
         self.levels = realized_quality_levels(lot, spec)
@@ -259,14 +274,23 @@ class _LotRule:
         ) and self.beta_bound.admits(beta, lambda: self.exact_beta(n, c))
         return self._reported_risks(n, c, alpha, beta), admitted
 
-    def admits_beta(self, n: int, c: int) -> bool:
-        beta = _tail(c, n, self.beta_level, self.N)
-        return self.beta_bound.admits(beta, lambda: self.exact_beta(n, c))
+    def largest_beta_c(self, n: int, c: int = -1) -> int:
+        """The largest acceptance number at n that the consumers' bound
+        admits (-1 if none), searched upward from c, an acceptance number
+        it admits or -1.  The hot loop compares with the tie band inline and
+        settles a risk inside it through its exact value."""
+        k_beta, N = self.beta_level, self.N
+        lo, hi, exact = self.beta_bound
+        while c < n:
+            beta = _tail(c + 1, n, k_beta, N)
+            if beta > hi or (beta > lo and self.exact_beta(n, c + 1) > exact):
+                break
+            c += 1
+        return c
 
-    def admits(self, n: int, c: int) -> bool:
+    def admits_alpha(self, n: int, c: int) -> bool:
         alpha = 1.0 - _tail(c, n, self.alpha_level, self.N)
-        admitted = self.alpha_bound.admits(alpha, lambda: self.exact_alpha(n, c))
-        return admitted and self.admits_beta(n, c)
+        return self.alpha_bound.admits(alpha, lambda: self.exact_alpha(n, c))
 
 
 def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> RiskPair:
@@ -293,7 +317,7 @@ def is_admissible(
     exact rational arithmetic would decide it."""
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    return _LotRule(lot, spec, bounds, plan.n).admits(plan.n, plan.c)
+    return _LotRule(lot, spec, bounds, plan.n).judge(plan.n, plan.c)[1]
 
 
 def _lot_range_risks(
@@ -303,10 +327,7 @@ def _lot_range_risks(
     lots[i] (integer arrays), and whether every plan is admissible.  Given
     ``limit_n``, the binomial limit of plan (limit_n, c) is appended to both
     risk arrays and joins the decision."""
-    p_aql, p_lq = spec.p_aql, spec.p_lq
-    # exact realized defective counts, floor(p_aql*N) and ceil(p_lq*N)
-    k_alpha = (p_aql.numerator * lots) // p_aql.denominator
-    k_beta = -((-p_lq.numerator * lots) // p_lq.denominator)
+    k_alpha, k_beta = _realized_counts(spec, lots)
     alphas = 1.0 - _hypergeometric_cdf_bulk(c, sample, k_alpha, lots)
     betas = _hypergeometric_cdf_bulk(c, sample, k_beta, lots)
     tol = _tail_tolerance(lots)

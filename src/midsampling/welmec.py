@@ -91,6 +91,7 @@ def welmec_risks(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) ->
     the plain binomial risks.
     """
     lot = LotSize.of(lot)
+    _check_plan(plan, lot)
     at_aql, at_lq = _acceptance_at_nominal_levels(plan, lot, spec)
     return WelmecRisks(alpha_cont=1.0 - at_aql, beta_cont=at_lq)
 
@@ -102,6 +103,7 @@ def welmec_admissible_continuous(
     or below both anchor points, i.e. acceptance <= 95% at the AQL and
     <= 5% at the LQ.  Boundary equality counts as admissible."""
     lot = LotSize.of(lot)
+    _check_plan(plan, lot)
     return _continuous_admissible(*_acceptance_at_nominal_levels(plan, lot, spec))
 
 

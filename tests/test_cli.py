@@ -118,6 +118,14 @@ class TestPlanCommand:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize("flag", ["--alpha-max", "--beta-max"])
+    def test_zero_denominator_bound_is_usage_error(self, flag):
+        proc = run_module("plan", "--lot-size", "10", flag, "1/0")
+        assert proc.returncode == 2
+        assert f"argument {flag}: invalid risk bound '1/0'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestTableCommand:
     def test_single_row(self, capsys):
         code, out, _ = run(capsys, "table", "--from", "43", "--to", "43")
@@ -202,6 +210,19 @@ class TestSchemeCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 11
         assert rows[2] == ["15", "18", "14", "0", "0.00", "0.00", "0.00", "3.92", "yes"]
+
+    def test_long_decimal_aql_matches_default(self, capsys):
+        # floor(p_aql*N) overflowed int64 here: k_alpha wrapped to -10 at N=923
+        code, out, _ = run(capsys, "scheme", "validate", "--builtin", "--n-cap", "20000",
+                           "--format", "csv", "--aql", "0.010000000000000001")
+        assert code == 0
+        assert out == (GOLDEN_DIR / "scheme-validate.csv").read_text()
+
+    def test_aql_with_huge_denominator(self, capsys):
+        code, out, err = run(capsys, "scheme", "validate", "--builtin", "--n-cap", "20000",
+                             "--aql", "1/10000000000000000000")
+        assert code == 0, err
+        assert "overall: admissible" in out
 
     def test_lookup(self, capsys):
         code, out, _ = run(capsys, "scheme", "lookup", "--builtin", "--lot-size", "22")
@@ -376,6 +397,15 @@ class TestConfigFile:
         proc = run_module("plan", "--lot-size", "10", "--config", str(config))
         assert proc.returncode == 2
         assert "config key 'aql': invalid quality level '1/0'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key", ["alpha_max", "beta_max"])
+    def test_zero_denominator_bound_is_usage_error(self, tmp_path, key):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = 1/0\n")
+        proc = run_module("plan", "--lot-size", "10", "--config", str(config))
+        assert proc.returncode == 2
+        assert f"config key '{key}': invalid risk bound '1/0'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_unknown_key_rejected(self, capsys, tmp_path):

@@ -112,6 +112,28 @@ class TestOptimalPlan:
                 acc_b = interpolated_acceptance_curve(n_star - 1, N, levels.p_beta)
                 assert not np.any((1 - acc_a <= 0.05) & (acc_b <= 0.05))
 
+    @pytest.mark.parametrize("lot", [LotSize(2000), INFINITE_LOT], ids=["2000", "inf"])
+    def test_producers_tail_once_per_new_c(self, monkeypatch, lot):
+        # alpha(n, c) does not decrease in n, so a c that failed the
+        # producers' bound at a smaller n need not be checked again: one
+        # producers' tail per new c, plus one for the reported risks
+        from midsampling import planner, risks
+
+        levels = realized_quality_levels(lot)
+        alpha_level = levels.k_alpha if lot.is_finite else float(levels.p_alpha)
+        producers_tails = []
+        for module in (planner, risks):  # every module the search could call it from
+            if hasattr(module, "_tail"):
+                def counting(c, n, level, N, core=module._tail):
+                    if level == alpha_level:
+                        producers_tails.append((n, c))
+                    return core(c, n, level, N)
+
+                monkeypatch.setattr(module, "_tail", counting)
+        result = optimal_plan(lot)
+        assert result.plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
+        assert 0 < len(producers_tails) <= result.plan.c + 2
+
     def test_infinite_scan_cap(self):
         with pytest.raises(NoPlanWithinCapError):
             optimal_plan(INFINITE_LOT, scan_cap=50)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,7 @@ from midsampling import (
     realized_quality_levels,
     risk_pair,
 )
+from midsampling.risks import _realized_counts
 
 
 class TestQualitySpecAndBounds:
@@ -88,6 +90,25 @@ class TestRealizedLevels:
         assert levels.p_beta >= spec.p_lq
         assert levels.p_alpha == Fraction(levels.k_alpha, N)
         assert levels.p_beta == Fraction(levels.k_beta, N)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            QualitySpec("0.010000000000000001", "0.07"),
+            QualitySpec("1/10000000000000000000", "7000000000000000001/100000000000000000000"),
+        ],
+        ids=["long-decimal", "huge-denominator"],
+    )
+    def test_array_counts_match_scalar_counts(self, spec):
+        # the lot-range path takes the counts of int64 arrays; products
+        # beyond int64 must not wrap
+        lots = np.array([1, 99, 100, 923, 1499, 100_000, 10**7], dtype=np.int64)
+        k_alpha, k_beta = _realized_counts(spec, lots)
+        for i, N in enumerate(lots.tolist()):
+            levels = realized_quality_levels(LotSize(N), spec)
+            assert (k_alpha[i], k_beta[i]) == (levels.k_alpha, levels.k_beta)
+            assert levels.k_alpha == math.floor(spec.p_aql * N)
+            assert levels.k_beta == math.ceil(spec.p_lq * N)
 
 
 class TestRisks:

@@ -73,6 +73,15 @@ class TestContinuousAdmissibility:
     def test_hypothesis_optimal_infinite_plan_is_rejected(self):
         assert not welmec_admissible_continuous(Plan(109, 3), INFINITE_LOT)
 
+    @pytest.mark.parametrize("lot", [LotSize(10), INFINITE_LOT], ids=["finite", "infinite"])
+    def test_degenerate_plan_rejected_like_risk_pair(self, lot):
+        with pytest.raises(ValueError, match="n = 0"):
+            risk_pair(Plan(0, 0), lot)
+        with pytest.raises(ValueError, match="n = 0"):
+            welmec_risks(Plan(0, 0), lot)
+        with pytest.raises(ValueError, match="n = 0"):
+            welmec_admissible_continuous(Plan(0, 0), lot)
+
     def test_full_inspection_near_multiples_of_hundred(self):
         # (N, c) with N = 100c or 100c + 1 fails the continuous criterion
         # although it is always admissible as a hypothesis test
