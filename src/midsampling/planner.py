@@ -1,18 +1,22 @@
 """Search for admissible sampling plans with minimal sample size.
 
-For a fixed sample size n the acceptance probability is non-decreasing in
-the acceptance number c, so the consumers' bound admits exactly the
-acceptance numbers 0..c_n for some maximal c_n (or none), and among those
-c_n itself has the smallest producers' risk.  Neither c_n nor the
-producers' risk of a fixed c decreases with n, so the scan over n checks
-the producers' bound only where c_n grows, once per new c.  The lot rule
-in ``risks`` makes every decision exactly, so this argument holds exactly.
+For a fixed acceptance number c the consumers' risk does not increase with
+the sample size n and the producers' risk does not decrease, so the
+consumers' bound admits c exactly from some smallest n_beta(c) on, and
+n_beta(c) does not decrease with c.  The search walks c = 0, 1, ...,
+finds each n_beta(c) by galloping and bisecting upward from the previous
+one, and stops at the first c whose producers' risk at n_beta(c) is
+admitted: no plan with a smaller n is admissible.  At that n the plan takes
+the largest acceptance number the consumers' bound admits, which has the
+smallest producers' risk.  The lot rule in ``risks`` makes every decision
+exactly, so this argument holds exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .kernel import LotSize, Plan, _check_count
 from .render import render
@@ -92,23 +96,39 @@ def optimal_plan(
 ) -> PlanResult:
     """Admissible plan with the smallest sample size for the given lot.
 
-    Scans n upward, pairing each n with its maximal feasible acceptance
-    number; ties at the minimal n resolve to the largest such c, which
-    minimizes the producers' risk at no extra inspection cost.  The
-    producers' bound is checked only where that c grows: a c that failed
-    it at a smaller n fails it again.  Finite lots always succeed (full
-    inspection is admissible); infinite lots raise
-    :class:`NoPlanWithinCapError` beyond ``scan_cap``.
+    Searches over the acceptance number c: the first c admitted by both
+    bounds at n_beta(c), the smallest n the consumers' bound admits it at,
+    gives the smallest sample size n*.  Ties at n* resolve to the largest
+    acceptance number the consumers' bound admits, which minimizes the
+    producers' risk at no extra inspection cost.  Finite lots always
+    succeed (full inspection is admissible); infinite lots raise
+    :class:`NoPlanWithinCapError` when n* would exceed ``scan_cap``.
     """
     lot = LotSize.of(lot)
     scan_cap = _check_count("scan_cap", scan_cap)
-    highest_n = lot.count if lot.is_finite else scan_cap
+    return _search(lot, spec, bounds, lot.count if lot.is_finite else scan_cap)[0]
+
+
+def _search(lot: LotSize, spec, bounds, highest_n: int, hints: Sequence[int] = ()) -> tuple:
+    """The optimal plan with sample size at most highest_n, and the list of
+    n_beta(c) it found on the way.  The search for n_beta(c) starts at
+    ``hints[c]``, n_beta(c) of a nearby lot, or else where the previous two
+    n_beta point; a start never changes the answer."""
     rule = _LotRule(lot, spec, bounds, highest_n)
-    c = -1  # largest feasible c at the previous n; it stays feasible as n grows
-    for n in range(1, highest_n + 1):
-        previous, c = c, rule.largest_beta_c(n, c)
-        if c > previous and rule.admits_alpha(n, c):
-            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=rule.levels)
+    n_betas = []
+    n = 1
+    for c in itertools.count():
+        if c < len(hints):
+            hint = hints[c]
+        else:  # n_beta(c) grows about linearly in c
+            hint = 2 * n - n_betas[-2] if c >= 2 else None
+        n = rule.smallest_beta_n(c, n, hint)
+        if n is None:
+            break
+        n_betas.append(n)
+        if rule.admits_alpha(n, c):
+            c = rule.largest_beta_c(n, c)
+            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=rule.levels), n_betas
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {highest_n} "
         f"for quality levels ({spec.p_aql}, {spec.p_lq}) "
@@ -124,14 +144,15 @@ def plan_table(
 ) -> PlanTable:
     """Optimal plans for every lot size N in [n_min, n_max].
 
-    Lot sizes are independent, so this is trivially parallelizable; the
-    sequential evaluation here keeps results deterministic and ordered.
+    n_beta(c) moves by at most a step or so from one lot size to the next,
+    so each lot's search starts from the previous lot's; every row equals
+    ``optimal_plan`` of its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
-    rows = tuple(
-        (N, optimal_plan(LotSize(N), spec, bounds)) for N in range(n_min, n_max + 1)
-    )
-    return PlanTable(rows=rows)
-
+    rows, hints = [], ()
+    for N in range(n_min, n_max + 1):
+        result, hints = _search(LotSize(N), spec, bounds, N, hints)
+        rows.append((N, result))
+    return PlanTable(rows=tuple(rows))

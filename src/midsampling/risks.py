@@ -231,10 +231,12 @@ class _Bound(NamedTuple):
 
 class _LotRule:
     """Both risks of plans (n, c) against one lot, and their bounds if given,
-    resolved once for many plans, with the planner's two search steps.  The
-    tolerance of binomial tails grows with the largest sample size n_max."""
+    resolved once for many plans, with the planner's three search steps.
+    Sample sizes run up to n_max, which also widens the tolerance of
+    binomial tails."""
 
     def __init__(self, lot: LotSize, spec: QualitySpec, bounds, n_max: int):
+        self.n_max = n_max
         self.levels = realized_quality_levels(lot, spec)
         self.alpha_level, self.beta_level, self.N = _core_levels(self.levels)
         if lot.is_finite:
@@ -274,11 +276,58 @@ class _LotRule:
         ) and self.beta_bound.admits(beta, lambda: self.exact_beta(n, c))
         return self._reported_risks(n, c, alpha, beta), admitted
 
+    def smallest_beta_n(self, c: int, n_from: int, hint: Optional[int] = None) -> Optional[int]:
+        """The smallest sample size n <= n_max at which the consumers' bound
+        admits acceptance number c (None if none does), given that no n
+        below n_from does.  Beta(n, c) does not increase with n, so a gallop
+        from ``hint`` (or n_from) brackets the answer and a bisection closes
+        the bracket; the hint moves only where the search starts.  Like
+        ``largest_beta_c``, it compares with the tie band inline."""
+        k_beta, N = self.beta_level, self.N
+        lo, hi, exact = self.beta_bound
+
+        def admits(n):
+            beta = _tail(c, n, k_beta, N)
+            return beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact)
+
+        # no n <= c admits c: such a sample accepts every lot
+        failing, admitted = max(n_from, c + 1) - 1, None
+        if failing >= self.n_max:
+            return None
+        n = failing + 1 if hint is None else min(max(hint, failing + 1), self.n_max)
+        step = 1
+        if admits(n):  # gallop down to a failing n or to the known one
+            admitted = n
+            while admitted - step > failing:
+                n = admitted - step
+                if not admits(n):
+                    failing = n
+                    break
+                admitted, step = n, 2 * step
+        else:  # gallop up to an admitted n, or to a failing n_max
+            failing = n
+            while admitted is None:
+                n = min(failing + step, self.n_max)
+                if n == failing:
+                    return None
+                if admits(n):
+                    admitted = n
+                else:
+                    failing, step = n, 2 * step
+        while admitted - failing > 1:
+            n = (failing + admitted) // 2
+            if admits(n):
+                admitted = n
+            else:
+                failing = n
+        return admitted
+
     def largest_beta_c(self, n: int, c: int = -1) -> int:
         """The largest acceptance number at n that the consumers' bound
         admits (-1 if none), searched upward from c, an acceptance number
-        it admits or -1.  The hot loop compares with the tie band inline and
-        settles a risk inside it through its exact value."""
+        it admits or -1, one tail per step: the planner calls it once per
+        plan, from the c it searched for.  The loop compares with the tie
+        band inline and settles a risk inside it through its exact value."""
         k_beta, N = self.beta_level, self.N
         lo, hi, exact = self.beta_bound
         while c < n:

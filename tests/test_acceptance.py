@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail
 lines; the whole suite stays well under five minutes on a desktop.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -231,6 +232,17 @@ def test_exact_decision_pairs_to_10_000(full_table):
         "exact decision pairs (n*, c*) and (n*-1, c), N <= 10^4",
         not wrong,
         f"lots decided wrongly={wrong[:5]} in {elapsed:.1f}s",
+    )
+
+
+def test_table_csv_bytes_to_10_000(full_table):
+    # The 1..10^4 table as the upward scan over every n wrote it; a faster
+    # search must not move a byte.
+    digest = hashlib.sha256(full_table.to_csv().encode()).hexdigest()
+    report(
+        "table CSV bytes, N <= 10^4",
+        digest == "8ecf1c4414523a80e054523bd0bd9edaa9173bb96d8bf58ff63afb9644530446",
+        f"sha256={digest}",
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from midsampling import LotSize, Plan, is_admissible
+from midsampling import INFINITE_LOT, LotSize, Plan, QualitySpec, is_admissible
 from midsampling.cli import main
 
 
@@ -110,6 +110,15 @@ class TestPlanCommand:
         code, _, err = run(capsys, "plan", "--lot-size", "inf", "--n-cap", "50")
         assert code == 3
         assert "no admissible plan" in err
+
+    def test_level_within_an_ulp_of_one(self, capsys):
+        # the level rounds to 1.0 as a float; its exact value is below 1
+        lq = "0.999999999999999999999"
+        code, out, err = run(capsys, "plan", "--lot-size", "inf", "--aql", "0.5", "--lq", lq)
+        assert code == 0, err
+        fields = dict(field.split("=") for field in out.split())
+        plan = Plan(int(fields["n"]), int(fields["c"]))
+        assert is_admissible(plan, INFINITE_LOT, QualitySpec("0.5", lq))
 
     def test_zero_denominator_level_is_usage_error(self):
         proc = run_module("plan", "--lot-size", "10", "--aql", "1/0")

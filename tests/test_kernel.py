@@ -273,6 +273,11 @@ class TestDocumentedErrorBound:
         assert _tail_tolerance(25) < 1e-11
         assert _tail_tolerance(10**6) < 1e-6
 
+    @pytest.mark.parametrize("p", [Fraction(1, 10**400), Fraction(10**21 - 1, 10**21)])
+    def test_tolerance_at_levels_that_round_to_0_or_1(self, p):
+        # float(p) is 0.0 or 1.0; ln p and ln(1 - p) come from the exact ratio
+        assert 0 < _tail_tolerance(100, p) < 1e-8
+
 
 # ---------------------------------------------------------------------------
 # interpolated_acceptance

@@ -134,9 +134,32 @@ class TestOptimalPlan:
         assert result.plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
         assert 0 < len(producers_tails) <= result.plan.c + 2
 
+    @pytest.mark.parametrize("lot", [LotSize(2000), INFINITE_LOT], ids=["2000", "inf"])
+    def test_tail_budget(self, monkeypatch, lot):
+        # galloping and bisecting in n for each c, in place of a scan over
+        # every n (117 tails at N=2000, 119 at infinity)
+        from midsampling import planner, risks
+
+        tails = []
+        for module in (planner, risks):
+            if hasattr(module, "_tail"):
+                def counting(c, n, level, N, core=module._tail):
+                    tails.append((n, c))
+                    return core(c, n, level, N)
+
+                monkeypatch.setattr(module, "_tail", counting)
+        assert optimal_plan(lot).plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
+        assert len(tails) <= 60
+
     def test_infinite_scan_cap(self):
         with pytest.raises(NoPlanWithinCapError):
             optimal_plan(INFINITE_LOT, scan_cap=50)
+
+    def test_scan_cap_at_its_edge(self):
+        assert optimal_plan(INFINITE_LOT, scan_cap=109).plan == Plan(109, 3)
+        for cap in (108, 0):
+            with pytest.raises(NoPlanWithinCapError):
+                optimal_plan(INFINITE_LOT, scan_cap=cap)
 
     def test_custom_spec_and_bounds(self):
         spec = QualitySpec(p_aql=0.02, p_lq=0.1)
@@ -214,6 +237,26 @@ class TestPlanTable:
         a = plan_table(1, 60).to_csv()
         b = plan_table(1, 60).to_csv()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "spec, bounds",
+        [
+            (QualitySpec(), RiskBounds()),
+            (QualitySpec("1/30", "1/7"), RiskBounds("1/100", "1/100")),
+        ],
+        ids=["default", "1/30-1/7"],
+    )
+    def test_start_of_search_never_changes_a_row(self, spec, bounds):
+        # each lot's search starts from the previous lot's: rows equal the
+        # plans found from scratch, and chunks of any phase stitch together
+        table = plan_table(1, 600, spec, bounds)
+        for N, result in table:
+            assert result == optimal_plan(LotSize(N), spec, bounds), N
+        text = table.to_csv()
+        for phase in (0, 13):
+            cuts = sorted({1, *range(1 + phase, 601, 20), 601})
+            parts = [plan_table(lo, hi - 1, spec, bounds).to_csv() for lo, hi in zip(cuts, cuts[1:])]
+            assert parts[0] + "".join(part.split("\n", 1)[1] for part in parts[1:]) == text
 
 
 class TestBruteForceOracle:

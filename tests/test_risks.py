@@ -148,6 +148,12 @@ class TestRisks:
         assert not is_admissible(Plan(36, 0), LotSize(143))
         assert is_admissible(Plan(143, 1), LotSize(143))  # full inspection, c = floor(1.43)
 
+    def test_level_within_an_ulp_of_one(self):
+        # 1 - 10**-21 rounds to 1.0 as a float
+        spec = QualitySpec("1/2", Fraction(10**21 - 1, 10**21))
+        pair = risk_pair(Plan(5, 4), INFINITE_LOT, spec)
+        assert pair.alpha == pytest.approx(1 / 32) and pair.beta == pytest.approx(0.0)
+
     def test_degenerate_plan_rejected(self):
         with pytest.raises(ValueError):
             risk_pair(Plan(0, 0), LotSize(10))
