@@ -369,35 +369,70 @@ def is_admissible(
     return _LotRule(lot, spec, bounds, plan.n).judge(plan.n, plan.c)[1]
 
 
-def _lot_range_risks(
-    c: int, sample, lots, spec: QualitySpec, bounds: RiskBounds, limit_n: Optional[int] = None
+def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool) -> np.ndarray:
+    """The lots of [lo, hi] that start or end a run of constant realized
+    count floor(level*N), or ceil(level*N) given ``ceil``, in increasing
+    order, as an int64 array.  With level = a/b, count j is first reached at
+    ceil(j*b/a) on the floor side and count j + 1 at floor(j*b/a) + 1 on the
+    ceil side; products past int64 are taken with Python ints."""
+    a, b = level.numerator, level.denominator
+    if ceil:
+        js = np.arange(-(-a * lo // b), -(-a * hi // b), dtype=np.int64)
+    else:
+        js = np.arange(a * lo // b + 1, a * hi // b + 1, dtype=np.int64)
+    if b * hi >= 2**63:  # j <= hi
+        js = js.astype(object)
+    starts = (js * b) // a + 1 if ceil else -((-js * b) // a)
+    starts = np.concatenate(([lo], np.asarray(starts, dtype=np.int64)))
+    ends = np.append(starts[1:] - 1, hi)
+    lots = np.column_stack((starts, ends)).ravel()
+    return lots[np.append(True, lots[1:] != lots[:-1])]  # a run of one lot ends where it starts
+
+
+def _row_risks(
+    c: int, sample_size, lo: int, hi: int, spec: QualitySpec, bounds: RiskBounds,
+    limit_n: Optional[int] = None,
 ) -> tuple:
-    """Both risks of the plans (sample[i], c) against the finite lots
-    lots[i] (integer arrays), and whether every plan is admissible.  Given
-    ``limit_n``, the binomial limit of plan (limit_n, c) is appended to both
-    risk arrays and joins the decision."""
-    k_alpha, k_beta = _realized_counts(spec, lots)
-    alphas = 1.0 - _hypergeometric_cdf_bulk(c, sample, k_alpha, lots)
-    betas = _hypergeometric_cdf_bulk(c, sample, k_beta, lots)
-    tol = _tail_tolerance(lots)
+    """Both risks of plans (sample_size(N), c) over the finite lots lo <= N
+    <= hi, evaluated only at the ends of each side's runs of constant
+    realized count, and whether the plan is admissible at every lot.
 
-    def exact_acceptance(i, k):
-        return _exact_acceptance(c, int(sample[i]), int(k[i]), int(lots[i]))
+    Within such a run the acceptance probability is monotone in N: it does
+    not decrease for a fixed sample size (the hypergeometric is ordered by
+    likelihood ratio in N) and does not increase for a sample of N - k items
+    (X = K - Y, Y the defects among the k items left out).  So every lot's
+    exact risk is at most the larger exact risk at its run's two ends, the
+    decision over the ends alone is the exact decision over every lot, and
+    the cost grows with the number of runs, not of lots.
 
-    admissible = bool(
-        _Bound.around(bounds.alpha_max, tol)
-        .admits_each(alphas, lambda i: 1 - exact_acceptance(i, k_alpha))
-        .all()
-        and _Bound.around(bounds.beta_max, tol)
-        .admits_each(betas, lambda i: exact_acceptance(i, k_beta))
-        .all()
-    )
+    Returns ((alpha lots, alphas), (beta lots, betas), admissible);
+    ``sample_size`` maps an int64 array of lots to their sample sizes.
+    Given ``limit_n``, the binomial limit of plan (limit_n, c) is appended
+    to both risk arrays, one past their lots, and joins the decision."""
+
+    def side(level, ceil, bound):
+        lots = _run_ends(level, lo, hi, ceil)
+        sample = np.broadcast_to(sample_size(lots), lots.shape)
+        k = _realized_counts(spec, lots)[1 if ceil else 0]
+        accept = _hypergeometric_cdf_bulk(c, sample, k, lots)
+
+        def exact_risk(i):
+            exact = _exact_acceptance(c, int(sample[i]), int(k[i]), int(lots[i]))
+            return exact if ceil else 1 - exact
+
+        risks = accept if ceil else 1.0 - accept
+        admitted = _Bound.around(bound, _tail_tolerance(lots)).admits_each(risks, exact_risk)
+        return lots, risks, bool(admitted.all())
+
+    alpha_lots, alphas, alpha_admitted = side(spec.p_aql, False, bounds.alpha_max)
+    beta_lots, betas, beta_admitted = side(spec.p_lq, True, bounds.beta_max)
+    admissible = alpha_admitted and beta_admitted
     if limit_n is not None:
         limit, limit_admissible = _LotRule(INFINITE_LOT, spec, bounds, limit_n).judge(limit_n, c)
         alphas = np.append(alphas, limit.alpha)
         betas = np.append(betas, limit.beta)
         admissible = admissible and limit_admissible
-    return alphas, betas, admissible
+    return (alpha_lots, alphas), (beta_lots, betas), admissible
 
 
 def _acceptance_at_most(plan: Plan, K: int, N: int, level: Fraction) -> bool:

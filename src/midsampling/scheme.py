@@ -6,6 +6,12 @@ size, full inspection, or a lot-offset sample size).  The built-in scheme
 is the ten-row recommendation for MID modules F/F1 whose producers' and
 consumers' risks stay below 5% for every lot size.
 
+Validation proves "for every lot size" without visiting every lot.  Over a
+run of lots with a constant realized defect count, floor(p_aql*N) or
+ceil(p_lq*N), each rule's acceptance probability is monotone in N, so a
+row's risks are extreme at the ends of its runs.  A row check evaluates
+them at about 2*(p_aql + p_lq) lots per lot it covers: O(runs), not O(lots).
+
 Schemes can be read from and written to a one-row-per-line text format::
 
     from,to,rule,c        # to may be "inf"; rule is n:<int> | full | offset:<int>
@@ -19,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .kernel import Plan, _check_count
-from .risks import QualitySpec, RiskBounds, _lot_range_risks
+from .risks import QualitySpec, RiskBounds, _row_risks
 
 __all__ = [
     "PlanRule",
@@ -191,8 +197,12 @@ class Scheme:
 class RowValidation:
     """Risk extrema of one scheme row over every lot size it covers.
 
-    ``*_at`` fields give the lot size attaining each extremum, with None
-    standing for the infinite-lot (binomial) limit.
+    The extrema are taken over the lots that start or end a run of constant
+    realized count, where every lot's risk is bounded, and are within the
+    kernel's tolerance tol(N) of the exact extrema over all lots.  ``*_at``
+    fields give the lot size attaining each extremum: the first such lot, in
+    N order, whose float risk is extreme, with None, the infinite-lot
+    (binomial) limit, coming after every finite lot.
     """
 
     row: SchemeRow
@@ -229,16 +239,32 @@ def default_mid_scheme() -> Scheme:
     return _DEFAULT_SCHEME
 
 
+def _row_plan(index: int, row: SchemeRow, N: int) -> Plan:
+    """The plan row ``index`` prescribes at lot size N, or SchemeRuleError
+    unless it is a usable one: 1 <= n <= N and c <= n."""
+    n = row.rule.sample_size(N)
+    if not 1 <= n <= N or row.rule.c > n:
+        raise SchemeRuleError(
+            index,
+            f"rule {row.rule.token()} yields an invalid plan (n={n}, c={row.rule.c}) at N={N}",
+        )
+    return Plan(n, row.rule.c)
+
+
 def scheme_lookup(N: int, scheme: Scheme) -> Plan:
     """Plan prescribed by the scheme for a lot of size N."""
     N = _check_count("lot size N", N)
     row = scheme.row_for(N)
-    plan = row.rule.plan_for(N)
-    if plan.n > N:
-        raise SchemeRuleError(
-            scheme.rows.index(row), f"rule {row.rule.token()} yields n={plan.n} > N={N}"
-        )
-    return plan
+    return _row_plan(scheme.rows.index(row), row, N)
+
+
+def _extremes(lots: np.ndarray, risks: np.ndarray) -> tuple:
+    """(min, max, min_at, max_at) of one side's risks at its run ends: the
+    first lot, in N order, attaining each, and None for a risk one past the
+    lots, the binomial limit."""
+    i_min, i_max = int(np.argmin(risks)), int(np.argmax(risks))
+    at = [int(lots[i]) if i < lots.size else None for i in (i_min, i_max)]
+    return float(risks[i_min]), float(risks[i_max]), *at
 
 
 def validate_scheme(
@@ -249,46 +275,45 @@ def validate_scheme(
 ) -> List[RowValidation]:
     """Compute each row's risk extrema over every covered lot size.
 
-    Finite rows are checked exhaustively.  The final unbounded row is
-    checked for every N up to ``n_cap`` and additionally in the binomial
-    (infinite-lot) limit, which convergence makes a faithful stand-in for
-    the remaining tail.
+    Every lot a row covers is decided exactly, but the risks are evaluated
+    only where a run of constant realized count floor(p_aql*N) or
+    ceil(p_lq*N) starts or ends: within such a run each rule's acceptance
+    probability is monotone in N, so its risks are extreme at the run's
+    ends.  The work therefore grows with the number of runs, about
+    2*(p_aql + p_lq)*n_cap, not with the number of lots.  The final
+    unbounded row is checked up to ``n_cap`` and additionally in the
+    binomial (infinite-lot) limit, which convergence makes a faithful
+    stand-in for the remaining tail.  A rule is checked at its row's first
+    lot, where n > N, n < 1 and c > n each first show.
     """
     n_cap = _check_count("n_cap", n_cap)
-    largest_finite = max((row.n_to for row in scheme.rows if row.n_to is not None), default=1)
-    if n_cap < largest_finite:
-        raise ValueError(f"n_cap={n_cap} below the largest finite row boundary {largest_finite}")
+    last_from = scheme.rows[-1].n_from
+    if n_cap < last_from:
+        raise ValueError(f"n_cap={n_cap} below the unbounded row's first lot size {last_from}")
     results = []
     for index, row in enumerate(scheme.rows):
-        hi = row.n_to if row.n_to is not None else n_cap
-        ns = np.arange(row.n_from, hi + 1, dtype=np.int64)
-        sample = np.broadcast_to(row.rule.sample_size(ns), ns.shape)
-        if np.any(sample > ns) or np.any(sample < 1) or row.rule.c > sample.min():
-            bad = int(ns[np.argmax((sample > ns) | (sample < 1) | (row.rule.c > sample))])
-            raise SchemeRuleError(
-                index, f"rule {row.rule.token()} yields an invalid plan at N={bad}"
-            )
+        _row_plan(index, row, row.n_from)
         if row.n_to is None and row.rule.kind != "n":
             raise SchemeRuleError(index, "an unbounded interval requires a fixed sample size rule")
         # the binomial limit stands in for the lots beyond n_cap
         limit_n = row.rule.value if row.n_to is None else None
-        alphas, betas, admissible = _lot_range_risks(
-            row.rule.c, sample, ns, spec, bounds, limit_n
+        hi = row.n_to if row.n_to is not None else n_cap
+        alphas, betas, admissible = _row_risks(
+            row.rule.c, row.rule.sample_size, row.n_from, hi, spec, bounds, limit_n
         )
-        lots = ns.tolist() + ([None] if row.n_to is None else [])
-        a_min, a_max = int(np.argmin(alphas)), int(np.argmax(alphas))
-        b_min, b_max = int(np.argmin(betas)), int(np.argmax(betas))
+        a_min, a_max, a_min_at, a_max_at = _extremes(*alphas)
+        b_min, b_max, b_min_at, b_max_at = _extremes(*betas)
         results.append(
             RowValidation(
                 row=row,
-                alpha_min=float(alphas[a_min]),
-                alpha_max=float(alphas[a_max]),
-                beta_min=float(betas[b_min]),
-                beta_max=float(betas[b_max]),
-                alpha_min_at=lots[a_min],
-                alpha_max_at=lots[a_max],
-                beta_min_at=lots[b_min],
-                beta_max_at=lots[b_max],
+                alpha_min=a_min,
+                alpha_max=a_max,
+                beta_min=b_min,
+                beta_max=b_max,
+                alpha_min_at=a_min_at,
+                alpha_max_at=a_max_at,
+                beta_min_at=b_min_at,
+                beta_max_at=b_max_at,
                 admissible=admissible,
             )
         )

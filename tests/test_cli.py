@@ -282,6 +282,20 @@ class TestSchemeCommand:
         code, _, err = run(capsys, "scheme", "validate", "--file", str(scheme_file))
         assert code == 4
 
+    def test_cap_below_unbounded_row(self, capsys):
+        code, out, err = run(capsys, "scheme", "validate", "--builtin", "--n-cap", "1499")
+        assert code == 2
+        assert out == "" and "unbounded row" in err
+
+    @pytest.mark.parametrize("lot", ["1", "2"])
+    def test_lookup_of_offset_rule_without_a_sample(self, capsys, tmp_path, lot):
+        scheme_file = tmp_path / "offset.scheme"
+        scheme_file.write_text("1,14,offset:2,0\n15,inf,n:14,0\n")
+        code, out, err = run(capsys, "scheme", "lookup", "--file", str(scheme_file),
+                             "--lot-size", lot)
+        assert code == 4
+        assert out == "" and "row 0: rule offset:2 yields an invalid plan" in err
+
     def test_scheme_requires_source(self, capsys):
         code, _, err = run(capsys, "scheme", "validate")
         assert code == 2

@@ -17,7 +17,9 @@ from midsampling import (
     interpolated_acceptance,
     interpolated_acceptance_curve,
 )
-from midsampling.kernel import _tail_tolerance
+from midsampling.kernel import _BULK_BLOCK, _hypergeometric_cdf_bulk, _tail_tolerance
+
+from exact_oracle import accepting_samples
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,25 @@ class TestDocumentedErrorBound:
             want = exact_hypergeometric_cdf(c, n, K, N)
             got = hypergeometric_cdf(c, n, K, N)
             assert abs(got - want) <= _tail_tolerance(N), (c, n, K, N)
+
+    @pytest.mark.parametrize("c", range(7))
+    def test_bulk_within_tolerance_up_to_a_million(self, c):
+        # the row check's tie rule reads bulk tails; cycling 40 cases through
+        # more than one block puts each on both sides of a block edge
+        rng = random.Random(20261020 + c)
+        cases = []
+        for _ in range(40):
+            N = round(math.exp(rng.uniform(0.0, math.log(10**6))))
+            n = rng.randint(min(N, c), min(N, 300))
+            K = rng.choice([rng.randint(0, N), int(N * rng.uniform(0.0, 0.15))])
+            cases.append((n, K, N))
+        n, K, N = np.array([cases[i % len(cases)] for i in range(_BULK_BLOCK + 100)]).T
+        got = _hypergeometric_cdf_bulk(c, n, K, N)
+        want = [Fraction(accepting_samples(c, *case), math.comb(case[2], case[0]))
+                for case in cases]
+        for i in range(got.size):
+            case = i % len(cases)
+            assert abs(got[i] - want[case]) <= _tail_tolerance(N[i]), (c, i, cases[case])
 
     def test_binomial_within_tolerance(self):
         rng = random.Random(20261019)

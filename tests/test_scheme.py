@@ -1,7 +1,11 @@
 import csv
 import io
+import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midsampling import (
     LotSize,
@@ -23,6 +27,9 @@ from midsampling import (
     validate_scheme,
     validation_report_csv,
 )
+from midsampling.kernel import _tail_tolerance
+
+from exact_oracle import accepting_samples, decimal, realized_counts
 
 # (from, to, n-label, c, alpha_min%, alpha_max%, beta_min%, beta_max%)
 PUBLISHED_ROWS = [
@@ -75,6 +82,18 @@ class TestSchemeLookup:
     def test_invalid_lot(self):
         with pytest.raises(ValueError):
             scheme_lookup(0, default_mid_scheme())
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_offset_rule_without_a_sample_is_a_rule_error(self, N):
+        # offset:2 samples N - 2 items: none at N = 2, a negative count at N = 1;
+        # lookup rejects the lot as validation rejects the row
+        scheme = parse_scheme("1,14,offset:2,0\n15,inf,n:14,0\n")
+        with pytest.raises(SchemeRuleError) as excinfo:
+            scheme_lookup(N, scheme)
+        assert excinfo.value.row_index == 0
+        with pytest.raises(SchemeRuleError):
+            validate_scheme(scheme, n_cap=20_000)
+        assert scheme_lookup(3, scheme) == Plan(1, 0)
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +149,128 @@ class TestValidateScheme:
         with pytest.raises(ValueError):
             validate_scheme(default_mid_scheme(), n_cap=1000)
 
+    def test_cap_below_unbounded_row_rejected(self):
+        # the unbounded row [1500, n_cap] would be empty
+        with pytest.raises(ValueError, match="unbounded row"):
+            validate_scheme(default_mid_scheme(), n_cap=1499)
+        last = validate_scheme(default_mid_scheme(), n_cap=1500)[-1]
+        assert last.admissible and last.alpha_min_at == last.beta_min_at == 1500
+
+    def test_bulk_budget(self, monkeypatch):
+        # the risks are evaluated at the ends of each side's runs of constant
+        # realized count, about 2*(0.01 + 0.07)*n_cap lots, not at every lot
+        from midsampling import risks
+
+        elements = []
+
+        def counting(c, n, K, N, core=risks._hypergeometric_cdf_bulk):
+            elements.append(len(N))
+            return core(c, n, K, N)
+
+        monkeypatch.setattr(risks, "_hypergeometric_cdf_bulk", counting)
+        assert all(res.admissible for res in validate_scheme(default_mid_scheme(), n_cap=10**5))
+        assert sum(elements) <= 20_000
+
     def test_extrema_locations_reported(self, results):
         last = results[-1]
         assert last.alpha_max_at is None  # attained in the binomial limit
         assert last.beta_max_at is None
         assert isinstance(last.alpha_min_at, int)
+
+
+def _exact_acceptance(c, n, K, N) -> Fraction:
+    return Fraction(accepting_samples(c, n, K, N), math.comb(N, n))
+
+
+def _exact_binomial_acceptance(c, n, p: Fraction) -> Fraction:
+    a, b = p.numerator, p.denominator
+    return Fraction(sum(math.comb(n, x) * a**x * (b - a) ** (n - x) for x in range(c + 1)), b**n)
+
+
+def _random_scheme(rng: random.Random) -> Scheme:
+    """A valid scheme of one to four rows starting below 120, each rule
+    usable at its first lot; the unbounded row takes a fixed sample."""
+    starts = [1] + sorted(rng.sample(range(2, 120), rng.randint(0, 3)))
+    rows = []
+    for i, n_from in enumerate(starts):
+        n_to = starts[i + 1] - 1 if i + 1 < len(starts) else None
+        kind = "n" if n_to is None else rng.choice(["n", "full", "offset"])
+        value = {"n": rng.randint(1, n_from), "full": 0, "offset": rng.randint(0, n_from - 1)}[kind]
+        smallest = {"n": value, "full": n_from, "offset": n_from - value}[kind]
+        rule = PlanRule(kind, rng.randint(0, min(smallest, 3)), value)
+        rows.append(SchemeRow(n_from, n_to, rule))
+    return Scheme(rows=tuple(rows))
+
+
+class TestRunEnds:
+    """validate_scheme evaluates the risks only where a run of lots with a
+    constant realized count starts or ends, and decides every lot exactly."""
+
+    @given(
+        st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60),
+        st.booleans(),
+        st.sampled_from(["n", "full", "offset"]),
+        st.integers(1, 150),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_acceptance_is_monotone_within_a_run(self, level, ceil, kind, N, data):
+        count = math.ceil if ceil else math.floor
+        K = count(level * N)
+        run = [N]
+        while count(level * (run[-1] + 1)) == K and len(run) < 40:
+            run.append(run[-1] + 1)
+        value = data.draw(st.integers(1, N)) if kind == "n" else data.draw(st.integers(0, N - 1))
+        rule = PlanRule(kind, 0, 0 if kind == "full" else value)
+        c = data.draw(st.integers(0, rule.sample_size(N)))
+        accept = [_exact_acceptance(c, rule.sample_size(M), K, M) for M in run]
+        if kind == "n":  # a fixed sample from a larger lot finds fewer defects
+            assert accept == sorted(accept)
+        else:  # X = K - Y, Y the defects among the items left out
+            assert accept == sorted(accept, reverse=True)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_exact_values_at_every_lot(self, seed):
+        rng = random.Random(seed)
+        if seed == 0:  # beta of (19, 0) at N = 25 is exactly 1/20
+            scheme = parse_scheme("1,18,full,0\n19,25,n:19,0\n26,inf,n:22,0\n")
+            aql, lq, alpha_max, beta_max = "0.01", "0.07", "0.05", "0.05"
+        else:
+            scheme = _random_scheme(rng)
+            aql, lq = rng.choice(
+                [("0.01", "0.07"), ("0.02", "0.1"), ("0.05", "0.2"), ("0.1", "0.3"), ("1/3", "1/2")]
+            )
+            alpha_max, beta_max = rng.choice(
+                [("0.05", "0.05"), ("0.1", "0.05"), ("0.2", "0.15"), ("0.3", "0.4"), ("0.5", "0.5")]
+            )
+        n_cap = scheme.rows[-1].n_from + rng.randint(0, 150)
+        results = validate_scheme(
+            scheme, QualitySpec(aql, lq), RiskBounds(alpha_max, beta_max), n_cap=n_cap
+        )
+        for res in results:
+            rule, hi = res.row.rule, res.row.n_to or n_cap
+            alphas, betas = {}, {}
+            for N in range(res.row.n_from, hi + 1):
+                n = rule.sample_size(N)
+                k_alpha, k_beta = realized_counts(N, aql, lq)
+                alphas[N] = 1 - _exact_acceptance(rule.c, n, k_alpha, N)
+                betas[N] = _exact_acceptance(rule.c, n, k_beta, N)
+            tol = float(_tail_tolerance(hi))
+            if res.row.n_to is None:  # the binomial limit
+                alphas[None] = 1 - _exact_binomial_acceptance(rule.c, rule.value, decimal(aql))
+                betas[None] = _exact_binomial_acceptance(rule.c, rule.value, decimal(lq))
+                tol = max(tol, *(float(_tail_tolerance(rule.value, decimal(p))) for p in (aql, lq)))
+            assert res.admissible == (
+                max(alphas.values()) <= decimal(alpha_max)
+                and max(betas.values()) <= decimal(beta_max)
+            ), res
+            for exact, low, high, low_at, high_at in (
+                (alphas, res.alpha_min, res.alpha_max, res.alpha_min_at, res.alpha_max_at),
+                (betas, res.beta_min, res.beta_max, res.beta_min_at, res.beta_max_at),
+            ):
+                least, most = min(exact.values()), max(exact.values())
+                assert abs(low - least) <= tol and abs(high - most) <= tol, res
+                assert exact[low_at] - least <= 2 * tol and most - exact[high_at] <= 2 * tol, res
 
 
 class TestSchemeStructure:
