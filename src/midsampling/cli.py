@@ -333,7 +333,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: scheme file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemeCoverageError, SchemeRuleError) as exc:
-        print(f"error: scheme validation: {exc}", file=sys.stderr)
+        step = "lookup" if getattr(args, "action", None) == "lookup" else "validation"
+        print(f"error: scheme {step}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NoPlanWithinCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ Every log-factorial comes from ``math.lgamma``, whether read from the table
 built at import, from its numpy copy (which the array paths extend on
 demand) or computed past the table's end, so no value depends on the path
 or on earlier calls.  Public functions check their arguments, then call one
-of three unchecked cores: ``_tail`` (scalar tails), ``_hypergeometric_cdf_bulk``
-(tails over arrays) and ``_interpolated_terms`` (terms at real defect counts).
+of three unchecked cores: ``_lot_tails`` (scalar tails, resolved once per lot
+and then evaluated per plan), ``_hypergeometric_cdf_bulk`` (tails over
+arrays) and ``_interpolated_terms`` (terms at real defect counts).
 
 A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
 (1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
@@ -47,6 +48,8 @@ _INTEGER_TOL = 1e-9
 _BULK_BLOCK = 8192
 # Error of a tail per unit of log-term magnitude: 64 ulp(1).
 _ERROR_PER_LOG_UNIT = 2.0 ** -46
+# The scalar core's term loops read these as globals: faster than math.exp.
+_exp, _fsum = math.exp, math.fsum
 
 # _LOG_FACTORIAL[k] == ln(k!), a flat array of doubles: scalar lookups index
 # it several times faster than a numpy array, at a quarter of the memory of a
@@ -89,12 +92,6 @@ def _log_factorial_array(N: int) -> np.ndarray:
         )
         table = _LOG_FACTORIAL_NP = np.concatenate([table, tail])
     return table
-
-
-def _ln_comb(a: int, b: int) -> float:
-    # caller guarantees 0 <= b <= a
-    t = _log_factorials(a)
-    return t[a] - t[b] - t[a - b]
 
 
 def _tail_tolerance(N, p=None):
@@ -198,45 +195,53 @@ class Plan:
 # The scalar core
 # ---------------------------------------------------------------------------
 
-def _tail(c: int, n: int, level, N: Optional[int]) -> float:
-    """P(X <= c) for a sample of n items, unchecked.
+def _lot_tails(level, N: Optional[int]):
+    """The scalar core for one lot, unchecked: a function tail(c, n) that
+    returns P(X <= c) for a sample of n items.
 
     X is hypergeometric over a lot of N items holding ``level`` defectives,
-    or binomial with defective proportion ``level`` when N is None.  Terms
-    are evaluated in log space and compensated-summed in ascending order
-    of x; callers guarantee 0 <= c <= n (<= N) and 0 <= level (<= N, or
-    <= 1.0 for a proportion).
+    or binomial with defective proportion ``level`` when N is None.  What
+    does not depend on (c, n), the log-factorial view and the lot's own
+    log terms, is resolved here, once per lot.  Terms are evaluated in log
+    space and compensated-summed in ascending order of x; callers guarantee
+    0 <= c <= n (<= N) and 0 <= level (<= N, or <= 1.0 for a proportion).
     """
     if N is None:
         p = level
-        if c >= n or p == 0.0:
-            return 1.0
-        if p == 1.0:
-            return 0.0
+        if p == 0.0 or p == 1.0:  # X is 0, or X is n
+            return lambda c, n: 1.0 if c >= n or p == 0.0 else 0.0
         log_p = math.log(p)
         log_q = math.log1p(-p)
-        t = _log_factorials(n)
-        ln_n = t[n]
-        terms = [
-            math.exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q)
-            for x in range(c + 1)
-        ]
-        return _clamp_probability(math.fsum(terms))
-    K = level
-    if c >= K or c >= n:
-        return 1.0  # support of X is [max(0, n-(N-K)), min(K, n)]
-    x_lo = n - (N - K)
-    if c < x_lo:
-        return 0.0
+
+        def binomial_tail(c, n):  # unannotated: cheaper to create per lot
+            if c >= n:
+                return 1.0
+            t = _log_factorials(n)
+            ln_n = t[n]
+            total = _fsum([
+                _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
+            ])
+            return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
+
+        return binomial_tail
+    K, good = level, N - level
     t = _log_factorials(N)
-    ln_k = t[K]
-    ln_good = t[N - K]
-    ln_denom = t[N] - t[n] - t[N - n]
-    terms = [
-        math.exp(ln_k - t[x] - t[K - x] + (ln_good - t[n - x] - t[N - K - n + x]) - ln_denom)
-        for x in range(max(0, x_lo), c + 1)
-    ]
-    return _clamp_probability(math.fsum(terms))
+    ln_k, ln_good, ln_N = t[K], t[good], t[N]
+
+    def hypergeometric_tail(c, n):
+        if c >= K or c >= n:
+            return 1.0  # support of X is [max(0, n-(N-K)), min(K, n)]
+        x_lo = n - good
+        if c < x_lo:
+            return 0.0
+        ln_denom = ln_N - t[n] - t[N - n]
+        total = _fsum([
+            _exp(ln_k - t[x] - t[K - x] + (ln_good - t[n - x] - t[x - x_lo]) - ln_denom)
+            for x in range(x_lo if x_lo > 0 else 0, c + 1)
+        ])
+        return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
+
+    return hypergeometric_tail
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,7 @@ def binomial_cdf(c: int, n: int, p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return _tail(c, n, p, None)
+    return _lot_tails(p, None)(c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +287,7 @@ def hypergeometric_cdf(c: int, n: int, K: int, N: int) -> float:
         raise ValueError(f"sample size n={n} exceeds lot size N={N}")
     if c > n:
         raise ValueError(f"c={c} exceeds n={n}")
-    return _tail(c, n, K, N)
+    return _lot_tails(K, N)(c, n)
 
 
 def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom) -> np.ndarray:
@@ -364,10 +369,10 @@ def _interpolated_terms(c: int, n: int, N: int, pN: float) -> list:
     argument below lands on a pole.
     """
     lgamma = math.lgamma
-    t = _log_factorials(n)
+    t, t_lot = _log_factorials(n), _log_factorials(N)
     ln_defective = lgamma(pN + 1.0)
     ln_good = lgamma(N - pN + 1.0)
-    ln_denom = _ln_comb(N, n)
+    ln_denom = t_lot[N] - t_lot[n] - t_lot[N - n]
     terms = []
     for x in range(c + 1):
         z1 = pN - x + 1.0
@@ -399,7 +404,7 @@ def interpolated_acceptance(plan: Plan, N: int, p) -> float:
     """
     N, pN, integer_count = _checked_interpolation_args(plan.n, N, p)
     if integer_count is not None:
-        return _tail(plan.c, plan.n, integer_count, N)
+        return _lot_tails(integer_count, N)(plan.c, plan.n)
     total = math.fsum(_interpolated_terms(plan.c, plan.n, N, pN))
     return min(max(total, 0.0), 1.0)
 

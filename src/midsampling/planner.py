@@ -9,7 +9,9 @@ one, and stops at the first c whose producers' risk at n_beta(c) is
 admitted: no plan with a smaller n is admissible.  At that n the plan takes
 the largest acceptance number the consumers' bound admits, which has the
 smallest producers' risk.  The lot rule in ``risks`` makes every decision
-exactly, so this argument holds exactly.
+exactly, so this argument holds exactly.  It evaluates each tail of its lot
+once, so the plan's reported risks are tails the search already computed,
+and the risk bounds are resolved once per call, not once per lot.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .risks import (
     RealizedLevels,
     RiskBounds,
     RiskPair,
+    _bound_pair,
     _check_plan,
     _LotRule,
 )
@@ -84,7 +87,7 @@ def max_acceptance_number(
     lot = LotSize.of(lot)
     n = _check_count("sample size n", n)
     _check_plan(Plan(n, 0), lot)
-    c = _LotRule(lot, spec, bounds, n).largest_beta_c(n)
+    c = _LotRule(lot, spec, _bound_pair(bounds), n).largest_beta_c(n)
     return None if c < 0 else c
 
 
@@ -106,14 +109,14 @@ def optimal_plan(
     """
     lot = LotSize.of(lot)
     scan_cap = _check_count("scan_cap", scan_cap)
-    return _search(lot, spec, bounds, lot.count if lot.is_finite else scan_cap)[0]
+    return _search(lot, spec, _bound_pair(bounds), lot.count if lot.is_finite else scan_cap)[0]
 
 
-def _search(lot: LotSize, spec, bounds, highest_n: int, hints: Sequence[int] = ()) -> tuple:
-    """The optimal plan with sample size at most highest_n, and the list of
-    n_beta(c) it found on the way.  The search for n_beta(c) starts at
-    ``hints[c]``, n_beta(c) of a nearby lot, or else where the previous two
-    n_beta point; a start never changes the answer."""
+def _search(lot: LotSize, spec, bounds: tuple, highest_n: int, hints: Sequence[int] = ()) -> tuple:
+    """The optimal plan with sample size at most highest_n under a
+    ``_bound_pair``, and the n_beta(c) it found on the way.  The search for
+    n_beta(c) starts at ``hints[c]``, n_beta(c) of a nearby lot, or else where
+    the previous two n_beta point; a start never changes the answer."""
     rule = _LotRule(lot, spec, bounds, highest_n)
     n_betas = []
     n = 1
@@ -132,7 +135,7 @@ def _search(lot: LotSize, spec, bounds, highest_n: int, hints: Sequence[int] = (
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {highest_n} "
         f"for quality levels ({spec.p_aql}, {spec.p_lq}) "
-        f"and risk bounds ({bounds.alpha_max}, {bounds.beta_max})"
+        f"and risk bounds ({bounds[0].exact}, {bounds[1].exact})"
     )
 
 
@@ -151,8 +154,8 @@ def plan_table(
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
-    rows, hints = [], ()
+    rows, hints, pair = [], (), _bound_pair(bounds)
     for N in range(n_min, n_max + 1):
-        result, hints = _search(LotSize(N), spec, bounds, N, hints)
+        result, hints = _search(LotSize(N), spec, pair, N, hints)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

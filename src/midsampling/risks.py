@@ -31,7 +31,7 @@ from .kernel import (
     _check_count,
     _defect_count,
     _hypergeometric_cdf_bulk,
-    _tail,
+    _lot_tails,
     _tail_tolerance,
 )
 
@@ -170,14 +170,6 @@ def _check_plan(plan: Plan, lot: LotSize) -> None:
 # Risks and the exact tie rule
 # ---------------------------------------------------------------------------
 
-def _core_levels(levels: RealizedLevels) -> tuple:
-    """(alpha level, beta level, N) as the scalar core takes them: defect
-    counts and N for a finite lot, proportions and None for an infinite one."""
-    if levels.denominator is None:
-        return float(levels.p_alpha), float(levels.p_beta), None
-    return levels.k_alpha, levels.k_beta, levels.denominator
-
-
 def _exact_acceptance(c: int, n: int, level, N: Optional[int]) -> Fraction:
     """The scalar core's P(X <= c) in exact rational arithmetic; ``level``
     is a defect count, or an exact proportion when N is None."""
@@ -217,6 +209,9 @@ class _Bound(NamedTuple):
         nearest = float(bound)
         return cls(nearest - tol, nearest + tol, bound)
 
+    def widened(self, tol: float) -> "_Bound":
+        return _Bound(self.lo - tol, self.hi + tol, self.exact)
+
     def admits(self, risk: float, exact_risk) -> bool:
         """The rule for one risk; ``exact_risk()`` is called inside the band only."""
         return risk <= self.lo or (risk <= self.hi and exact_risk() <= self.exact)
@@ -229,26 +224,54 @@ class _Bound(NamedTuple):
         return ok
 
 
-class _LotRule:
-    """Both risks of plans (n, c) against one lot, and their bounds if given,
-    resolved once for many plans, with the planner's three search steps.
-    Sample sizes run up to n_max, which also widens the tolerance of
-    binomial tails."""
+def _bound_pair(bounds: RiskBounds) -> tuple:
+    """The alpha and beta bounds with an empty band: the set-up of ``_LotRule``
+    that depends on the bounds alone, done once for all the lots of a search."""
+    return _Bound.around(bounds.alpha_max, 0.0), _Bound.around(bounds.beta_max, 0.0)
 
-    def __init__(self, lot: LotSize, spec: QualitySpec, bounds, n_max: int):
-        self.n_max = n_max
-        self.levels = realized_quality_levels(lot, spec)
-        self.alpha_level, self.beta_level, self.N = _core_levels(self.levels)
-        if lot.is_finite:
-            self._exact_levels = (self.alpha_level, self.beta_level)
-            tols = (_tail_tolerance(lot.count),) * 2
+
+class _Tails(dict):
+    """One side's tails of a lot by (c, n), evaluated by ``core`` on first use.
+    Search loops, which never repeat a pair, call ``core`` and store the tail."""
+
+    def __init__(self, core):
+        self.core = core
+
+    def __missing__(self, key: tuple) -> float:
+        tail = self[key] = self.core(*key)
+        return tail
+
+
+class _LotRule:
+    """Both risks of plans (n, c) against one lot, and their ``_bound_pair``
+    if given, resolved once for many plans, with the planner's three search
+    steps.  Sample sizes run up to n_max, which also widens the band of
+    binomial tails.  Each tail is evaluated once in the rule's lifetime, so
+    the reported risks of a search's plan reuse the tails it computed."""
+
+    def __init__(self, lot: LotSize, spec: QualitySpec, bounds: Optional[tuple], n_max: int):
+        self.n_max, self.N = n_max, lot.count
+        self.levels = levels = realized_quality_levels(lot, spec)
+        if lot.is_finite:  # the core takes defect counts, or proportions as floats
+            self._exact_levels = core_levels = (levels.k_alpha, levels.k_beta)
+            tols = (float(_tail_tolerance(lot.count)),) * 2
         else:
             self._exact_levels = (spec.p_aql, spec.p_lq)
-            tols = (_tail_tolerance(n_max, spec.p_aql), _tail_tolerance(n_max, spec.p_lq))
-        self.alpha_tol, self.beta_tol = float(tols[0]), float(tols[1])
+            core_levels = (float(spec.p_aql), float(spec.p_lq))
+            tols = [float(_tail_tolerance(n_max, p)) for p in self._exact_levels]
+        self.alpha_tol, self.beta_tol = tols
+        self.alpha_tails = _Tails(_lot_tails(core_levels[0], self.N))
+        self.beta_tails = _Tails(_lot_tails(core_levels[1], self.N))
         if bounds is not None:
-            self.alpha_bound = _Bound.around(bounds.alpha_max, self.alpha_tol)
-            self.beta_bound = _Bound.around(bounds.beta_max, self.beta_tol)
+            self.alpha_bound = bounds[0].widened(self.alpha_tol)
+            self.beta_bound = bounds[1].widened(self.beta_tol)
+
+    def _tolerances(self, n: int) -> tuple:
+        """The kernel's error bounds on both tails of plans of at most n
+        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws."""
+        if self.N is None and n != self.n_max:
+            return tuple(float(_tail_tolerance(n, p)) for p in self._exact_levels)
+        return self.alpha_tol, self.beta_tol
 
     def exact_alpha(self, n: int, c: int) -> Fraction:
         return 1 - _exact_acceptance(c, n, self._exact_levels[0], self.N)
@@ -256,25 +279,20 @@ class _LotRule:
     def exact_beta(self, n: int, c: int) -> Fraction:
         return _exact_acceptance(c, n, self._exact_levels[1], self.N)
 
-    def _float_risks(self, n: int, c: int) -> tuple:
-        return 1.0 - _tail(c, n, self.alpha_level, self.N), _tail(c, n, self.beta_level, self.N)
-
-    def _reported_risks(self, n: int, c: int, alpha: float, beta: float) -> RiskPair:
-        return RiskPair(
-            alpha=_reported(alpha, self.alpha_tol, lambda: self.exact_alpha(n, c)),
-            beta=_reported(beta, self.beta_tol, lambda: self.exact_beta(n, c)),
-        )
-
     def risks(self, n: int, c: int) -> RiskPair:
-        return self._reported_risks(n, c, *self._float_risks(n, c))
+        """The reported risks of (n, c), snapped within the error bounds of
+        its own tails, so that they do not depend on n_max."""
+        alpha_tol, beta_tol = self._tolerances(n)
+        alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
+        return RiskPair(
+            alpha=_reported(alpha, alpha_tol, lambda: self.exact_alpha(n, c)),
+            beta=_reported(beta, beta_tol, lambda: self.exact_beta(n, c)),
+        )
 
     def judge(self, n: int, c: int) -> tuple:
         """(reported risks, admissible) from one evaluation of each tail."""
-        alpha, beta = self._float_risks(n, c)
-        admitted = self.alpha_bound.admits(
-            alpha, lambda: self.exact_alpha(n, c)
-        ) and self.beta_bound.admits(beta, lambda: self.exact_beta(n, c))
-        return self._reported_risks(n, c, alpha, beta), admitted
+        beta_admitted = self.beta_bound.admits(self.beta_tails[c, n], lambda: self.exact_beta(n, c))
+        return self.risks(n, c), self.admits_alpha(n, c) and beta_admitted
 
     def smallest_beta_n(self, c: int, n_from: int, hint: Optional[int] = None) -> Optional[int]:
         """The smallest sample size n <= n_max at which the consumers' bound
@@ -283,11 +301,11 @@ class _LotRule:
         from ``hint`` (or n_from) brackets the answer and a bisection closes
         the bracket; the hint moves only where the search starts.  Like
         ``largest_beta_c``, it compares with the tie band inline."""
-        k_beta, N = self.beta_level, self.N
+        tails, core = self.beta_tails, self.beta_tails.core
         lo, hi, exact = self.beta_bound
 
         def admits(n):
-            beta = _tail(c, n, k_beta, N)
+            beta = tails[c, n] = core(c, n)
             return beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact)
 
         # no n <= c admits c: such a sample accepts every lot
@@ -328,17 +346,17 @@ class _LotRule:
         it admits or -1, one tail per step: the planner calls it once per
         plan, from the c it searched for.  The loop compares with the tie
         band inline and settles a risk inside it through its exact value."""
-        k_beta, N = self.beta_level, self.N
+        tails, core = self.beta_tails, self.beta_tails.core
         lo, hi, exact = self.beta_bound
         while c < n:
-            beta = _tail(c + 1, n, k_beta, N)
+            beta = tails[c + 1, n] = core(c + 1, n)
             if beta > hi or (beta > lo and self.exact_beta(n, c + 1) > exact):
                 break
             c += 1
         return c
 
     def admits_alpha(self, n: int, c: int) -> bool:
-        alpha = 1.0 - _tail(c, n, self.alpha_level, self.N)
+        alpha = 1.0 - self.alpha_tails[c, n]
         return self.alpha_bound.admits(alpha, lambda: self.exact_alpha(n, c))
 
 
@@ -366,7 +384,7 @@ def is_admissible(
     exact rational arithmetic would decide it."""
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    return _LotRule(lot, spec, bounds, plan.n).judge(plan.n, plan.c)[1]
+    return _LotRule(lot, spec, _bound_pair(bounds), plan.n).judge(plan.n, plan.c)[1]
 
 
 def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool) -> np.ndarray:
@@ -428,7 +446,8 @@ def _row_risks(
     beta_lots, betas, beta_admitted = side(spec.p_lq, True, bounds.beta_max)
     admissible = alpha_admitted and beta_admitted
     if limit_n is not None:
-        limit, limit_admissible = _LotRule(INFINITE_LOT, spec, bounds, limit_n).judge(limit_n, c)
+        limit_rule = _LotRule(INFINITE_LOT, spec, _bound_pair(bounds), limit_n)
+        limit, limit_admissible = limit_rule.judge(limit_n, c)
         alphas = np.append(alphas, limit.alpha)
         betas = np.append(betas, limit.beta)
         admissible = admissible and limit_admissible
@@ -439,7 +458,7 @@ def _acceptance_at_most(plan: Plan, K: int, N: int, level: Fraction) -> bool:
     """Whether ``plan`` accepts a lot of N items holding K defectives with
     probability at most ``level``, decided as exact arithmetic would."""
     return _Bound.around(level, float(_tail_tolerance(N))).admits(
-        _tail(plan.c, plan.n, K, N), lambda: _exact_acceptance(plan.c, plan.n, K, N)
+        _lot_tails(K, N)(plan.c, plan.n), lambda: _exact_acceptance(plan.c, plan.n, K, N)
     )
 
 
@@ -477,7 +496,7 @@ def oc_curve(
         ps = [k / 1000 for k in range(DEFAULT_OC_POINTS)]
     else:
         ps = [_checked_proportion(p) for p in grid]
-    return [(p, _tail(plan.c, plan.n, p, None)) for p in ps]
+    return [(p, _lot_tails(p, None)(plan.c, plan.n)) for p in ps]
 
 
 def _checked_proportion(p: LevelLike) -> float:

@@ -296,6 +296,18 @@ class TestSchemeCommand:
         assert code == 4
         assert out == "" and "row 0: rule offset:2 yields an invalid plan" in err
 
+    def test_rule_errors_name_the_action(self, capsys, tmp_path):
+        # a lookup validates nothing, so its error does not say it does
+        scheme_file = tmp_path / "offset.scheme"
+        scheme_file.write_text("1,14,offset:2,0\n15,inf,n:14,0\n")
+        code, _, err = run(capsys, "scheme", "lookup", "--file", str(scheme_file),
+                           "--lot-size", "2")
+        assert code == 4
+        assert err.startswith("error: scheme lookup: row 0: ")
+        code, _, err = run(capsys, "scheme", "validate", "--file", str(scheme_file))
+        assert code == 4
+        assert err.startswith("error: scheme validation: row 0: ")
+
     def test_scheme_requires_source(self, capsys):
         code, _, err = run(capsys, "scheme", "validate")
         assert code == 2

@@ -1,5 +1,6 @@
 """Kernel tests: exact-rational oracles first, then the published values."""
 
+import hashlib
 import math
 import random
 import subprocess
@@ -17,7 +18,12 @@ from midsampling import (
     interpolated_acceptance,
     interpolated_acceptance_curve,
 )
-from midsampling.kernel import _BULK_BLOCK, _hypergeometric_cdf_bulk, _tail_tolerance
+from midsampling.kernel import (
+    _BULK_BLOCK,
+    _hypergeometric_cdf_bulk,
+    _lot_tails,
+    _tail_tolerance,
+)
 
 from exact_oracle import accepting_samples
 
@@ -298,6 +304,63 @@ class TestDocumentedErrorBound:
     def test_tolerance_at_levels_that_round_to_0_or_1(self, p):
         # float(p) is 0.0 or 1.0; ln p and ln(1 - p) come from the exact ratio
         assert 0 < _tail_tolerance(100, p) < 1e-8
+
+    def test_tolerance_of_one_lot_equals_the_array_path(self):
+        # the tie band of a lot rule (scalar N) and of a scheme row (arrays)
+        # must be the same floats; math.log1p in place of numpy's would
+        # differ in the last ulp for thousands of N
+        grid = np.unique(np.concatenate([
+            np.arange(1, 20_001), np.linspace(20_001, 10**6, 20_000).astype(np.int64)
+        ]))
+        bulk = _tail_tolerance(grid)
+        scalar = np.array([_tail_tolerance(N) for N in grid.tolist()])
+        assert bulk.tobytes() == scalar.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The scalar core
+# ---------------------------------------------------------------------------
+
+def pinned_tail_lots() -> list:
+    """About 5000 seeded tails as (level, N, [(c, n), ...]), one lot each:
+    hypergeometric at small lots, across both log-factorial table edges
+    (2**14 and 100 002) and past them, and binomial at proportions near 0
+    and 1 and at sample sizes on both sides of the edges."""
+    rng = random.Random(2021)
+    lots = []
+    for lo, hi in ((1, 80), (2**14 - 50, 2**14 + 50), (100_002 - 50, 100_002 + 50),
+                   (100_002, 2_000_000)):
+        for _ in range(200):
+            N = rng.randint(lo, hi)
+            K = rng.randint(0, N) if N <= 80 else min(N, round(N * rng.uniform(0.0, 0.12)))
+            pairs = []
+            for _ in range(5):
+                n = rng.randint(1, N) if N <= 80 else rng.randint(1, min(N, 4000))
+                pairs.append((rng.randint(0, min(n, 40)), n))
+            lots.append((K, N, pairs))
+    near = [0.0, 1.0, 5e-324, 1e-300, 1e-12, 1.0 - 2**-53, 1.0 - 1e-12, 0.999999]
+    for i in range(200):
+        p = near[i] if i < len(near) else rng.choice((
+            rng.uniform(0.0, 1e-6), 1.0 - rng.uniform(0.0, 1e-6), rng.uniform(0.0, 1.0)))
+        pairs = []
+        for _ in range(5):
+            n = rng.choice((rng.randint(1, 2**14 + 50), rng.randint(100_002 - 50, 10**6)))
+            pairs.append((rng.randint(0, min(n, 40)), n))
+        lots.append((p, None, pairs))
+    return lots
+
+
+class TestScalarCore:
+    def test_tails_are_bit_identical_to_the_pinned_digest(self):
+        # sha256 of float.hex of every tail, as the per-call core computed
+        # them before the core resolved a lot once for many plans
+        tails = []
+        for level, N, pairs in pinned_tail_lots():
+            tail = _lot_tails(level, N)
+            tails.extend(tail(c, n) for c, n in pairs)
+        assert len(tails) == 5000
+        digest = hashlib.sha256("\n".join(map(float.hex, tails)).encode()).hexdigest()
+        assert digest == "fec3dc49107ee494c808c956505574f266b792522c3c92ed750bd117311b8dc2"
 
 
 # ---------------------------------------------------------------------------

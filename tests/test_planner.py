@@ -28,6 +28,26 @@ from midsampling import (
 from exact_oracle import exact_optimal_plan
 
 
+def count_core_evaluations(monkeypatch) -> list:
+    """(level, c, n) of every tail the scalar core evaluates from now on;
+    a tail read back from a lot rule's memory is not an evaluation."""
+    from midsampling import risks
+
+    evaluations = []
+
+    def counting(level, N, lot_tails=risks._lot_tails):
+        tail = lot_tails(level, N)
+
+        def counted(c, n):
+            evaluations.append((level, c, n))
+            return tail(c, n)
+
+        return counted
+
+    monkeypatch.setattr(risks, "_lot_tails", counting)
+    return evaluations
+
+
 def exact_consumers_risk(plan, N):
     # exact rational beta at the realized level ceil(0.07*N), from math.comb
     k_beta = math.ceil(Fraction(7, 100) * N)
@@ -116,40 +136,37 @@ class TestOptimalPlan:
     def test_producers_tail_once_per_new_c(self, monkeypatch, lot):
         # alpha(n, c) does not decrease in n, so a c that failed the
         # producers' bound at a smaller n need not be checked again: one
-        # producers' tail per new c, plus one for the reported risks
-        from midsampling import planner, risks
-
+        # producers' tail per new c, and at most one more for the reported
+        # risks when the plan's c is larger than the one searched for
         levels = realized_quality_levels(lot)
         alpha_level = levels.k_alpha if lot.is_finite else float(levels.p_alpha)
-        producers_tails = []
-        for module in (planner, risks):  # every module the search could call it from
-            if hasattr(module, "_tail"):
-                def counting(c, n, level, N, core=module._tail):
-                    if level == alpha_level:
-                        producers_tails.append((n, c))
-                    return core(c, n, level, N)
-
-                monkeypatch.setattr(module, "_tail", counting)
+        evaluations = count_core_evaluations(monkeypatch)
         result = optimal_plan(lot)
         assert result.plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
+        producers_tails = [e for e in evaluations if e[0] == alpha_level]
         assert 0 < len(producers_tails) <= result.plan.c + 2
 
     @pytest.mark.parametrize("lot", [LotSize(2000), INFINITE_LOT], ids=["2000", "inf"])
     def test_tail_budget(self, monkeypatch, lot):
         # galloping and bisecting in n for each c, in place of a scan over
         # every n (117 tails at N=2000, 119 at infinity)
-        from midsampling import planner, risks
-
-        tails = []
-        for module in (planner, risks):
-            if hasattr(module, "_tail"):
-                def counting(c, n, level, N, core=module._tail):
-                    tails.append((n, c))
-                    return core(c, n, level, N)
-
-                monkeypatch.setattr(module, "_tail", counting)
+        evaluations = count_core_evaluations(monkeypatch)
         assert optimal_plan(lot).plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
-        assert len(tails) <= 60
+        assert 0 < len(evaluations) <= 60
+
+    @pytest.mark.parametrize("lot, budget", [(LotSize(2000), 37), (INFINITE_LOT, 35)],
+                             ids=["2000", "inf"])
+    def test_reported_risks_reuse_search_tails(self, monkeypatch, lot, budget):
+        # the risks of the plan found are the tails its search computed last
+        # (39 and 37 evaluations when they were computed again), and a warm
+        # table row costs about ten tails
+        evaluations = count_core_evaluations(monkeypatch)
+        result = optimal_plan(lot)
+        assert len(evaluations) <= budget
+        assert result.risks == risk_pair(result.plan, lot)
+        evaluations.clear()
+        plan_table(1, 2000)
+        assert len(evaluations) / 2000 <= 10.0
 
     def test_infinite_scan_cap(self):
         with pytest.raises(NoPlanWithinCapError):
@@ -167,6 +184,26 @@ class TestOptimalPlan:
         result = optimal_plan(INFINITE_LOT, spec, bounds)
         assert is_admissible(result.plan, INFINITE_LOT, spec, bounds)
         assert result.plan.n < 109
+
+
+class TestReportedRisksAtInfinity:
+    """The reported risks of a plan at infinity depend on the plan and the
+    quality levels alone: the search reports what ``risk_pair`` reports,
+    though it searched up to the scan cap."""
+
+    @given(st.integers(1, 50), st.integers(2, 10), st.integers(1, 20), st.integers(1, 20))
+    @example(1, 10, 2, 10)  # (531, 2): beta 0.0997001448774403 either way
+    @example(30, 9, 11, 4)
+    @example(3, 9, 2, 12)
+    @example(25, 4, 11, 9)
+    @settings(max_examples=100, deadline=None)
+    def test_search_reports_risk_pair(self, aql_permille, lq_ratio, alpha_pct, beta_pct):
+        p_aql = Fraction(aql_permille, 1000)
+        spec = QualitySpec(p_aql, p_aql * lq_ratio)
+        result = optimal_plan(
+            INFINITE_LOT, spec, RiskBounds(Fraction(alpha_pct, 100), Fraction(beta_pct, 100))
+        )
+        assert result.risks == risk_pair(result.plan, INFINITE_LOT, spec)
 
 
 class TestExactTies:
