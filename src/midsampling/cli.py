@@ -16,10 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .kernel import LotSize, Plan
+from .kernel import LotSize, Plan, as_exact_level
 from .planner import DEFAULT_SCAN_CAP, NoPlanWithinCapError, optimal_plan, plan_table
 from .render import RENDERERS, render
-from .risks import QualitySpec, RiskBounds, as_exact_level, monte_carlo_acceptance, oc_curve
+from .risks import QualitySpec, RiskBounds, monte_carlo_acceptance, oc_curve
 from .scheme import (
     DEFAULT_VALIDATION_CAP,
     SchemeCoverageError,

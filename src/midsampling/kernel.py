@@ -43,7 +43,6 @@ __all__ = [
 # Summation noise this far past the unit interval is clipped silently;
 # anything beyond it indicates a logic error, not rounding.
 _PROB_GROSS_ERROR = 1e-6
-_INTEGER_TOL = 1e-9
 # Elements per block of the bulk tail: 64 KiB float64 temporaries.
 _BULK_BLOCK = 8192
 # Error of a tail per unit of log-term magnitude: 64 ulp(1).
@@ -51,13 +50,19 @@ _ERROR_PER_LOG_UNIT = 2.0 ** -46
 # The scalar core's term loops read these as globals: faster than math.exp.
 _exp, _fsum = math.exp, math.fsum
 
+
+def _lgamma_fill(start: int, stop: int) -> array:
+    """ln(k!) for start <= k < stop: how the table is filled and grown."""
+    return array("d", map(math.lgamma, map(float, range(start + 1, stop + 1))))
+
+
 # _LOG_FACTORIAL[k] == ln(k!), a flat array of doubles: scalar lookups index
 # it several times faster than a numpy array, at a quarter of the memory of a
 # list of floats, and the vectorized paths view the same buffer (and grow a
 # copy when they need more).  The lots of up to 2**14 items that make up
 # most tables read a list copy of its head, faster still.
 _TABLE_SIZE = 100_002
-_LOG_FACTORIAL = array("d", map(math.lgamma, map(float, range(1, _TABLE_SIZE + 1))))
+_LOG_FACTORIAL = _lgamma_fill(0, _TABLE_SIZE)
 _LOG_FACTORIAL_NP = np.frombuffer(_LOG_FACTORIAL)
 _SMALL_SIZE = 1 << 14
 _SMALL_LOG_FACTORIAL = _LOG_FACTORIAL[:_SMALL_SIZE].tolist()
@@ -86,10 +91,7 @@ def _log_factorial_array(N: int) -> np.ndarray:
     global _LOG_FACTORIAL_NP
     table = _LOG_FACTORIAL_NP
     if N >= len(table):
-        size = max(N + 1, 2 * len(table))
-        tail = np.fromiter(
-            (math.lgamma(k + 1.0) for k in range(len(table), size)), float, size - len(table)
-        )
+        tail = np.frombuffer(_lgamma_fill(len(table), max(N + 1, 2 * len(table))))
         table = _LOG_FACTORIAL_NP = np.concatenate([table, tail])
     return table
 
@@ -115,6 +117,27 @@ def _clamp_probability(value: float) -> float:
     if 1.0 < value <= 1.0 + _PROB_GROSS_ERROR:
         return 1.0
     raise ArithmeticError(f"probability {value!r} outside [0, 1] beyond rounding noise")
+
+
+LevelLike = Union[Fraction, float, int, str]
+
+
+def as_exact_level(value: LevelLike) -> Fraction:
+    """Convert a quality level or risk bound to an exact Fraction.
+
+    Floats go through their shortest decimal representation, so the
+    literal a user typed (0.07) becomes the rational they meant (7/100)
+    rather than the nearest binary double.  Malformed strings, "1/0"
+    included, raise ``ValueError``.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        return Fraction(str(value))
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"level {value!r} has a zero denominator") from exc
 
 
 def _check_count(name: str, value) -> int:
@@ -334,17 +357,18 @@ def _hypergeometric_cdf_bulk(c: int, n, K, N) -> np.ndarray:
 # Gamma-interpolated hypergeometric model (WELMEC-style continuous risks)
 # ---------------------------------------------------------------------------
 
-def _defect_count(p, N: int) -> tuple:
-    """(p*N as a float, the whole count p*N or None) for a quality level p:
-    exact for Fractions, ints and strings, within _INTEGER_TOL for floats."""
-    if isinstance(p, (Fraction, int, str)):
-        pN = Fraction(p) * N
-        return float(pN), (int(pN) if pN.denominator == 1 else None)
-    pN = float(p) * N
-    nearest = round(pN)
-    if abs(pN - nearest) <= _INTEGER_TOL * max(1.0, abs(pN)):
-        return float(nearest), int(nearest)
-    return pN, None
+def _defect_count(p: LevelLike, N: int) -> tuple:
+    """(p*N as a float, the whole count p*N or None) for a quality level p,
+    the one reader of a realizable defect count.  Fractions, ints and
+    strings are read exactly.  A float names count k only when it is the
+    double nearest k/N, ``k / N == p``; any other float is read as
+    ``as_exact_level`` reads it, which then gives no whole count either."""
+    if isinstance(p, float) and 0.0 <= p <= 1.0:
+        k = round(p * N)
+        if k / N == p:
+            return float(k), k
+    pN = as_exact_level(p) * N
+    return float(pN), (int(pN) if pN.denominator == 1 else None)
 
 
 def _checked_interpolation_args(n: int, N, p) -> tuple:
@@ -393,8 +417,9 @@ def interpolated_acceptance(plan: Plan, N: int, p) -> float:
 
     The hypergeometric mass function is continued to real defective counts
     by replacing factorials with Gamma functions; at integer p*N this
-    reduces exactly to ``hypergeometric_cdf``.  ``p`` may be a float or a
-    ``fractions.Fraction`` (exact integrality detection).
+    reduces exactly to ``hypergeometric_cdf``.  ``p`` is read as
+    ``_defect_count`` reads it: a Fraction, int or string exactly, and a
+    float as a whole count k only when it is the double nearest k/N.
 
     The continued mass terms are signed, so partial sums can leave the
     unit interval for acceptance numbers well beyond p*N (most visibly

@@ -30,6 +30,7 @@ from .risks import (
     _bound_pair,
     _check_plan,
     _LotRule,
+    realized_quality_levels,
 )
 
 __all__ = [
@@ -131,7 +132,8 @@ def _search(lot: LotSize, spec, bounds: tuple, highest_n: int, hints: Sequence[i
         n_betas.append(n)
         if rule.admits_alpha(n, c):
             c = rule.largest_beta_c(n, c)
-            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=rule.levels), n_betas
+            realized = realized_quality_levels(lot, spec)
+            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=realized), n_betas
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {highest_n} "
         f"for quality levels ({spec.p_aql}, {spec.p_lq}) "

@@ -20,14 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .kernel import (
     INFINITE_LOT,
+    LevelLike,
     LotSize,
     Plan,
+    as_exact_level,
     _check_count,
     _defect_count,
     _hypergeometric_cdf_bulk,
@@ -46,27 +48,6 @@ __all__ = [
     "oc_curve",
     "monte_carlo_acceptance",
 ]
-
-LevelLike = Union[Fraction, float, int, str]
-
-
-def as_exact_level(value: LevelLike) -> Fraction:
-    """Convert a quality level or risk bound to an exact Fraction.
-
-    Floats go through their shortest decimal representation, so the
-    literal a user typed (0.07) becomes the rational they meant (7/100)
-    rather than the nearest binary double.  Malformed strings, "1/0"
-    included, raise ``ValueError``.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    try:
-        return Fraction(value)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"level {value!r} has a zero denominator") from exc
-
 
 @dataclass(frozen=True)
 class QualitySpec:
@@ -132,31 +113,15 @@ def realized_quality_levels(lot: LotSize, spec: QualitySpec = QualitySpec()) -> 
     if not lot.is_finite:
         return RealizedLevels(p_alpha=spec.p_aql, p_beta=spec.p_lq)
     N = lot.count
-    k_alpha, k_beta = _realized_counts(spec, N)
-    return RealizedLevels(
-        p_alpha=Fraction(k_alpha, N),
-        p_beta=Fraction(k_beta, N),
-        k_alpha=k_alpha,
-        k_beta=k_beta,
-        denominator=N,
-    )
+    k_alpha, k_beta = _count(spec.p_aql, N, False), _count(spec.p_lq, N, True)
+    return RealizedLevels(Fraction(k_alpha, N), Fraction(k_beta, N), k_alpha, k_beta, N)
 
 
-def _realized_counts(spec: QualitySpec, lots) -> tuple:
-    """floor(p_aql*N) and ceil(p_lq*N), exactly, for a lot size N or an
-    int64 array of them.  An array whose products would overflow int64 is
-    computed with Python ints."""
-    p_aql, p_lq = spec.p_aql, spec.p_lq
-    wide = isinstance(lots, np.ndarray) and (
-        max(p_aql.denominator, p_lq.denominator) * int(lots.max()) >= 2**63
-    )
-    if wide:
-        lots = lots.astype(object)
-    k_alpha = (p_aql.numerator * lots) // p_aql.denominator
-    k_beta = -((-p_lq.numerator * lots) // p_lq.denominator)
-    if wide:
-        return k_alpha.astype(np.int64), k_beta.astype(np.int64)
-    return k_alpha, k_beta
+def _count(level: Fraction, N: int, ceil: bool) -> int:
+    """floor(level*N), or ceil(level*N) given ``ceil``, exactly: the one
+    conversion of a nominal level to the realized defect count of a lot."""
+    a, b = level.numerator, level.denominator
+    return -(-a * N // b) if ceil else a * N // b
 
 
 def _check_plan(plan: Plan, lot: LotSize) -> None:
@@ -251,10 +216,11 @@ class _LotRule:
 
     def __init__(self, lot: LotSize, spec: QualitySpec, bounds: Optional[tuple], n_max: int):
         self.n_max, self.N = n_max, lot.count
-        self.levels = levels = realized_quality_levels(lot, spec)
         if lot.is_finite:  # the core takes defect counts, or proportions as floats
-            self._exact_levels = core_levels = (levels.k_alpha, levels.k_beta)
-            tols = (float(_tail_tolerance(lot.count)),) * 2
+            N = lot.count
+            self._exact_levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
+            core_levels = self._exact_levels
+            tols = (float(_tail_tolerance(N)),) * 2
         else:
             self._exact_levels = (spec.p_aql, spec.p_lq)
             core_levels = (float(spec.p_aql), float(spec.p_lq))
@@ -289,10 +255,11 @@ class _LotRule:
             beta=_reported(beta, beta_tol, lambda: self.exact_beta(n, c)),
         )
 
-    def judge(self, n: int, c: int) -> tuple:
-        """(reported risks, admissible) from one evaluation of each tail."""
-        beta_admitted = self.beta_bound.admits(self.beta_tails[c, n], lambda: self.exact_beta(n, c))
-        return self.risks(n, c), self.admits_alpha(n, c) and beta_admitted
+    def admits(self, n: int, c: int) -> bool:
+        """Whether both bounds admit (n, c), from the tails the rule keeps."""
+        return self.admits_alpha(n, c) and self.beta_bound.admits(
+            self.beta_tails[c, n], lambda: self.exact_beta(n, c)
+        )
 
     def smallest_beta_n(self, c: int, n_from: int, hint: Optional[int] = None) -> Optional[int]:
         """The smallest sample size n <= n_max at which the consumers' bound
@@ -384,27 +351,26 @@ def is_admissible(
     exact rational arithmetic would decide it."""
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    return _LotRule(lot, spec, _bound_pair(bounds), plan.n).judge(plan.n, plan.c)[1]
+    return _LotRule(lot, spec, _bound_pair(bounds), plan.n).admits(plan.n, plan.c)
 
 
-def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool) -> np.ndarray:
+def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool) -> tuple:
     """The lots of [lo, hi] that start or end a run of constant realized
-    count floor(level*N), or ceil(level*N) given ``ceil``, in increasing
-    order, as an int64 array.  With level = a/b, count j is first reached at
-    ceil(j*b/a) on the floor side and count j + 1 at floor(j*b/a) + 1 on the
-    ceil side; products past int64 are taken with Python ints."""
+    count ``_count(level, N, ceil)``, in increasing order, and the count at
+    each, as int64 arrays.  A level below 1 raises the count by exactly one
+    from a run to the next.  With level = a/b, count j is first reached at
+    ceil(j*b/a) on the floor side and at floor((j-1)*b/a) + 1 on the ceil
+    side; products past int64 are taken with Python ints."""
     a, b = level.numerator, level.denominator
-    if ceil:
-        js = np.arange(-(-a * lo // b), -(-a * hi // b), dtype=np.int64)
-    else:
-        js = np.arange(a * lo // b + 1, a * hi // b + 1, dtype=np.int64)
+    counts = np.arange(_count(level, lo, ceil), _count(level, hi, ceil) + 1, dtype=np.int64)
+    js = counts[1:] - 1 if ceil else counts[1:]
     if b * hi >= 2**63:  # j <= hi
         js = js.astype(object)
     starts = (js * b) // a + 1 if ceil else -((-js * b) // a)
     starts = np.concatenate(([lo], np.asarray(starts, dtype=np.int64)))
-    ends = np.append(starts[1:] - 1, hi)
-    lots = np.column_stack((starts, ends)).ravel()
-    return lots[np.append(True, lots[1:] != lots[:-1])]  # a run of one lot ends where it starts
+    lots = np.column_stack((starts, np.append(starts[1:] - 1, hi))).ravel()
+    keep = np.append(True, lots[1:] != lots[:-1])  # a run of one lot ends where it starts
+    return lots[keep], np.repeat(counts, 2)[keep]
 
 
 def _row_risks(
@@ -429,9 +395,8 @@ def _row_risks(
     to both risk arrays, one past their lots, and joins the decision."""
 
     def side(level, ceil, bound):
-        lots = _run_ends(level, lo, hi, ceil)
+        lots, k = _run_ends(level, lo, hi, ceil)
         sample = np.broadcast_to(sample_size(lots), lots.shape)
-        k = _realized_counts(spec, lots)[1 if ceil else 0]
         accept = _hypergeometric_cdf_bulk(c, sample, k, lots)
 
         def exact_risk(i):
@@ -447,10 +412,10 @@ def _row_risks(
     admissible = alpha_admitted and beta_admitted
     if limit_n is not None:
         limit_rule = _LotRule(INFINITE_LOT, spec, _bound_pair(bounds), limit_n)
-        limit, limit_admissible = limit_rule.judge(limit_n, c)
+        limit = limit_rule.risks(limit_n, c)
         alphas = np.append(alphas, limit.alpha)
         betas = np.append(betas, limit.beta)
-        admissible = admissible and limit_admissible
+        admissible = limit_rule.admits(limit_n, c) and admissible
     return (alpha_lots, alphas), (beta_lots, betas), admissible
 
 
@@ -508,8 +473,9 @@ def _checked_proportion(p: LevelLike) -> float:
 
 def _realizable_count(p: LevelLike, N: int) -> int:
     """Defective count k with p == k/N, or ValueError if p is not realizable."""
-    _checked_proportion(p)
-    k = _defect_count(p, N)[1]
+    pN, k = _defect_count(p, N)
+    if not 0.0 <= pN <= N:
+        raise ValueError(f"quality level {p!r} outside [0, 1]")
     if k is None:
         raise ValueError(f"quality level {p} is not a multiple of 1/{N}")
     return k
@@ -544,28 +510,24 @@ def monte_carlo_acceptance(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    accepted = 0
     if lot.is_finite:
-        N = lot.count
-        K = _realizable_count(p, N)
-        chunk = max(1, _MC_CHUNK_ELEMENTS // N)
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
+        width, K = lot.count, _realizable_count(p, lot.count)
+
+        def defects(m):
             # Uniform keys give each size-n subset equal probability; items
             # 0..K-1 are the defectives.
-            keys = rng.random((m, N))
-            sample = np.argpartition(keys, plan.n - 1, axis=1)[:, : plan.n]
-            defects = np.count_nonzero(sample < K, axis=1)
-            accepted += int(np.count_nonzero(defects <= plan.c))
-            done += m
+            sample = np.argpartition(rng.random((m, width)), plan.n - 1, axis=1)[:, : plan.n]
+            return np.count_nonzero(sample < K, axis=1)
     else:
-        prob = _checked_proportion(p)
-        chunk = max(1, _MC_CHUNK_ELEMENTS // max(plan.n, 1))
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            defects = np.count_nonzero(rng.random((m, plan.n)) < prob, axis=1)
-            accepted += int(np.count_nonzero(defects <= plan.c))
-            done += m
+        width, prob = plan.n, _checked_proportion(p)
+
+        def defects(m):  # one draw per sampled item
+            return np.count_nonzero(rng.random((m, width)) < prob, axis=1)
+
+    chunk = max(1, _MC_CHUNK_ELEMENTS // width)
+    accepted = done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        accepted += int(np.count_nonzero(defects(m) <= plan.c))
+        done += m
     return accepted / trials

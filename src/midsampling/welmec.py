@@ -12,7 +12,6 @@ hypothesis-test risks, to make the interpretations directly comparable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -25,6 +24,7 @@ from .risks import (
     RiskPair,
     _acceptance_at_most,
     _check_plan,
+    _count,
     risk_pair,
 )
 
@@ -125,8 +125,8 @@ def welmec_admissible_pointwise(
     _check_plan(plan, lot)
     N = lot.count
     return _acceptance_at_most(
-        plan, math.ceil(spec.p_aql * N), N, ACCEPT_LEVEL_AQL
-    ) and _acceptance_at_most(plan, math.ceil(spec.p_lq * N), N, ACCEPT_LEVEL_LQ)
+        plan, _count(spec.p_aql, N, True), N, ACCEPT_LEVEL_AQL
+    ) and _acceptance_at_most(plan, _count(spec.p_lq, N, True), N, ACCEPT_LEVEL_LQ)
 
 
 def compare_interpretations(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -180,6 +181,15 @@ class TestOcCommand:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 260  # header + k = 0..258
+
+    def test_csv_bytes_at_lot_100_000(self, capsys):
+        # every realizable point of a large lot, read back to its count
+        code, out, _ = run(capsys, "oc", "--n", "109", "--c", "3", "--lot-size", "100000",
+                           "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b2bcc70948b2ccbec4d07c4914ffa222a3f54ed5fb85a81ac7aac7be160d9725"
+        )
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "oc", "--n", "5", "--c", "1", "--lot-size", "inf",

@@ -399,7 +399,16 @@ class TestInterpolatedAcceptance:
                             want, abs=1e-9
                         )
 
+    def test_float_near_a_count_is_not_snapped(self):
+        # a float names count k only when it is the double nearest k/N
+        got = interpolated_acceptance(Plan(10, 0), 100, 0.07000000001)
+        assert got == interpolated_acceptance(Plan(10, 0), 100, Fraction("0.07000000001"))
+        assert got != interpolated_acceptance(Plan(10, 0), 100, 0.07)
+        assert interpolated_acceptance(Plan(2, 0), 3, 1 / 3) == hypergeometric_cdf(0, 2, 1, 3)
+
     def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            interpolated_acceptance(Plan(1, 0), 10, "1/0")
         with pytest.raises(ValueError):
             interpolated_acceptance(Plan(5, 0), 10, -0.01)
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +25,7 @@ from midsampling import (
     realized_quality_levels,
     risk_pair,
 )
-from midsampling.risks import _realized_counts
+from midsampling.risks import _run_ends
 
 
 class TestQualitySpecAndBounds:
@@ -100,15 +99,23 @@ class TestRealizedLevels:
         ids=["long-decimal", "huge-denominator"],
     )
     def test_array_counts_match_scalar_counts(self, spec):
-        # the lot-range path takes the counts of int64 arrays; products
-        # beyond int64 must not wrap
-        lots = np.array([1, 99, 100, 923, 1499, 100_000, 10**7], dtype=np.int64)
-        k_alpha, k_beta = _realized_counts(spec, lots)
-        for i, N in enumerate(lots.tolist()):
-            levels = realized_quality_levels(LotSize(N), spec)
-            assert (k_alpha[i], k_beta[i]) == (levels.k_alpha, levels.k_beta)
-            assert levels.k_alpha == math.floor(spec.p_aql * N)
-            assert levels.k_beta == math.ceil(spec.p_lq * N)
+        # a scheme row takes the counts at its run ends from _run_ends;
+        # products beyond int64 must not wrap
+        for N in (1, 99, 100, 923, 1499, 100_000, 10**7):
+            for level, ceil in ((spec.p_aql, False), (spec.p_lq, True)):
+                lots, counts = _run_ends(level, N, N + 150, ceil)
+                ends = dict(zip(lots.tolist(), counts.tolist()))
+                k = None
+                for lot in range(N, N + 151):
+                    levels = realized_quality_levels(LotSize(lot), spec)
+                    want = levels.k_beta if ceil else levels.k_alpha
+                    assert want == (math.ceil if ceil else math.floor)(level * lot)
+                    if want != k:  # a run starts here, and the previous one ended
+                        assert lot in ends and (lot == N or lot - 1 in ends)
+                        k = want
+                    if lot in ends:
+                        assert ends[lot] == want
+                assert lots[-1] == N + 150
 
 
 class TestRisks:
@@ -201,6 +208,23 @@ class TestOcCurve:
             oc_curve(Plan(86, 2), INFINITE_LOT, grid=["1/0"])
         with pytest.raises(ValueError):
             oc_curve(Plan(22, 0), LotSize(43), grid=[0.05])  # 0.05*43 not integral
+
+    def test_float_grid_point_names_only_the_nearest_count(self):
+        # 0.07000000001 is not the double nearest 7/100, so it names no count
+        with pytest.raises(ValueError):
+            oc_curve(Plan(1, 0), LotSize(100), grid=[0.07000000001])
+        with pytest.raises(ValueError):
+            monte_carlo_acceptance(Plan(1, 0), LotSize(100), 0.07000000001, 10, seed=1)
+
+    @pytest.mark.parametrize("k, N", [(1, 3), (3, 43), (7, 100), (29, 2900), (1, 99991)])
+    def test_float_image_of_a_count_stays_realizable(self, k, N):
+        plan = Plan(min(N, 22), 0)
+        assert oc_curve(plan, LotSize(N), grid=[k / N]) == oc_curve(
+            plan, LotSize(N), grid=[Fraction(k, N)]
+        )
+        assert monte_carlo_acceptance(plan, LotSize(N), k / N, 50, seed=3) == (
+            monte_carlo_acceptance(plan, LotSize(N), Fraction(k, N), 50, seed=3)
+        )
 
     def test_csv_export(self):
         points = oc_curve(Plan(22, 0), LotSize(43), grid=[Fraction(3, 43)])
