@@ -358,17 +358,19 @@ def _hypergeometric_cdf_bulk(c: int, n, K, N) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _defect_count(p: LevelLike, N: int) -> tuple:
-    """(p*N as a float, the whole count p*N or None) for a quality level p,
-    the one reader of a realizable defect count.  Fractions, ints and
-    strings are read exactly.  A float names count k only when it is the
-    double nearest k/N, ``k / N == p``; any other float is read as
-    ``as_exact_level`` reads it, which then gives no whole count either."""
-    if isinstance(p, float) and 0.0 <= p <= 1.0:
+    """(p*N as a float, the whole count p*N or None) for a quality level p
+    in [0, 1], the one reader of a realizable defect count; ValueError
+    outside [0, 1].  Fractions, ints and strings are read exactly.  A float
+    names count k only when it is the double nearest k/N, ``k / N == p``;
+    otherwise p*N is its float product."""
+    level = p if isinstance(p, float) else as_exact_level(p)
+    if not 0 <= level <= 1:
+        raise ValueError(f"quality level {p!r} outside [0, 1]")
+    if isinstance(p, float):
         k = round(p * N)
-        if k / N == p:
-            return float(k), k
-    pN = as_exact_level(p) * N
-    return float(pN), (int(pN) if pN.denominator == 1 else None)
+        return p * N, (k if k / N == p else None)
+    exact = level * N
+    return float(exact), (int(exact) if exact.denominator == 1 else None)
 
 
 def _checked_interpolation_args(n: int, N, p) -> tuple:
@@ -377,10 +379,10 @@ def _checked_interpolation_args(n: int, N, p) -> tuple:
         raise ValueError("lot size N must be >= 1")
     if n > N:
         raise ValueError(f"sample size n={n} exceeds lot size N={N}")
-    pN, integer_count = _defect_count(p, N)
-    if pN < 0.0 or pN > N:
-        raise ValueError(f"defective level p*N={pN!r} outside [0, {N}]")
-    return N, pN, integer_count
+    pN, count = _defect_count(p, N)
+    if count is None and pN.is_integer():
+        count = int(pN)  # a level that rounds onto a whole count is read there
+    return N, pN, count
 
 
 def _interpolated_terms(c: int, n: int, N: int, pN: float) -> list:
@@ -389,8 +391,9 @@ def _interpolated_terms(c: int, n: int, N: int, pN: float) -> list:
     functions, unchecked.
 
     The continued terms are signed, as Gamma is negative where its argument
-    is negative with an odd floor.  pN is not an integer, so no Gamma
-    argument below lands on a pole.
+    is negative with an odd floor.  A Gamma argument still rounds onto a
+    pole when pN lies within an ulp of a whole count; 1/Gamma is zero
+    there, and so is the term.
     """
     lgamma = math.lgamma
     t, t_lot = _log_factorials(n), _log_factorials(N)
@@ -401,6 +404,9 @@ def _interpolated_terms(c: int, n: int, N: int, pN: float) -> list:
     for x in range(c + 1):
         z1 = pN - x + 1.0
         z2 = N - pN - (n - x) + 1.0
+        if (z1 <= 0.0 and z1.is_integer()) or (z2 <= 0.0 and z2.is_integer()):
+            terms.append(0.0)
+            continue
         term = math.exp(
             (ln_defective - t[x] - lgamma(z1)) + (ln_good - t[n - x] - lgamma(z2)) - ln_denom
         )

@@ -473,9 +473,7 @@ def _checked_proportion(p: LevelLike) -> float:
 
 def _realizable_count(p: LevelLike, N: int) -> int:
     """Defective count k with p == k/N, or ValueError if p is not realizable."""
-    pN, k = _defect_count(p, N)
-    if not 0.0 <= pN <= N:
-        raise ValueError(f"quality level {p!r} outside [0, 1]")
+    k = _defect_count(p, N)[1]
     if k is None:
         raise ValueError(f"quality level {p} is not a multiple of 1/{N}")
     return k

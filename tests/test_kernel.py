@@ -406,6 +406,27 @@ class TestInterpolatedAcceptance:
         assert got != interpolated_acceptance(Plan(10, 0), 100, 0.07)
         assert interpolated_acceptance(Plan(2, 0), 3, 1 / 3) == hypergeometric_cdf(0, 2, 1, 3)
 
+    def test_float_that_rounds_onto_a_count(self):
+        # 1 - 1/3 is not the double nearest 2/3, yet its product with 3
+        # rounds to 2.0: the continuation is read at the whole count 2
+        p = 1 - 1 / 3
+        assert interpolated_acceptance(Plan(2, 0), 3, p) == hypergeometric_cdf(0, 2, 2, 3)
+        curve = interpolated_acceptance_curve(3, 3, p)
+        assert curve.tolist() == [hypergeometric_cdf(c, 3, 2, 3) for c in range(4)]
+
+    def test_level_within_an_ulp_of_a_count(self):
+        # p*N = 1.0000000000000002: pN - 4 + 1 rounds onto the pole at -2,
+        # where 1/Gamma and so the term vanish
+        p = math.nextafter(0.01, 1.0)
+        for c in (4, 10):
+            assert interpolated_acceptance(Plan(10, c), 100, p) == pytest.approx(
+                hypergeometric_cdf(c, 10, 1, 100), abs=1e-12
+            )
+        curve = interpolated_acceptance_curve(10, 100, p)
+        assert curve.tolist() == pytest.approx(
+            [hypergeometric_cdf(c, 10, 1, 100) for c in range(11)], abs=1e-12
+        )
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             interpolated_acceptance(Plan(1, 0), 10, "1/0")
@@ -413,6 +434,10 @@ class TestInterpolatedAcceptance:
             interpolated_acceptance(Plan(5, 0), 10, -0.01)
         with pytest.raises(ValueError):
             interpolated_acceptance(Plan(5, 0), 10, 1.2)
+        with pytest.raises(ValueError):
+            interpolated_acceptance(Plan(5, 0), 10, "1.0000000000000000000001")
+        with pytest.raises(ValueError):
+            interpolated_acceptance(Plan(5, 0), 10, float("nan"))
         with pytest.raises(ValueError):
             interpolated_acceptance(Plan(11, 0), 10, 0.01)
 
