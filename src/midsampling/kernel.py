@@ -9,9 +9,12 @@ Every log-factorial comes from ``math.lgamma``, whether read from the table
 built at import, from its numpy copy (which the array paths extend on
 demand) or computed past the table's end, so no value depends on the path
 or on earlier calls.  Public functions check their arguments, then call one
-of three unchecked cores: ``_lot_tails`` (scalar tails, resolved once per lot
-and then evaluated per plan), ``_hypergeometric_cdf_bulk`` (tails over
-arrays) and ``_interpolated_terms`` (terms at real defect counts).
+of four unchecked cores: ``_lot_tails`` (scalar tails, resolved once per lot
+and then evaluated per plan), ``_binomial_curve`` (the binomial tails of one
+plan over a grid of proportions, resolved once per plan),
+``_hypergeometric_cdf_bulk`` (tails over arrays) and ``_interpolated_terms``
+(terms at real defect counts).  The two binomial cores share one term
+expression, ``_binomial_sum``.
 
 A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
 (1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -103,8 +107,7 @@ def _tail_tolerance(N, p=None):
     ratio of p, so a proportion within an ulp of 0 or 1 still has them."""
     scale = N * np.log1p(N)  # >= ln N!, the largest log-factorial a term uses
     if p is not None:
-        p = Fraction(p)
-        a, b = p.numerator, p.denominator
+        a, b = p.as_integer_ratio()
         scale = scale - N * (math.log(a) + math.log(b - a) - 2 * math.log(b))
     return _ERROR_PER_LOG_UNIT * (1.0 + scale)
 
@@ -133,7 +136,9 @@ def as_exact_level(value: LevelLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
-        return Fraction(str(value))
+        if not math.isfinite(value):
+            raise ValueError(f"level {value!r} is not a finite number")
+        return Fraction(Decimal(repr(value)))
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:
@@ -237,14 +242,7 @@ def _lot_tails(level, N: Optional[int]):
         log_q = math.log1p(-p)
 
         def binomial_tail(c, n):  # unannotated: cheaper to create per lot
-            if c >= n:
-                return 1.0
-            t = _log_factorials(n)
-            ln_n = t[n]
-            total = _fsum([
-                _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
-            ])
-            return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
+            return 1.0 if c >= n else _binomial_sum(c, n, _log_factorials(n), log_p, log_q)
 
         return binomial_tail
     K, good = level, N - level
@@ -265,6 +263,31 @@ def _lot_tails(level, N: Optional[int]):
         return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
 
     return hypergeometric_tail
+
+
+def _binomial_sum(c: int, n: int, t, log_p: float, log_q: float) -> float:
+    """P(X <= c) for X ~ Binomial(n, p), c < n and 0 < p < 1, from the
+    log-factorial view t of n, ln p and ln(1 - p): the one binomial term
+    expression, shared by the two binomial cores."""
+    ln_n = t[n]
+    total = _fsum([
+        _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
+    ])
+    return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
+
+
+def _binomial_curve(c: int, n: int, ps: list) -> list:
+    """P(X <= c) for X ~ Binomial(n, p) at each float proportion p of ps,
+    unchecked, with (c, n) resolved once for the whole grid: bit for bit
+    ``_lot_tails(p, None)(c, n)`` at each p."""
+    if c >= n:
+        return [1.0] * len(ps)
+    t = _log_factorials(n)
+    return [
+        _binomial_sum(c, n, t, math.log(p), math.log1p(-p)) if 0.0 < p < 1.0
+        else 1.0 - p  # X is 0 at p = 0, and X is n > c at p = 1
+        for p in ps
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +386,16 @@ def _defect_count(p: LevelLike, N: int) -> tuple:
     outside [0, 1].  Fractions, ints and strings are read exactly.  A float
     names count k only when it is the double nearest k/N, ``k / N == p``;
     otherwise p*N is its float product."""
-    level = p if isinstance(p, float) else as_exact_level(p)
-    if not 0 <= level <= 1:
-        raise ValueError(f"quality level {p!r} outside [0, 1]")
     if isinstance(p, float):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"quality level {p!r} outside [0, 1]")
         k = round(p * N)
         return p * N, (k if k / N == p else None)
-    exact = level * N
-    return float(exact), (int(exact) if exact.denominator == 1 else None)
+    a, b = as_exact_level(p).as_integer_ratio()
+    if not 0 <= a <= b:
+        raise ValueError(f"quality level {p!r} outside [0, 1]")
+    count, rest = divmod(a * N, b)
+    return a * N / b, (None if rest else count)
 
 
 def _checked_interpolation_args(n: int, N, p) -> tuple:
@@ -436,8 +461,12 @@ def interpolated_acceptance(plan: Plan, N: int, p) -> float:
     N, pN, integer_count = _checked_interpolation_args(plan.n, N, p)
     if integer_count is not None:
         return _lot_tails(integer_count, N)(plan.c, plan.n)
-    total = math.fsum(_interpolated_terms(plan.c, plan.n, N, pN))
-    return min(max(total, 0.0), 1.0)
+    return _continued_acceptance(plan.c, plan.n, N, pN)
+
+
+def _continued_acceptance(c: int, n: int, N: int, pN: float) -> float:
+    """P(X <= c) at a defect count pN that is not whole, clipped into [0, 1]."""
+    return min(max(math.fsum(_interpolated_terms(c, n, N, pN)), 0.0), 1.0)
 
 
 def interpolated_acceptance_curve(n: int, N: int, p) -> np.ndarray:

@@ -5,18 +5,20 @@ the sample size n and the producers' risk does not decrease, so the
 consumers' bound admits c exactly from some smallest n_beta(c) on, and
 n_beta(c) does not decrease with c.  The search walks c = 0, 1, ...,
 finds each n_beta(c) by galloping and bisecting upward from the previous
-one, and stops at the first c whose producers' risk at n_beta(c) is
-admitted: no plan with a smaller n is admissible.  At that n the plan takes
-the largest acceptance number the consumers' bound admits, which has the
-smallest producers' risk.  The lot rule in ``risks`` makes every decision
-exactly, so this argument holds exactly.  It evaluates each tail of its lot
-once, so the plan's reported risks are tails the search already computed,
-and the risk bounds are resolved once per call, not once per lot.
+one (from a closed-form estimate for c = 0 and 1), and stops at the first c
+whose producers' risk at n_beta(c) is admitted: no plan with a smaller n is
+admissible.  At that n the plan takes the largest acceptance number the
+consumers' bound admits, which has the smallest producers' risk.  The lot
+rule in ``risks`` makes every decision exactly, so this argument holds
+exactly.  It evaluates each tail of its lot once, so the plan's reported
+risks are tails the search already computed, and the risk bounds are
+resolved once per call, not once per lot.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -109,23 +111,66 @@ def optimal_plan(
     :class:`NoPlanWithinCapError` when n* would exceed ``scan_cap``.
     """
     lot = LotSize.of(lot)
-    scan_cap = _check_count("scan_cap", scan_cap)
-    return _search(lot, spec, _bound_pair(bounds), lot.count if lot.is_finite else scan_cap)[0]
+    return _optimal(lot, spec, bounds, _check_count("scan_cap", scan_cap))[0]
+
+
+def _optimal(lot: LotSize, spec, bounds: RiskBounds, scan_cap: int = DEFAULT_SCAN_CAP) -> tuple:
+    """``optimal_plan`` of a LotSize, and the lot rule its search built."""
+    pair, highest_n = _bound_pair(bounds), lot.count if lot.is_finite else scan_cap
+    result, _, rule = _search(lot, spec, pair, highest_n)
+    return result, rule
+
+
+def _zero_c_start(rule: _LotRule, ln_beta: float) -> int:
+    """An upper estimate of n_beta(0), capped at n_max.  beta(n, 0) is
+    (1 - p)**n at proportion p = K/N; for K defectives in N items it is at
+    most (1 - K/N)**n and at most (1 - n/N)**K.  So each n at which one of
+    these reaches the bound beta_max = exp(ln_beta) admits c = 0."""
+    K, N = rule.levels[1].as_integer_ratio() if rule.N is None else (rule.levels[1], rule.N)
+    if 2 * K <= N:  # ln(1 - K/N), finite however close K/N is to 1
+        ln_q = math.log1p(-K / N)
+    else:
+        ln_q = math.log(N - K) - math.log(N) if K < N else -math.inf
+    n = ln_beta / ln_q if ln_q else math.inf  # ln_q is 0 where K/N underflows
+    if rule.N is not None:
+        n = min(n, N * -math.expm1(ln_beta / K))
+    return math.ceil(min(n, rule.n_max))
+
+
+def _poisson_ratio(ln_beta: float) -> float:
+    """m1 / m0 for the Poisson means at which P(X <= 0) and P(X <= 1) reach
+    beta_max = exp(ln_beta): m0 = -ln_beta, and m1 solves m - ln(1 + m) = m0.
+    n_beta(1) / n_beta(0) is about this ratio.  Newton's steps fall onto m1
+    from a start above it, where the function is convex and increasing."""
+    m0 = -ln_beta
+    m = m0 + math.sqrt(2.0 * m0)
+    for _ in range(5):
+        m -= (m - math.log1p(m) - m0) * (1.0 + m) / m
+    return m / m0
 
 
 def _search(lot: LotSize, spec, bounds: tuple, highest_n: int, hints: Sequence[int] = ()) -> tuple:
     """The optimal plan with sample size at most highest_n under a
-    ``_bound_pair``, and the n_beta(c) it found on the way.  The search for
-    n_beta(c) starts at ``hints[c]``, n_beta(c) of a nearby lot, or else where
-    the previous two n_beta point; a start never changes the answer."""
+    ``_bound_pair``, the n_beta(c) it found on the way and the lot rule it
+    built.  The search for n_beta(c) starts at ``hints[c]``, n_beta(c) of a
+    nearby lot, or else at a closed-form estimate for c = 0, at the Poisson
+    ratio from n_beta(0) for c = 1 and where the previous two n_beta point
+    for c >= 2; a start never changes the answer."""
     rule = _LotRule(lot, spec, bounds, highest_n)
     n_betas = []
     n = 1
     for c in itertools.count():
         if c < len(hints):
             hint = hints[c]
-        else:  # n_beta(c) grows about linearly in c
-            hint = 2 * n - n_betas[-2] if c >= 2 else None
+        elif c >= 2:  # n_beta(c) grows about linearly in c
+            hint = 2 * n - n_betas[-2]
+        else:
+            beta_num, beta_den = bounds[1].exact.as_integer_ratio()
+            ln_beta = math.log(beta_num) - math.log(beta_den)  # finite for any bound
+            if c == 0:
+                hint = _zero_c_start(rule, ln_beta)
+            else:
+                hint = round(n * _poisson_ratio(ln_beta)) if ln_beta < 0.0 else None
         n = rule.smallest_beta_n(c, n, hint)
         if n is None:
             break
@@ -133,7 +178,8 @@ def _search(lot: LotSize, spec, bounds: tuple, highest_n: int, hints: Sequence[i
         if rule.admits_alpha(n, c):
             c = rule.largest_beta_c(n, c)
             realized = realized_quality_levels(lot, spec)
-            return PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=realized), n_betas
+            result = PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=realized)
+            return result, n_betas, rule
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {highest_n} "
         f"for quality levels ({spec.p_aql}, {spec.p_lq}) "
@@ -158,6 +204,6 @@ def plan_table(
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
     rows, hints, pair = [], (), _bound_pair(bounds)
     for N in range(n_min, n_max + 1):
-        result, hints = _search(LotSize(N), spec, pair, N, hints)
+        result, hints, _ = _search(LotSize(N), spec, pair, N, hints)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

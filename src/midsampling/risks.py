@@ -31,6 +31,7 @@ from .kernel import (
     Plan,
     as_exact_level,
     _check_count,
+    _binomial_curve,
     _defect_count,
     _hypergeometric_cdf_bulk,
     _lot_tails,
@@ -57,9 +58,11 @@ class QualitySpec:
     p_lq: Fraction = Fraction(7, 100)
 
     def __post_init__(self):
-        object.__setattr__(self, "p_aql", as_exact_level(self.p_aql))
-        object.__setattr__(self, "p_lq", as_exact_level(self.p_lq))
-        if not (0 < self.p_aql < self.p_lq < 1):
+        aql, lq = as_exact_level(self.p_aql), as_exact_level(self.p_lq)
+        object.__setattr__(self, "p_aql", aql)
+        object.__setattr__(self, "p_lq", lq)
+        (a, b), (c, d) = aql.as_integer_ratio(), lq.as_integer_ratio()
+        if not (0 < a and a * d < c * b and c < d):  # 0 < p_aql < p_lq < 1, b and d > 0
             raise ValueError(
                 f"quality levels must satisfy 0 < p_aql < p_lq < 1, "
                 f"got ({self.p_aql}, {self.p_lq})"
@@ -75,9 +78,11 @@ class RiskBounds:
     beta_max: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_max", as_exact_level(self.alpha_max))
-        object.__setattr__(self, "beta_max", as_exact_level(self.beta_max))
-        if not (0 < self.alpha_max < 1 and 0 < self.beta_max < 1):
+        alpha, beta = as_exact_level(self.alpha_max), as_exact_level(self.beta_max)
+        object.__setattr__(self, "alpha_max", alpha)
+        object.__setattr__(self, "beta_max", beta)
+        (a, b), (c, d) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+        if not (0 < a < b and 0 < c < d):
             raise ValueError(
                 f"risk bounds must lie strictly inside (0, 1), "
                 f"got ({self.alpha_max}, {self.beta_max})"
@@ -171,7 +176,7 @@ class _Bound(NamedTuple):
 
     @classmethod
     def around(cls, bound: Fraction, tol) -> "_Bound":
-        nearest = float(bound)
+        nearest = bound.numerator / bound.denominator
         return cls(nearest - tol, nearest + tol, bound)
 
     def widened(self, tol: float) -> "_Bound":
@@ -196,8 +201,9 @@ def _bound_pair(bounds: RiskBounds) -> tuple:
 
 
 class _Tails(dict):
-    """One side's tails of a lot by (c, n), evaluated by ``core`` on first use.
-    Search loops, which never repeat a pair, call ``core`` and store the tail."""
+    """The tails of a lot at one level by (c, n), evaluated by ``core`` on first
+    use.  Search loops, which never repeat a pair, call ``core`` and store the
+    tail."""
 
     def __init__(self, core):
         self.core = core
@@ -210,45 +216,62 @@ class _Tails(dict):
 class _LotRule:
     """Both risks of plans (n, c) against one lot, and their ``_bound_pair``
     if given, resolved once for many plans, with the planner's three search
-    steps.  Sample sizes run up to n_max, which also widens the band of
-    binomial tails.  Each tail is evaluated once in the rule's lifetime, so
-    the reported risks of a search's plan reuse the tails it computed."""
+    steps and the pointwise WELMEC decision.  Sample sizes run up to n_max,
+    which also widens the band of binomial tails.  Each tail is evaluated
+    once in the rule's lifetime, at whatever level it is asked for, so the
+    reported risks of a search's plan reuse the tails it computed, and so do
+    later questions about the same lot."""
 
     def __init__(self, lot: LotSize, spec: QualitySpec, bounds: Optional[tuple], n_max: int):
-        self.n_max, self.N = n_max, lot.count
+        self.n_max, self.N, self.spec = n_max, lot.count, spec
         if lot.is_finite:  # the core takes defect counts, or proportions as floats
             N = lot.count
-            self._exact_levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
-            core_levels = self._exact_levels
-            tols = (float(_tail_tolerance(N)),) * 2
+            self.levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
+            core_levels = self.levels
         else:
-            self._exact_levels = (spec.p_aql, spec.p_lq)
+            self.levels = (spec.p_aql, spec.p_lq)
             core_levels = (float(spec.p_aql), float(spec.p_lq))
-            tols = [float(_tail_tolerance(n_max, p)) for p in self._exact_levels]
-        self.alpha_tol, self.beta_tol = tols
         self.alpha_tails = _Tails(_lot_tails(core_levels[0], self.N))
         self.beta_tails = _Tails(_lot_tails(core_levels[1], self.N))
+        self._tails_by_level = {core_levels[0]: self.alpha_tails, core_levels[1]: self.beta_tails}
+        self._tolerances_by_n = {}
         if bounds is not None:
-            self.alpha_bound = bounds[0].widened(self.alpha_tol)
-            self.beta_bound = bounds[1].widened(self.beta_tol)
+            alpha_tol, beta_tol = self.tolerances(n_max)
+            self.alpha_bound = bounds[0].widened(alpha_tol)
+            self.beta_bound = bounds[1].widened(beta_tol)
 
-    def _tolerances(self, n: int) -> tuple:
+    def tails(self, level) -> _Tails:
+        """The tails at ``level``, a defect count or, for an infinite lot, a
+        float proportion, kept for the rule's lifetime."""
+        tails = self._tails_by_level.get(level)
+        if tails is None:
+            tails = self._tails_by_level[level] = _Tails(_lot_tails(level, self.N))
+        return tails
+
+    def tolerances(self, n: int) -> tuple:
         """The kernel's error bounds on both tails of plans of at most n
-        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws."""
-        if self.N is None and n != self.n_max:
-            return tuple(float(_tail_tolerance(n, p)) for p in self._exact_levels)
-        return self.alpha_tol, self.beta_tol
+        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws,
+        computed when first asked for."""
+        key = n if self.N is None else self.N
+        tols = self._tolerances_by_n.get(key)
+        if tols is None:
+            if self.N is None:
+                tols = tuple(float(_tail_tolerance(n, p)) for p in self.levels)
+            else:
+                tols = (float(_tail_tolerance(self.N)),) * 2
+            self._tolerances_by_n[key] = tols
+        return tols
 
     def exact_alpha(self, n: int, c: int) -> Fraction:
-        return 1 - _exact_acceptance(c, n, self._exact_levels[0], self.N)
+        return 1 - _exact_acceptance(c, n, self.levels[0], self.N)
 
     def exact_beta(self, n: int, c: int) -> Fraction:
-        return _exact_acceptance(c, n, self._exact_levels[1], self.N)
+        return _exact_acceptance(c, n, self.levels[1], self.N)
 
     def risks(self, n: int, c: int) -> RiskPair:
         """The reported risks of (n, c), snapped within the error bounds of
         its own tails, so that they do not depend on n_max."""
-        alpha_tol, beta_tol = self._tolerances(n)
+        alpha_tol, beta_tol = self.tolerances(n)
         alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
         return RiskPair(
             alpha=_reported(alpha, alpha_tol, lambda: self.exact_alpha(n, c)),
@@ -325,6 +348,19 @@ class _LotRule:
     def admits_alpha(self, n: int, c: int) -> bool:
         alpha = 1.0 - self.alpha_tails[c, n]
         return self.alpha_bound.admits(alpha, lambda: self.exact_alpha(n, c))
+
+    def admits_pointwise(self, n: int, c: int, at_aql: Fraction, at_lq: Fraction) -> bool:
+        """Whether (n, c) accepts a finite lot with probability at most
+        ``at_aql`` at ceil(p_aql*N) defects and at most ``at_lq`` at
+        ceil(p_lq*N), decided as exact arithmetic would decide it.
+        Acceptance does not increase with the defect count, so these two
+        counts decide for every count at or above each level."""
+        N, tol = self.N, self.tolerances(n)[1]
+        for K, most in ((_count(self.spec.p_aql, N, True), at_aql), (self.levels[1], at_lq)):
+            accept = self.tails(K)[c, n]
+            if not _Bound.around(most, tol).admits(accept, lambda: _exact_acceptance(c, n, K, N)):
+                return False
+        return True
 
 
 def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> RiskPair:
@@ -419,14 +455,6 @@ def _row_risks(
     return (alpha_lots, alphas), (beta_lots, betas), admissible
 
 
-def _acceptance_at_most(plan: Plan, K: int, N: int, level: Fraction) -> bool:
-    """Whether ``plan`` accepts a lot of N items holding K defectives with
-    probability at most ``level``, decided as exact arithmetic would."""
-    return _Bound.around(level, float(_tail_tolerance(N))).admits(
-        _lot_tails(K, N)(plan.c, plan.n), lambda: _exact_acceptance(plan.c, plan.n, K, N)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Operating characteristic curves
 # ---------------------------------------------------------------------------
@@ -461,7 +489,7 @@ def oc_curve(
         ps = [k / 1000 for k in range(DEFAULT_OC_POINTS)]
     else:
         ps = [_checked_proportion(p) for p in grid]
-    return [(p, _lot_tails(p, None)(plan.c, plan.n)) for p in ps]
+    return list(zip(ps, _binomial_curve(plan.c, plan.n, ps)))
 
 
 def _checked_proportion(p: LevelLike) -> float:

@@ -4,5 +4,32 @@ as the test process does through pytest's ``pythonpath`` setting."""
 import os
 from pathlib import Path
 
+import pytest
+
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture
+def count_core_evaluations(monkeypatch):
+    """Call it to start counting: it returns a list that receives (level, c,
+    n) of every tail the scalar core evaluates from then on.  A tail read
+    back from a lot rule's memory is not an evaluation."""
+    from midsampling import risks
+
+    def start() -> list:
+        evaluations = []
+
+        def counting(level, N, lot_tails=risks._lot_tails):
+            tail = lot_tails(level, N)
+
+            def counted(c, n):
+                evaluations.append((level, c, n))
+                return tail(c, n)
+
+            return counted
+
+        monkeypatch.setattr(risks, "_lot_tails", counting)
+        return evaluations
+
+    return start

@@ -28,26 +28,6 @@ from midsampling import (
 from exact_oracle import exact_optimal_plan
 
 
-def count_core_evaluations(monkeypatch) -> list:
-    """(level, c, n) of every tail the scalar core evaluates from now on;
-    a tail read back from a lot rule's memory is not an evaluation."""
-    from midsampling import risks
-
-    evaluations = []
-
-    def counting(level, N, lot_tails=risks._lot_tails):
-        tail = lot_tails(level, N)
-
-        def counted(c, n):
-            evaluations.append((level, c, n))
-            return tail(c, n)
-
-        return counted
-
-    monkeypatch.setattr(risks, "_lot_tails", counting)
-    return evaluations
-
-
 def exact_consumers_risk(plan, N):
     # exact rational beta at the realized level ceil(0.07*N), from math.comb
     k_beta = math.ceil(Fraction(7, 100) * N)
@@ -133,34 +113,36 @@ class TestOptimalPlan:
                 assert not np.any((1 - acc_a <= 0.05) & (acc_b <= 0.05))
 
     @pytest.mark.parametrize("lot", [LotSize(2000), INFINITE_LOT], ids=["2000", "inf"])
-    def test_producers_tail_once_per_new_c(self, monkeypatch, lot):
+    def test_producers_tail_once_per_new_c(self, count_core_evaluations, lot):
         # alpha(n, c) does not decrease in n, so a c that failed the
         # producers' bound at a smaller n need not be checked again: one
         # producers' tail per new c, and at most one more for the reported
         # risks when the plan's c is larger than the one searched for
         levels = realized_quality_levels(lot)
         alpha_level = levels.k_alpha if lot.is_finite else float(levels.p_alpha)
-        evaluations = count_core_evaluations(monkeypatch)
+        evaluations = count_core_evaluations()
         result = optimal_plan(lot)
         assert result.plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
         producers_tails = [e for e in evaluations if e[0] == alpha_level]
         assert 0 < len(producers_tails) <= result.plan.c + 2
 
-    @pytest.mark.parametrize("lot", [LotSize(2000), INFINITE_LOT], ids=["2000", "inf"])
-    def test_tail_budget(self, monkeypatch, lot):
-        # galloping and bisecting in n for each c, in place of a scan over
-        # every n (117 tails at N=2000, 119 at infinity)
-        evaluations = count_core_evaluations(monkeypatch)
-        assert optimal_plan(lot).plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
-        assert 0 < len(evaluations) <= 60
-
-    @pytest.mark.parametrize("lot, budget", [(LotSize(2000), 37), (INFINITE_LOT, 35)],
+    @pytest.mark.parametrize("lot, budget", [(LotSize(2000), 24), (INFINITE_LOT, 22)],
                              ids=["2000", "inf"])
-    def test_reported_risks_reuse_search_tails(self, monkeypatch, lot, budget):
+    def test_tail_budget(self, count_core_evaluations, lot, budget):
+        # galloping and bisecting in n for each c, in place of a scan over
+        # every n (117 tails at N=2000, 119 at infinity), from a closed-form
+        # start for c = 0 and 1 (37 and 35 tails when both galloped from n = 1)
+        evaluations = count_core_evaluations()
+        assert optimal_plan(lot).plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
+        assert 0 < len(evaluations) <= budget
+
+    @pytest.mark.parametrize("lot, budget", [(LotSize(2000), 24), (INFINITE_LOT, 22)],
+                             ids=["2000", "inf"])
+    def test_reported_risks_reuse_search_tails(self, count_core_evaluations, lot, budget):
         # the risks of the plan found are the tails its search computed last
-        # (39 and 37 evaluations when they were computed again), and a warm
+        # (two more evaluations when they were computed again), and a warm
         # table row costs about ten tails
-        evaluations = count_core_evaluations(monkeypatch)
+        evaluations = count_core_evaluations()
         result = optimal_plan(lot)
         assert len(evaluations) <= budget
         assert result.risks == risk_pair(result.plan, lot)
@@ -177,6 +159,28 @@ class TestOptimalPlan:
         for cap in (108, 0):
             with pytest.raises(NoPlanWithinCapError):
                 optimal_plan(INFINITE_LOT, scan_cap=cap)
+
+    @pytest.mark.parametrize(
+        "spec, bounds, plan",
+        [
+            # p_lq rounds to 1.0 as a float: the start takes ln(1 - p_lq) exactly
+            (QualitySpec("1/2", Fraction(10**21 - 1, 10**21)), RiskBounds(), Plan(5, 4)),
+            # n_beta(0) lies far past the cap, or p_lq rounds to 0.0
+            (QualitySpec(Fraction(1, 10**30), Fraction(1, 10**29)), RiskBounds(), None),
+            (QualitySpec(Fraction(1, 10**401), Fraction(1, 10**400)), RiskBounds(), None),
+            # beta_max rounds to 0.0, or to 1.0
+            (QualitySpec("1/2", Fraction(10**21 - 1, 10**21)),
+             RiskBounds("1/20", Fraction(1, 10**400)), Plan(51, 31)),
+            (QualitySpec(), RiskBounds("1/20", Fraction(10**21 - 1, 10**21)), Plan(1, 0)),
+        ],
+        ids=["lq-ulp-below-1", "lq-1e-29", "lq-1e-400", "beta-1e-400", "beta-ulp-below-1"],
+    )
+    def test_search_start_at_extreme_levels_and_bounds(self, spec, bounds, plan):
+        if plan is None:
+            with pytest.raises(NoPlanWithinCapError):
+                optimal_plan(INFINITE_LOT, spec, bounds, scan_cap=10**5)
+        else:
+            assert optimal_plan(INFINITE_LOT, spec, bounds).plan == plan
 
     def test_custom_spec_and_bounds(self):
         spec = QualitySpec(p_aql=0.02, p_lq=0.1)
@@ -280,12 +284,24 @@ class TestPlanTable:
         [
             (QualitySpec(), RiskBounds()),
             (QualitySpec("1/30", "1/7"), RiskBounds("1/100", "1/100")),
+            # the custom specs of the benchmark's lot queries
+            (QualitySpec("1/50", "1/10"), RiskBounds("0.10", "0.05")),
+            (QualitySpec("3/200", "2/25"), RiskBounds("0.05", "0.10")),
+            (QualitySpec("1/200", "1/20"), RiskBounds("0.05", "0.05")),
+            (QualitySpec("1/50", "3/25"), RiskBounds("0.05", "0.05")),
+            (QualitySpec(), RiskBounds("1/20", "1/1000")),
+            (QualitySpec(), RiskBounds("1/20", "1/10")),
+            # ceil(p_lq*N) = N for N <= 100, and for every N
+            (QualitySpec("1/2", "99/100"), RiskBounds()),
+            (QualitySpec("1/2", Fraction(10**21 - 1, 10**21)), RiskBounds()),
         ],
-        ids=["default", "1/30-1/7"],
+        ids=["default", "1/30-1/7", "2-10", "1.5-8", "0.5-5", "2-12", "beta-1/1000",
+             "beta-1/10", "lq-99/100", "lq-ulp-below-1"],
     )
     def test_start_of_search_never_changes_a_row(self, spec, bounds):
-        # each lot's search starts from the previous lot's: rows equal the
-        # plans found from scratch, and chunks of any phase stitch together
+        # each lot's search starts from the previous lot's, and a cold one at
+        # a closed-form estimate: rows equal the plans found from scratch,
+        # and chunks of any phase stitch together
         table = plan_table(1, 600, spec, bounds)
         for N, result in table:
             assert result == optimal_plan(LotSize(N), spec, bounds), N

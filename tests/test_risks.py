@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +27,7 @@ from midsampling import (
     realized_quality_levels,
     risk_pair,
 )
+from midsampling.kernel import as_exact_level
 from midsampling.risks import _run_ends
 
 
@@ -50,6 +53,29 @@ class TestQualitySpecAndBounds:
             RiskBounds(alpha_max=0.0)
         with pytest.raises(ValueError):
             RiskBounds(beta_max=1.0)
+        tiny, near_one = Fraction(1, 10**400), Fraction(10**400 - 1, 10**400)
+        assert QualitySpec(tiny, near_one).p_lq == near_one
+        assert RiskBounds(tiny, near_one).beta_max == near_one
+        for aql, lq in ((near_one, 1), (tiny, tiny), (0, tiny), ("-1/3", "1/3")):
+            with pytest.raises(ValueError):
+                QualitySpec(aql, lq)
+        for bound in (0, 1, "-1/20", "21/20"):
+            with pytest.raises(ValueError):
+                RiskBounds(bound, "1/20")
+
+    def test_non_finite_floats_are_rejected(self):
+        # Fraction(Decimal("Infinity")) raises OverflowError, not ValueError
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                as_exact_level(value)
+        with pytest.raises(ValueError):
+            RiskBounds(math.inf, 0.05)
+        with pytest.raises(ValueError):
+            RiskBounds(0.05, math.nan)
+        with pytest.raises(ValueError):
+            QualitySpec(math.nan, 0.07)
+        with pytest.raises(ValueError):
+            QualitySpec(0.01, math.inf)
 
 
 class TestRealizedLevels:
@@ -192,6 +218,21 @@ class TestOcCurve:
         assert points[-1][0] == pytest.approx(0.15)
         lookup = {round(p, 6): pac for p, pac in points}
         assert lookup[0.01] == pytest.approx(0.944466, abs=1e-6)
+
+    def test_infinite_curves_are_bit_identical_to_the_pinned_digest(self):
+        # sha256 of float.hex of every point, as one tail per point computed it
+        rng = random.Random(20261018)
+        hexes = []
+        for _ in range(40):
+            n = rng.randint(1, 400)
+            plan = Plan(n, rng.randint(0, min(n, 8)))
+            for grid in (None, [0, 1, "1/3", 1e-9]):
+                for p, pac in oc_curve(plan, INFINITE_LOT, grid):
+                    hexes += [float.hex(p), float.hex(pac)]
+        assert len(hexes) == 12400
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == (
+            "01474e24f8edeaae02d1c920e23598c974bfb46eccd1b7487036123cbafc1f5b"
+        )
 
     def test_custom_grid_and_errors(self):
         points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.0, 0.01, 0.07, "7/100"])

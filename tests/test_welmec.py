@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from midsampling import (
     comparison_to_text,
     interpolated_acceptance,
     interpolated_acceptance_curve,
+    optimal_plan,
     realized_quality_levels,
     risk_pair,
     welmec_admissible_continuous,
@@ -219,3 +221,45 @@ class TestComparisonReport:
         assert "(51,1)" in text
         assert "(36,0)" in text
         assert text.endswith("\n")
+
+
+class TestCompareEqualsItsParts:
+    """compare_interpretations judges its candidates through the lot rule of
+    its reference search; every field equals the function that computes it
+    on its own, and no tail of the lot is evaluated twice."""
+
+    @pytest.mark.parametrize(
+        "spec", [QualitySpec(), QualitySpec("1/40", "1/8")], ids=["1-7", "2.5-12.5"]
+    )
+    def test_fields_equal_the_standalone_functions(self, count_core_evaluations, spec):
+        rng = random.Random(2026)
+        whole = [LotSize(200 * rng.randint(1, 100)) for _ in range(4)]  # p*N whole at both levels
+        other = [LotSize(rng.randint(2, 20_000)) for _ in range(6)]
+        lots = whole + other + [INFINITE_LOT]
+        evaluations = count_core_evaluations()
+        for lot in lots:
+            reference = optimal_plan(lot, spec).plan
+            top = min(lot.count or 400, 400)
+            candidates = [reference, Plan(reference.n - 1, reference.c)] if reference.n > 1 else []
+            for _ in range(3):
+                n = rng.randint(1, top)
+                candidates.append(Plan(n, rng.randint(0, min(n, 6))))
+            evaluations.clear()
+            report = compare_interpretations(lot, spec, candidate_plans=candidates)
+            assert evaluations and len(set(evaluations)) == len(evaluations), lot
+            assert report.hypothesis_plan == optimal_plan(lot, spec)
+            for ev in report.evaluated_plans:
+                plan = ev.plan
+                assert ev.risks == risk_pair(plan, lot, spec)
+                assert ev.welmec == welmec_risks(plan, lot, spec)
+                assert ev.continuous_admissible is welmec_admissible_continuous(plan, lot, spec)
+                if lot.is_finite:
+                    assert ev.pointwise_admissible is welmec_admissible_pointwise(plan, lot, spec)
+                    assert ev.welmec.alpha_cont == 1.0 - interpolated_acceptance(
+                        plan, lot.count, spec.p_aql
+                    )
+                    assert ev.welmec.beta_cont == interpolated_acceptance(
+                        plan, lot.count, spec.p_lq
+                    )
+                else:
+                    assert ev.pointwise_admissible is None
