@@ -461,12 +461,8 @@ def interpolated_acceptance(plan: Plan, N: int, p) -> float:
     N, pN, integer_count = _checked_interpolation_args(plan.n, N, p)
     if integer_count is not None:
         return _lot_tails(integer_count, N)(plan.c, plan.n)
-    return _continued_acceptance(plan.c, plan.n, N, pN)
-
-
-def _continued_acceptance(c: int, n: int, N: int, pN: float) -> float:
-    """P(X <= c) at a defect count pN that is not whole, clipped into [0, 1]."""
-    return min(max(math.fsum(_interpolated_terms(c, n, N, pN)), 0.0), 1.0)
+    total = math.fsum(_interpolated_terms(plan.c, plan.n, N, pN))
+    return min(max(total, 0.0), 1.0)
 
 
 def interpolated_acceptance_curve(n: int, N: int, p) -> np.ndarray:

@@ -218,9 +218,8 @@ class _LotRule:
     if given, resolved once for many plans, with the planner's three search
     steps and the pointwise WELMEC decision.  Sample sizes run up to n_max,
     which also widens the band of binomial tails.  Each tail is evaluated
-    once in the rule's lifetime, at whatever level it is asked for, so the
-    reported risks of a search's plan reuse the tails it computed, and so do
-    later questions about the same lot."""
+    once in the rule's lifetime, so the reported risks of a search's plan
+    reuse the tails it computed, and so does the pointwise decision."""
 
     def __init__(self, lot: LotSize, spec: QualitySpec, bounds: Optional[tuple], n_max: int):
         self.n_max, self.N, self.spec = n_max, lot.count, spec
@@ -228,39 +227,33 @@ class _LotRule:
             N = lot.count
             self.levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
             core_levels = self.levels
+            tols = (float(_tail_tolerance(N)),) * 2
         else:
             self.levels = (spec.p_aql, spec.p_lq)
             core_levels = (float(spec.p_aql), float(spec.p_lq))
+            tols = [float(_tail_tolerance(n_max, p)) for p in self.levels]
+        self.alpha_tol, self.beta_tol = tols
         self.alpha_tails = _Tails(_lot_tails(core_levels[0], self.N))
         self.beta_tails = _Tails(_lot_tails(core_levels[1], self.N))
         self._tails_by_level = {core_levels[0]: self.alpha_tails, core_levels[1]: self.beta_tails}
-        self._tolerances_by_n = {}
         if bounds is not None:
-            alpha_tol, beta_tol = self.tolerances(n_max)
-            self.alpha_bound = bounds[0].widened(alpha_tol)
-            self.beta_bound = bounds[1].widened(beta_tol)
+            self.alpha_bound = bounds[0].widened(self.alpha_tol)
+            self.beta_bound = bounds[1].widened(self.beta_tol)
 
     def tails(self, level) -> _Tails:
-        """The tails at ``level``, a defect count or, for an infinite lot, a
-        float proportion, kept for the rule's lifetime."""
+        """The tails at ``level``, a level as the core takes it, kept for the
+        rule's lifetime."""
         tails = self._tails_by_level.get(level)
         if tails is None:
             tails = self._tails_by_level[level] = _Tails(_lot_tails(level, self.N))
         return tails
 
-    def tolerances(self, n: int) -> tuple:
+    def _tolerances(self, n: int) -> tuple:
         """The kernel's error bounds on both tails of plans of at most n
-        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws,
-        computed when first asked for."""
-        key = n if self.N is None else self.N
-        tols = self._tolerances_by_n.get(key)
-        if tols is None:
-            if self.N is None:
-                tols = tuple(float(_tail_tolerance(n, p)) for p in self.levels)
-            else:
-                tols = (float(_tail_tolerance(self.N)),) * 2
-            self._tolerances_by_n[key] = tols
-        return tols
+        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws."""
+        if self.N is None and n != self.n_max:
+            return tuple(float(_tail_tolerance(n, p)) for p in self.levels)
+        return self.alpha_tol, self.beta_tol
 
     def exact_alpha(self, n: int, c: int) -> Fraction:
         return 1 - _exact_acceptance(c, n, self.levels[0], self.N)
@@ -271,7 +264,7 @@ class _LotRule:
     def risks(self, n: int, c: int) -> RiskPair:
         """The reported risks of (n, c), snapped within the error bounds of
         its own tails, so that they do not depend on n_max."""
-        alpha_tol, beta_tol = self.tolerances(n)
+        alpha_tol, beta_tol = self._tolerances(n)
         alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
         return RiskPair(
             alpha=_reported(alpha, alpha_tol, lambda: self.exact_alpha(n, c)),
@@ -355,10 +348,11 @@ class _LotRule:
         ceil(p_lq*N), decided as exact arithmetic would decide it.
         Acceptance does not increase with the defect count, so these two
         counts decide for every count at or above each level."""
-        N, tol = self.N, self.tolerances(n)[1]
-        for K, most in ((_count(self.spec.p_aql, N, True), at_aql), (self.levels[1], at_lq)):
+        N, lq_count = self.N, self.levels[1]
+        for K, most in ((_count(self.spec.p_aql, N, True), at_aql), (lq_count, at_lq)):
             accept = self.tails(K)[c, n]
-            if not _Bound.around(most, tol).admits(accept, lambda: _exact_acceptance(c, n, K, N)):
+            bound = _Bound.around(most, self.beta_tol)  # tol(N), as for every tail of the lot
+            if not bound.admits(accept, lambda: _exact_acceptance(c, n, K, N)):
                 return False
         return True
 

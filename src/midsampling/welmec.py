@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .kernel import LotSize, Plan, _checked_interpolation_args, _continued_acceptance
+from .kernel import LotSize, Plan, _lot_tails, interpolated_acceptance
 from .planner import PlanResult, _optimal
 from .risks import QualitySpec, RiskBounds, RiskPair, _check_plan, _LotRule
 
@@ -60,28 +60,11 @@ class ComparisonReport:
     evaluated_plans: Tuple[CandidateEvaluation, ...]
 
 
-def _acceptance_at_nominal_levels(rule: _LotRule, plan: Plan) -> tuple:
-    """Acceptance of ``plan`` at p_aql and p_lq, as ``interpolated_acceptance``
-    gives it, with every tail at a whole defect count read from the lot
-    rule: at infinity, and wherever p*N is whole, the nominal level is a
-    level the rule knows."""
-    c, n = plan.c, plan.n
-    if rule.N is None:
-        return rule.alpha_tails[c, n], rule.beta_tails[c, n]
-    accept = []
-    for p in (rule.spec.p_aql, rule.spec.p_lq):
-        N, pN, count = _checked_interpolation_args(n, rule.N, p)
-        accept.append(
-            _continued_acceptance(c, n, N, pN) if count is None else rule.tails(count)[c, n]
-        )
-    return tuple(accept)
-
-
-def _plan_rule(plan: Plan, lot: LotSize, spec: QualitySpec) -> _LotRule:
-    """The lot rule that judges ``plan`` alone, after the checks of ``risk_pair``."""
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
-    return _LotRule(lot, spec, None, plan.n)
+def _acceptance_at_nominal_levels(plan: Plan, lot: LotSize, spec: QualitySpec) -> tuple:
+    levels = (spec.p_aql, spec.p_lq)
+    if lot.is_finite:
+        return tuple(interpolated_acceptance(plan, lot.count, p) for p in levels)
+    return tuple(_lot_tails(float(p), None)(plan.c, plan.n) for p in levels)
 
 
 def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
@@ -99,7 +82,9 @@ def welmec_risks(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) ->
     Gamma-interpolated OC curve; for infinite lots this coincides with
     the plain binomial risks.
     """
-    at_aql, at_lq = _acceptance_at_nominal_levels(_plan_rule(plan, lot, spec), plan)
+    lot = LotSize.of(lot)
+    _check_plan(plan, lot)
+    at_aql, at_lq = _acceptance_at_nominal_levels(plan, lot, spec)
     return WelmecRisks(alpha_cont=1.0 - at_aql, beta_cont=at_lq)
 
 
@@ -109,9 +94,9 @@ def welmec_admissible_continuous(
     """Continuous WELMEC criterion: the (interpolated) OC curve passes at
     or below both anchor points, i.e. acceptance <= 95% at the AQL and
     <= 5% at the LQ.  Boundary equality counts as admissible."""
-    return _continuous_admissible(
-        *_acceptance_at_nominal_levels(_plan_rule(plan, lot, spec), plan)
-    )
+    lot = LotSize.of(lot)
+    _check_plan(plan, lot)
+    return _continuous_admissible(*_acceptance_at_nominal_levels(plan, lot, spec))
 
 
 def welmec_admissible_pointwise(
@@ -126,9 +111,11 @@ def welmec_admissible_pointwise(
     smallest count at or above each level decides.  Raises ``ValueError``
     for infinite lots, whose OC curve has no discrete points to constrain.
     """
-    if not LotSize.of(lot).is_finite:
+    lot = LotSize.of(lot)
+    if not lot.is_finite:
         raise ValueError("the pointwise criterion is defined for finite lots only")
-    rule = _plan_rule(plan, lot, spec)
+    _check_plan(plan, lot)
+    rule = _LotRule(lot, spec, None, plan.n)
     return rule.admits_pointwise(plan.n, plan.c, ACCEPT_LEVEL_AQL, ACCEPT_LEVEL_LQ)
 
 
@@ -143,15 +130,20 @@ def compare_interpretations(
     Besides the hypothesis-test optimal plan for the lot, every candidate
     is scored with its hypothesis-test risks (at realized levels), its
     continuous-interpretation risks (at nominal levels) and both WELMEC
-    admissibility flags.  Every candidate is judged by the lot rule that the
-    reference search built, so no tail of the lot is evaluated twice.
+    admissibility flags.  The hypothesis-test risks and the pointwise flag
+    of every candidate come from the lot rule that the reference search
+    built, and so do the nominal-level tails of an infinite lot, so none of
+    the rule's tails is evaluated twice.
     """
     lot = LotSize.of(lot)
     reference, rule = _optimal(lot, spec, bounds)
     evaluated = []
     for plan in candidate_plans:
         _check_plan(plan, lot)
-        at_aql, at_lq = _acceptance_at_nominal_levels(rule, plan)
+        if lot.is_finite:
+            at_aql, at_lq = _acceptance_at_nominal_levels(plan, lot, spec)
+        else:  # the nominal levels are the rule's levels
+            at_aql, at_lq = rule.alpha_tails[plan.c, plan.n], rule.beta_tails[plan.c, plan.n]
         evaluated.append(
             CandidateEvaluation(
                 plan=plan,

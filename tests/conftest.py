@@ -2,6 +2,7 @@
 as the test process does through pytest's ``pythonpath`` setting."""
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,15 +14,22 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 @pytest.fixture
 def count_core_evaluations(monkeypatch):
     """Call it to start counting: it returns a list that receives (level, c,
-    n) of every tail the scalar core evaluates from then on.  A tail read
-    back from a lot rule's memory is not an evaluation."""
-    from midsampling import risks
+    n) of every tail the scalar core evaluates from then on, in every module
+    of the package that calls it.  A tail read back from a lot rule's memory
+    is not an evaluation."""
+    from midsampling import kernel
+
+    core = kernel._lot_tails
+    callers = [
+        module for name, module in sys.modules.items()
+        if name.startswith("midsampling") and getattr(module, "_lot_tails", None) is core
+    ]
 
     def start() -> list:
         evaluations = []
 
-        def counting(level, N, lot_tails=risks._lot_tails):
-            tail = lot_tails(level, N)
+        def counting(level, N):
+            tail = core(level, N)
 
             def counted(c, n):
                 evaluations.append((level, c, n))
@@ -29,7 +37,8 @@ def count_core_evaluations(monkeypatch):
 
             return counted
 
-        monkeypatch.setattr(risks, "_lot_tails", counting)
+        for module in callers:
+            monkeypatch.setattr(module, "_lot_tails", counting)
         return evaluations
 
     return start
