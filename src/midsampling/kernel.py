@@ -9,12 +9,12 @@ Every log-factorial comes from ``math.lgamma``, whether read from the table
 built at import, from its numpy copy (which the array paths extend on
 demand) or computed past the table's end, so no value depends on the path
 or on earlier calls.  Public functions check their arguments, then call one
-of four unchecked cores: ``_lot_tails`` (scalar tails, resolved once per lot
-and then evaluated per plan), ``_binomial_curve`` (the binomial tails of one
-plan over a grid of proportions, resolved once per plan),
-``_hypergeometric_cdf_bulk`` (tails over arrays) and ``_interpolated_terms``
-(terms at real defect counts).  The two binomial cores share one term
-expression, ``_binomial_sum``.
+of four unchecked cores: ``_lot_tails`` (scalar hypergeometric tails,
+resolved once per lot and then evaluated per plan), ``_binomial_curve`` (the
+binomial tails of one plan over a grid of proportions, resolved once per
+plan, and the only routine that sums binomial terms: a scalar binomial tail
+is its value at one point), ``_hypergeometric_cdf_bulk`` (tails over arrays)
+and ``_interpolated_terms`` (terms at real defect counts).
 
 A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
 (1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
@@ -228,23 +228,16 @@ def _lot_tails(level, N: Optional[int]):
     returns P(X <= c) for a sample of n items.
 
     X is hypergeometric over a lot of N items holding ``level`` defectives,
-    or binomial with defective proportion ``level`` when N is None.  What
-    does not depend on (c, n), the log-factorial view and the lot's own
-    log terms, is resolved here, once per lot.  Terms are evaluated in log
-    space and compensated-summed in ascending order of x; callers guarantee
-    0 <= c <= n (<= N) and 0 <= level (<= N, or <= 1.0 for a proportion).
+    or binomial with defective proportion ``level`` when N is None, where
+    the tail is ``_binomial_curve`` at that one proportion.  For a finite
+    lot, what does not depend on (c, n), the log-factorial view and the
+    lot's own log terms, is resolved here, once per lot.  Terms are
+    evaluated in log space and compensated-summed in ascending order of x;
+    callers guarantee 0 <= c <= n (<= N) and 0 <= level (<= N, or <= 1.0
+    for a proportion).
     """
     if N is None:
-        p = level
-        if p == 0.0 or p == 1.0:  # X is 0, or X is n
-            return lambda c, n: 1.0 if c >= n or p == 0.0 else 0.0
-        log_p = math.log(p)
-        log_q = math.log1p(-p)
-
-        def binomial_tail(c, n):  # unannotated: cheaper to create per lot
-            return 1.0 if c >= n else _binomial_sum(c, n, _log_factorials(n), log_p, log_q)
-
-        return binomial_tail
+        return lambda c, n: _binomial_curve(c, n, (level,))[0]
     K, good = level, N - level
     t = _log_factorials(N)
     ln_k, ln_good, ln_N = t[K], t[good], t[N]
@@ -265,29 +258,25 @@ def _lot_tails(level, N: Optional[int]):
     return hypergeometric_tail
 
 
-def _binomial_sum(c: int, n: int, t, log_p: float, log_q: float) -> float:
-    """P(X <= c) for X ~ Binomial(n, p), c < n and 0 < p < 1, from the
-    log-factorial view t of n, ln p and ln(1 - p): the one binomial term
-    expression, shared by the two binomial cores."""
-    ln_n = t[n]
-    total = _fsum([
-        _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
-    ])
-    return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
-
-
-def _binomial_curve(c: int, n: int, ps: list) -> list:
+def _binomial_curve(c: int, n: int, ps) -> list:
     """P(X <= c) for X ~ Binomial(n, p) at each float proportion p of ps,
-    unchecked, with (c, n) resolved once for the whole grid: bit for bit
-    ``_lot_tails(p, None)(c, n)`` at each p."""
+    unchecked, with (c, n) resolved once for the whole grid: the one binomial
+    term expression, compensated-summed in ascending order of x."""
     if c >= n:
         return [1.0] * len(ps)
     t = _log_factorials(n)
-    return [
-        _binomial_sum(c, n, t, math.log(p), math.log1p(-p)) if 0.0 < p < 1.0
-        else 1.0 - p  # X is 0 at p = 0, and X is n > c at p = 1
-        for p in ps
-    ]
+    ln_n = t[n]
+    curve = []
+    for p in ps:
+        if not 0.0 < p < 1.0:  # X is 0 at p = 0, and X is n > c at p = 1
+            curve.append(1.0 - p)
+            continue
+        log_p, log_q = math.log(p), math.log1p(-p)
+        total = _fsum([
+            _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
+        ])
+        curve.append(total if 0.0 <= total <= 1.0 else _clamp_probability(total))
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +296,7 @@ def binomial_cdf(c: int, n: int, p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return _lot_tails(p, None)(c, n)
+    return _binomial_curve(c, n, (p,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ from .risks import RiskPair, _realizable_count
 
 __all__ = [
     "oc_curve_to_csv",
-    "oc_curve_to_json",
     "comparison_to_json",
-    "comparison_to_text",
     "validation_report_csv",
 ]
 
@@ -136,10 +134,10 @@ def oc_curve_to_csv(points: Sequence, lot: LotSize) -> str:
     )
 
 
-def oc_curve_to_json(points: Sequence) -> str:
+def _oc_json(points: Sequence, lot: LotSize) -> str:
     """JSON rendering of an OC curve: an array of {p, pac} objects."""
     payload = [{"p": round(float(p), 6), "pac": round(float(pac), 6)} for p, pac in points]
-    return json.dumps(payload)
+    return json.dumps(payload) + "\n"
 
 
 def _validation_cells(res) -> list:
@@ -223,7 +221,7 @@ def comparison_to_json(report) -> str:
     return json.dumps(payload, indent=2)
 
 
-def comparison_to_text(report) -> str:
+def _comparison_text(report) -> str:
     """Aligned plain-text table for terminal display; risks in percent."""
     ref = report.hypothesis_plan
     lines = [
@@ -276,7 +274,7 @@ RENDERERS = {
     "oc": {
         "text": lambda points, lot: _lines(f"{p:.6f} {pac:.6f}" for p, pac in points),
         "csv": oc_curve_to_csv,
-        "json": lambda points, lot: oc_curve_to_json(points) + "\n",
+        "json": _oc_json,
     },
     "validation": {
         "text": _validation_text,
@@ -285,7 +283,7 @@ RENDERERS = {
     },
     "lookup": {"text": lambda lot, plan: f"N={lot} n={plan.n} c={plan.c}\n", "json": _lookup_json},
     "comparison": {
-        "text": comparison_to_text,
+        "text": _comparison_text,
         "json": lambda report: comparison_to_json(report) + "\n",
     },
     "simulation": {"text": _simulation_text, "json": _simulation_json},

@@ -519,10 +519,13 @@ def monte_carlo_acceptance(
 ) -> float:
     """Empirical acceptance rate from simulated inspections.
 
-    Finite lots are simulated by drawing ``plan.n`` items without
-    replacement from a lot with exactly ``p*N`` defectives (``p*N`` must
-    be an integer); infinite lots by independent draws that are defective
-    with probability ``p``.  Deterministic for a fixed seed.
+    Finite lots are simulated by drawing the defect count of ``plan.n``
+    items taken without replacement from a lot with exactly ``p*N``
+    defectives (``p*N`` must be an integer), one hypergeometric variate per
+    trial, so the cost does not grow with N; numpy's sampler takes fewer
+    than 10**9 defective and 10**9 good items.  Infinite lots are simulated
+    by independent draws that are defective with probability ``p``.
+    Deterministic for a fixed seed.
     """
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
@@ -531,13 +534,11 @@ def monte_carlo_acceptance(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     if lot.is_finite:
-        width, K = lot.count, _realizable_count(p, lot.count)
+        N, width = lot.count, 1
+        K = _realizable_count(p, N)
 
-        def defects(m):
-            # Uniform keys give each size-n subset equal probability; items
-            # 0..K-1 are the defectives.
-            sample = np.argpartition(rng.random((m, width)), plan.n - 1, axis=1)[:, : plan.n]
-            return np.count_nonzero(sample < K, axis=1)
+        def defects(m):  # one defect count per inspection
+            return rng.hypergeometric(K, N - K, plan.n, size=m)
     else:
         width, prob = plan.n, _checked_proportion(p)
 

@@ -155,9 +155,6 @@ class SchemeRow:
         if self.n_to is not None and self.n_to < self.n_from:
             raise ValueError(f"empty interval [{self.n_from}, {self.n_to}]")
 
-    def contains(self, N: int) -> bool:
-        return self.n_from <= N and (self.n_to is None or N <= self.n_to)
-
 
 @dataclass(frozen=True)
 class Scheme:
@@ -183,14 +180,6 @@ class Scheme:
                 )
         if self.rows[-1].n_to is not None:
             raise SchemeCoverageError("last row must extend to infinity")
-
-    def row_for(self, N: int) -> SchemeRow:
-        if N < 1:
-            raise ValueError("lot size must be >= 1")
-        for row in self.rows:
-            if row.contains(N):
-                return row
-        raise LookupError(f"no scheme row covers lot size {N}")
 
 
 @dataclass(frozen=True)
@@ -254,8 +243,12 @@ def _row_plan(index: int, row: SchemeRow, N: int) -> Plan:
 def scheme_lookup(N: int, scheme: Scheme) -> Plan:
     """Plan prescribed by the scheme for a lot of size N."""
     N = _check_count("lot size N", N)
-    row = scheme.row_for(N)
-    return _row_plan(scheme.rows.index(row), row, N)
+    if N < 1:
+        raise ValueError("lot size must be >= 1")
+    # the rows cover [1, inf) contiguously, so the first not ending below N holds it
+    for index, row in enumerate(scheme.rows):
+        if row.n_to is None or N <= row.n_to:
+            return _row_plan(index, row, N)
 
 
 def _extremes(lots: np.ndarray, risks: np.ndarray) -> tuple:

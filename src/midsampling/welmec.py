@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .kernel import LotSize, Plan, _lot_tails, interpolated_acceptance
+from .kernel import LotSize, Plan, _binomial_curve, interpolated_acceptance
 from .planner import PlanResult, _optimal
 from .risks import QualitySpec, RiskBounds, RiskPair, _check_plan, _LotRule
 
@@ -64,7 +64,7 @@ def _acceptance_at_nominal_levels(plan: Plan, lot: LotSize, spec: QualitySpec) -
     levels = (spec.p_aql, spec.p_lq)
     if lot.is_finite:
         return tuple(interpolated_acceptance(plan, lot.count, p) for p in levels)
-    return tuple(_lot_tails(float(p), None)(plan.c, plan.n) for p in levels)
+    return tuple(_binomial_curve(plan.c, plan.n, [float(p) for p in levels]))
 
 
 def _continuous_admissible(at_aql: float, at_lq: float) -> bool:

@@ -27,6 +27,19 @@ def accepting_samples(c, n, K, N) -> int:
     return sum(math.comb(K, x) * math.comb(N - K, n - x) for x in range(min(c, K, n) + 1))
 
 
+def exact_hypergeometric_tail(c, n, K, N) -> Fraction:
+    """P(X <= c) for n items drawn without replacement from N, K defective."""
+    return Fraction(accepting_samples(c, n, K, N), math.comb(N, n))
+
+
+def exact_binomial_tail(c, n, p: Fraction) -> Fraction:
+    """P(X <= c) for n independent items, each defective with probability
+    p = a/b: the share of the b**n ordered draws with replacement from b
+    items, a of them defective, that hold at most c defectives."""
+    a, b = p.numerator, p.denominator
+    return Fraction(sum(math.comb(n, x) * a**x * (b - a) ** (n - x) for x in range(c + 1)), b**n)
+
+
 def within(count, total, bound: Fraction) -> bool:
     """count/total <= bound, by cross-multiplication."""
     return count * bound.denominator <= bound.numerator * total

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import midsampling
 
 # The public API, pinned: adding or removing a name is a visible diff here.
@@ -25,7 +28,6 @@ PUBLIC_NAMES = [
     "binomial_cdf",
     "compare_interpretations",
     "comparison_to_json",
-    "comparison_to_text",
     "default_mid_scheme",
     "format_scheme",
     "hypergeometric_cdf",
@@ -36,7 +38,6 @@ PUBLIC_NAMES = [
     "monte_carlo_acceptance",
     "oc_curve",
     "oc_curve_to_csv",
-    "oc_curve_to_json",
     "optimal_plan",
     "parse_scheme",
     "plan_table",
@@ -52,7 +53,53 @@ PUBLIC_NAMES = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 44
     assert sorted(midsampling.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(midsampling, name) is not None, name
+
+
+# The internal import graph, pinned: which package modules each module
+# imports, and which modules import numpy.  A new layer tangle or a new
+# numpy user is a visible diff here.
+PACKAGE_IMPORTS = {
+    "__init__": {"kernel", "planner", "render", "risks", "scheme", "welmec"},
+    "__main__": {"cli"},
+    "cli": {"kernel", "planner", "render", "risks", "scheme", "welmec"},
+    "kernel": set(),
+    "planner": {"kernel", "render", "risks"},
+    "render": {"kernel", "risks"},
+    "risks": {"kernel"},
+    "scheme": {"kernel", "risks"},
+    "welmec": {"kernel", "planner", "risks"},
+}
+NUMPY_USERS = {"kernel", "risks", "scheme"}
+
+
+def _imports(path: Path) -> tuple:
+    """(package modules imported, whether numpy is imported) by one source
+    file, read with ``ast``: function-level imports count too."""
+    package, numpy = set(), False
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .m import x, from . import m
+            package |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names
+            ]
+            for top, _, rest in (name.partition(".") for name in names):
+                numpy |= top == "numpy"
+                if top == "midsampling":
+                    package.add(rest.partition(".")[0] or top)
+    return package, numpy
+
+
+def test_internal_import_graph_is_pinned():
+    source = Path(midsampling.__file__).parent
+    graph, numpy_users = {}, set()
+    for path in sorted(source.glob("*.py")):
+        graph[path.stem], uses_numpy = _imports(path)
+        if uses_numpy:
+            numpy_users.add(path.stem)
+    assert graph == PACKAGE_IMPORTS
+    assert numpy_users == NUMPY_USERS

@@ -351,6 +351,12 @@ class TestCompareCommand:
         code, _, err = run(capsys, "compare", "--lot-size", "143", "--candidates", "36-0")
         assert code == 2
 
+    def test_candidate_larger_than_the_lot(self, capsys):
+        code, out, err = run(capsys, "compare", "--lot-size", "10", "--candidates", "20:0")
+        assert code == 2
+        assert out == ""
+        assert "(20,0)" in err
+
 
 class TestSimulateCommand:
     def test_within_three_sigma(self, capsys):

@@ -25,28 +25,12 @@ from midsampling.kernel import (
     _tail_tolerance,
 )
 
-from exact_oracle import accepting_samples
+from exact_oracle import exact_binomial_tail, exact_hypergeometric_tail
 
 
 # ---------------------------------------------------------------------------
 # Independent oracles (exact integer/rational arithmetic, no log-space)
 # ---------------------------------------------------------------------------
-
-def exact_binomial_cdf(c, n, p: Fraction) -> Fraction:
-    return sum(
-        Fraction(math.comb(n, x)) * p**x * (1 - p) ** (n - x) for x in range(c + 1)
-    )
-
-
-def exact_hypergeometric_cdf(c, n, K, N) -> Fraction:
-    total = math.comb(N, n)
-    terms = [
-        Fraction(math.comb(K, x) * math.comb(N - K, n - x), total)
-        for x in range(c + 1)
-        if x <= K and n - x <= N - K
-    ]
-    return sum(terms, Fraction(0))
-
 
 def product_log_coefficient(a: float, b: int) -> float:
     # ln C(a, b) via the falling-product recurrence Gamma(a+1)/Gamma(a-b+1)
@@ -117,7 +101,7 @@ class TestBinomialCdf:
             assert binomial_cdf(n, n, p) == 1.0
 
     def test_three_term_sum_against_exact_oracle(self):
-        want = float(exact_binomial_cdf(2, 86, Fraction(1, 100)))
+        want = float(exact_binomial_tail(2, 86, Fraction(1, 100)))
         assert want == pytest.approx(0.944466, abs=1e-6)  # frozen from the oracle
         assert binomial_cdf(2, 86, 0.01) == pytest.approx(want, abs=1e-12)
 
@@ -142,7 +126,7 @@ class TestBinomialCdf:
     @settings(max_examples=100, deadline=None)
     def test_matches_exact_rational_oracle(self, n, data, p):
         c = data.draw(st.integers(0, n))
-        want = float(exact_binomial_cdf(c, n, p))
+        want = float(exact_binomial_tail(c, n, p))
         assert binomial_cdf(c, n, float(p)) == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(1, 200), st.data())
@@ -195,7 +179,7 @@ class TestHypergeometricCdf:
                     continue
                 for K in {0, 1, N // 7, N // 2, N}:
                     for c in range(min(n, 3) + 1):
-                        want = float(exact_hypergeometric_cdf(c, n, K, N))
+                        want = float(exact_hypergeometric_tail(c, n, K, N))
                         got = hypergeometric_cdf(c, n, K, N)
                         assert got == pytest.approx(want, abs=1e-10)
 
@@ -205,7 +189,7 @@ class TestHypergeometricCdf:
         n = data.draw(st.integers(1, N))
         K = data.draw(st.integers(0, N))
         c = data.draw(st.integers(0, min(n, 3)))
-        want = float(exact_hypergeometric_cdf(c, n, K, N))
+        want = float(exact_hypergeometric_tail(c, n, K, N))
         assert hypergeometric_cdf(c, n, K, N) == pytest.approx(want, abs=1e-10)
 
     @given(st.integers(2, 300), st.data())
@@ -264,7 +248,7 @@ class TestDocumentedErrorBound:
             n = rng.randint(1, min(N, 300))
             K = rng.choice([rng.randint(0, N), int(N * rng.uniform(0.0, 0.15))])
             c = rng.randint(0, min(n, 6))
-            want = exact_hypergeometric_cdf(c, n, K, N)
+            want = exact_hypergeometric_tail(c, n, K, N)
             got = hypergeometric_cdf(c, n, K, N)
             assert abs(got - want) <= _tail_tolerance(N), (c, n, K, N)
 
@@ -281,8 +265,7 @@ class TestDocumentedErrorBound:
             cases.append((n, K, N))
         n, K, N = np.array([cases[i % len(cases)] for i in range(_BULK_BLOCK + 100)]).T
         got = _hypergeometric_cdf_bulk(c, n, K, N)
-        want = [Fraction(accepting_samples(c, *case), math.comb(case[2], case[0]))
-                for case in cases]
+        want = [exact_hypergeometric_tail(c, *case) for case in cases]
         for i in range(got.size):
             case = i % len(cases)
             assert abs(got[i] - want[case]) <= _tail_tolerance(N[i]), (c, i, cases[case])
@@ -293,7 +276,7 @@ class TestDocumentedErrorBound:
             n = round(math.exp(rng.uniform(0.0, math.log(3000))))
             p = Fraction(rng.randint(1, 999), 1000)
             c = rng.randint(0, min(n, 8))
-            want = exact_binomial_cdf(c, n, p)
+            want = exact_binomial_tail(c, n, p)
             assert abs(binomial_cdf(c, n, float(p)) - want) <= _tail_tolerance(n, p), (c, n, p)
 
     def test_tolerance_is_tight_enough_to_matter(self):

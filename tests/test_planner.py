@@ -1,6 +1,5 @@
 import csv
 import io
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,16 +24,12 @@ from midsampling import (
     welmec_admissible_pointwise,
 )
 
-from exact_oracle import exact_optimal_plan
+from exact_oracle import exact_hypergeometric_tail, exact_optimal_plan, realized_counts
 
 
 def exact_consumers_risk(plan, N):
-    # exact rational beta at the realized level ceil(0.07*N), from math.comb
-    k_beta = math.ceil(Fraction(7, 100) * N)
-    accepted = sum(
-        math.comb(k_beta, x) * math.comb(N - k_beta, plan.n - x) for x in range(plan.c + 1)
-    )
-    return Fraction(accepted, math.comb(N, plan.n))
+    # exact rational beta at the realized level ceil(0.07*N)
+    return exact_hypergeometric_tail(plan.c, plan.n, realized_counts(N, 0.01, 0.07)[1], N)
 
 
 class TestMaxAcceptanceNumber:

@@ -23,11 +23,11 @@ from midsampling import (
     monte_carlo_acceptance,
     oc_curve,
     oc_curve_to_csv,
-    oc_curve_to_json,
     realized_quality_levels,
     risk_pair,
 )
 from midsampling.kernel import as_exact_level
+from midsampling.render import render
 from midsampling.risks import _run_ends
 
 
@@ -290,7 +290,7 @@ class TestOcCurve:
 
     def test_json_export(self):
         points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.0, 0.01])
-        payload = json.loads(oc_curve_to_json(points))
+        payload = json.loads(render("oc", "json", points, INFINITE_LOT))
         assert payload[0] == {"p": 0.0, "pac": 1.0}
         assert payload[1]["p"] == 0.01
         assert payload[1]["pac"] == pytest.approx(0.944466, abs=1e-6)
@@ -326,6 +326,14 @@ class TestMonteCarlo:
         assert monte_carlo_acceptance(Plan(22, 0), LotSize(43), "3/43", 1000, seed=11) == (
             monte_carlo_acceptance(Plan(22, 0), LotSize(43), Fraction(3, 43), 1000, seed=11)
         )
+
+    def test_large_finite_lot_matches_analytic_within_3_sigma(self):
+        # one hypergeometric draw per trial: the cost does not grow with N
+        trials, N = 20_000, 10**5
+        analytic = hypergeometric_cdf(3, 109, 7_000, N)
+        estimate = monte_carlo_acceptance(Plan(109, 3), LotSize(N), Fraction(7, 100), trials, 23)
+        sigma = math.sqrt(analytic * (1 - analytic) / trials)
+        assert abs(estimate - analytic) <= 3 * sigma
 
     def test_non_integral_defective_count_rejected(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from midsampling import (
 )
 from midsampling.kernel import _tail_tolerance
 
-from exact_oracle import accepting_samples, decimal, realized_counts
+from exact_oracle import decimal, exact_binomial_tail, exact_hypergeometric_tail, realized_counts
 
 # (from, to, n-label, c, alpha_min%, alpha_max%, beta_min%, beta_max%)
 PUBLISHED_ROWS = [
@@ -78,9 +78,14 @@ class TestSchemeLookup:
         assert scheme_lookup(15, scheme) == Plan(14, 0)
         assert scheme_lookup(1499, scheme) == Plan(86, 2)
         assert scheme_lookup(1500, scheme) == Plan(109, 3)
+        # every row's first and last lot, against a scan for the row holding N
+        for row in scheme.rows:
+            for N in (row.n_from, row.n_to or 10**9):
+                (holder,) = [r for r in scheme.rows if r.n_from <= N <= (r.n_to or N)]
+                assert scheme_lookup(N, scheme) == Plan(holder.rule.sample_size(N), holder.rule.c)
 
     def test_invalid_lot(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lot size must be >= 1"):
             scheme_lookup(0, default_mid_scheme())
 
     @pytest.mark.parametrize("N", [1, 2])
@@ -178,15 +183,6 @@ class TestValidateScheme:
         assert isinstance(last.alpha_min_at, int)
 
 
-def _exact_acceptance(c, n, K, N) -> Fraction:
-    return Fraction(accepting_samples(c, n, K, N), math.comb(N, n))
-
-
-def _exact_binomial_acceptance(c, n, p: Fraction) -> Fraction:
-    a, b = p.numerator, p.denominator
-    return Fraction(sum(math.comb(n, x) * a**x * (b - a) ** (n - x) for x in range(c + 1)), b**n)
-
-
 def _random_scheme(rng: random.Random) -> Scheme:
     """A valid scheme of one to four rows starting below 120, each rule
     usable at its first lot; the unbounded row takes a fixed sample."""
@@ -223,7 +219,7 @@ class TestRunEnds:
         value = data.draw(st.integers(1, N)) if kind == "n" else data.draw(st.integers(0, N - 1))
         rule = PlanRule(kind, 0, 0 if kind == "full" else value)
         c = data.draw(st.integers(0, rule.sample_size(N)))
-        accept = [_exact_acceptance(c, rule.sample_size(M), K, M) for M in run]
+        accept = [exact_hypergeometric_tail(c, rule.sample_size(M), K, M) for M in run]
         if kind == "n":  # a fixed sample from a larger lot finds fewer defects
             assert accept == sorted(accept)
         else:  # X = K - Y, Y the defects among the items left out
@@ -253,12 +249,12 @@ class TestRunEnds:
             for N in range(res.row.n_from, hi + 1):
                 n = rule.sample_size(N)
                 k_alpha, k_beta = realized_counts(N, aql, lq)
-                alphas[N] = 1 - _exact_acceptance(rule.c, n, k_alpha, N)
-                betas[N] = _exact_acceptance(rule.c, n, k_beta, N)
+                alphas[N] = 1 - exact_hypergeometric_tail(rule.c, n, k_alpha, N)
+                betas[N] = exact_hypergeometric_tail(rule.c, n, k_beta, N)
             tol = float(_tail_tolerance(hi))
             if res.row.n_to is None:  # the binomial limit
-                alphas[None] = 1 - _exact_binomial_acceptance(rule.c, rule.value, decimal(aql))
-                betas[None] = _exact_binomial_acceptance(rule.c, rule.value, decimal(lq))
+                alphas[None] = 1 - exact_binomial_tail(rule.c, rule.value, decimal(aql))
+                betas[None] = exact_binomial_tail(rule.c, rule.value, decimal(lq))
                 tol = max(tol, *(float(_tail_tolerance(rule.value, decimal(p))) for p in (aql, lq)))
             assert res.admissible == (
                 max(alphas.values()) <= decimal(alpha_max)

@@ -10,9 +10,9 @@ from midsampling import (
     LotSize,
     Plan,
     QualitySpec,
+    binomial_cdf,
     compare_interpretations,
     comparison_to_json,
-    comparison_to_text,
     interpolated_acceptance,
     interpolated_acceptance_curve,
     optimal_plan,
@@ -22,6 +22,7 @@ from midsampling import (
     welmec_admissible_pointwise,
     welmec_risks,
 )
+from midsampling.render import render
 from fractions import Fraction
 
 
@@ -44,6 +45,10 @@ class TestWelmecRisks:
             risks = welmec_risks(plan, INFINITE_LOT)
             assert risks.alpha_cont == risk_pair(plan, INFINITE_LOT).alpha
             assert risks.beta_cont == risk_pair(plan, INFINITE_LOT).beta
+            for spec in (QualitySpec(), QualitySpec("0.02", "1/9")):
+                risks = welmec_risks(plan, INFINITE_LOT, spec)
+                assert risks.alpha_cont == 1.0 - binomial_cdf(plan.c, plan.n, float(spec.p_aql))
+                assert risks.beta_cont == binomial_cdf(plan.c, plan.n, float(spec.p_lq))
         assert welmec_risks(Plan(88, 2), INFINITE_LOT).alpha_cont == pytest.approx(
             0.0587, abs=5e-4
         )
@@ -217,7 +222,7 @@ class TestComparisonReport:
 
     def test_text_rendering(self):
         report = compare_interpretations(LotSize(143), candidate_plans=[Plan(36, 0)])
-        text = comparison_to_text(report)
+        text = render("comparison", "text", report)
         assert "(51,1)" in text
         assert "(36,0)" in text
         assert text.endswith("\n")
