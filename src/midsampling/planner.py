@@ -11,8 +11,7 @@ admissible.  At that n the plan takes the largest acceptance number the
 consumers' bound admits, which has the smallest producers' risk.  The lot
 rule in ``risks`` makes every decision exactly, so this argument holds
 exactly.  It evaluates each tail of its lot once, so the plan's reported
-risks are tails the search already computed, and the risk bounds are
-resolved once per call, not once per lot.
+risks are tails the search already computed.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .risks import (
     RealizedLevels,
     RiskBounds,
     RiskPair,
-    _bound_pair,
     _check_plan,
     _LotRule,
     realized_quality_levels,
@@ -90,7 +88,7 @@ def max_acceptance_number(
     lot = LotSize.of(lot)
     n = _check_count("sample size n", n)
     _check_plan(Plan(n, 0), lot)
-    c = _LotRule(lot, spec, _bound_pair(bounds), n).largest_beta_c(n)
+    c = _LotRule(lot, spec, n, bounds).largest_beta_c(n)
     return None if c < 0 else c
 
 
@@ -110,15 +108,7 @@ def optimal_plan(
     succeed (full inspection is admissible); infinite lots raise
     :class:`NoPlanWithinCapError` when n* would exceed ``scan_cap``.
     """
-    lot = LotSize.of(lot)
-    return _optimal(lot, spec, bounds, _check_count("scan_cap", scan_cap))[0]
-
-
-def _optimal(lot: LotSize, spec, bounds: RiskBounds, scan_cap: int = DEFAULT_SCAN_CAP) -> tuple:
-    """``optimal_plan`` of a LotSize, and the lot rule its search built."""
-    pair, highest_n = _bound_pair(bounds), lot.count if lot.is_finite else scan_cap
-    result, _, rule = _search(lot, spec, pair, highest_n)
-    return result, rule
+    return _search(LotSize.of(lot), spec, bounds, _check_count("scan_cap", scan_cap))[0]
 
 
 def _zero_c_start(rule: _LotRule, ln_beta: float) -> int:
@@ -149,14 +139,18 @@ def _poisson_ratio(ln_beta: float) -> float:
     return m / m0
 
 
-def _search(lot: LotSize, spec, bounds: tuple, highest_n: int, hints: Sequence[int] = ()) -> tuple:
-    """The optimal plan with sample size at most highest_n under a
-    ``_bound_pair``, the n_beta(c) it found on the way and the lot rule it
-    built.  The search for n_beta(c) starts at ``hints[c]``, n_beta(c) of a
-    nearby lot, or else at a closed-form estimate for c = 0, at the Poisson
-    ratio from n_beta(0) for c = 1 and where the previous two n_beta point
-    for c >= 2; a start never changes the answer."""
-    rule = _LotRule(lot, spec, bounds, highest_n)
+def _search(
+    lot: LotSize, spec, bounds: RiskBounds, scan_cap: int = DEFAULT_SCAN_CAP,
+    hints: Sequence[int] = (),
+) -> tuple:
+    """The optimal plan for a LotSize of N items, with n <= N (n <=
+    ``scan_cap`` for an infinite lot), the n_beta(c) it found on the way and
+    the lot rule it built.  The search for n_beta(c) starts at
+    ``hints[c]``, n_beta(c) of a nearby lot, or else at a closed-form
+    estimate for c = 0, at the Poisson ratio from n_beta(0) for c = 1 and
+    where the previous two n_beta point for c >= 2; a start never changes
+    the answer."""
+    rule = _LotRule(lot, spec, lot.count if lot.is_finite else scan_cap, bounds)
     n_betas = []
     n = 1
     for c in itertools.count():
@@ -165,7 +159,7 @@ def _search(lot: LotSize, spec, bounds: tuple, highest_n: int, hints: Sequence[i
         elif c >= 2:  # n_beta(c) grows about linearly in c
             hint = 2 * n - n_betas[-2]
         else:
-            beta_num, beta_den = bounds[1].exact.as_integer_ratio()
+            beta_num, beta_den = bounds.beta_max.as_integer_ratio()
             ln_beta = math.log(beta_num) - math.log(beta_den)  # finite for any bound
             if c == 0:
                 hint = _zero_c_start(rule, ln_beta)
@@ -181,9 +175,9 @@ def _search(lot: LotSize, spec, bounds: tuple, highest_n: int, hints: Sequence[i
             result = PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=realized)
             return result, n_betas, rule
     raise NoPlanWithinCapError(
-        f"no admissible plan with sample size <= {highest_n} "
+        f"no admissible plan with sample size <= {rule.n_max} "
         f"for quality levels ({spec.p_aql}, {spec.p_lq}) "
-        f"and risk bounds ({bounds[0].exact}, {bounds[1].exact})"
+        f"and risk bounds ({bounds.alpha_max}, {bounds.beta_max})"
     )
 
 
@@ -202,8 +196,8 @@ def plan_table(
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
-    rows, hints, pair = [], (), _bound_pair(bounds)
+    rows, hints = [], ()
     for N in range(n_min, n_max + 1):
-        result, hints, _ = _search(LotSize(N), spec, pair, N, hints)
+        result, hints, _ = _search(LotSize(N), spec, bounds, hints=hints)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

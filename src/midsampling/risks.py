@@ -179,9 +179,6 @@ class _Bound(NamedTuple):
         nearest = bound.numerator / bound.denominator
         return cls(nearest - tol, nearest + tol, bound)
 
-    def widened(self, tol: float) -> "_Bound":
-        return _Bound(self.lo - tol, self.hi + tol, self.exact)
-
     def admits(self, risk: float, exact_risk) -> bool:
         """The rule for one risk; ``exact_risk()`` is called inside the band only."""
         return risk <= self.lo or (risk <= self.hi and exact_risk() <= self.exact)
@@ -192,12 +189,6 @@ class _Bound(NamedTuple):
         for i in np.flatnonzero(~ok & (risks <= self.hi)).tolist():
             ok[i] = exact_risk(i) <= self.exact
         return ok
-
-
-def _bound_pair(bounds: RiskBounds) -> tuple:
-    """The alpha and beta bounds with an empty band: the set-up of ``_LotRule``
-    that depends on the bounds alone, done once for all the lots of a search."""
-    return _Bound.around(bounds.alpha_max, 0.0), _Bound.around(bounds.beta_max, 0.0)
 
 
 class _Tails(dict):
@@ -214,14 +205,16 @@ class _Tails(dict):
 
 
 class _LotRule:
-    """Both risks of plans (n, c) against one lot, and their ``_bound_pair``
-    if given, resolved once for many plans, with the planner's three search
-    steps and the pointwise WELMEC decision.  Sample sizes run up to n_max,
-    which also widens the band of binomial tails.  Each tail is evaluated
-    once in the rule's lifetime, so the reported risks of a search's plan
-    reuse the tails it computed, and so does the pointwise decision."""
+    """Both risks of plans (n, c) against one lot and their bounds, resolved
+    once for many plans, with the planner's three search steps and the
+    pointwise WELMEC decision.  Sample sizes run up to n_max, which also
+    widens the band of binomial tails.  Each tail is evaluated once in the
+    rule's lifetime, so the reported risks of a search's plan reuse the
+    tails it computed, and so does the pointwise decision."""
 
-    def __init__(self, lot: LotSize, spec: QualitySpec, bounds: Optional[tuple], n_max: int):
+    def __init__(
+        self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds()
+    ):
         self.n_max, self.N, self.spec = n_max, lot.count, spec
         if lot.is_finite:  # the core takes defect counts, or proportions as floats
             N = lot.count
@@ -236,9 +229,8 @@ class _LotRule:
         self.alpha_tails = _Tails(_lot_tails(core_levels[0], self.N))
         self.beta_tails = _Tails(_lot_tails(core_levels[1], self.N))
         self._tails_by_level = {core_levels[0]: self.alpha_tails, core_levels[1]: self.beta_tails}
-        if bounds is not None:
-            self.alpha_bound = bounds[0].widened(self.alpha_tol)
-            self.beta_bound = bounds[1].widened(self.beta_tol)
+        self.alpha_bound = _Bound.around(bounds.alpha_max, self.alpha_tol)
+        self.beta_bound = _Bound.around(bounds.beta_max, self.beta_tol)
 
     def tails(self, level) -> _Tails:
         """The tails at ``level``, a level as the core takes it, kept for the
@@ -368,7 +360,7 @@ def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> Ri
     """
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    return _LotRule(lot, spec, None, plan.n).risks(plan.n, plan.c)
+    return _LotRule(lot, spec, plan.n).risks(plan.n, plan.c)
 
 
 def is_admissible(
@@ -381,7 +373,7 @@ def is_admissible(
     exact rational arithmetic would decide it."""
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    return _LotRule(lot, spec, _bound_pair(bounds), plan.n).admits(plan.n, plan.c)
+    return _LotRule(lot, spec, plan.n, bounds).admits(plan.n, plan.c)
 
 
 def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool) -> tuple:
@@ -406,10 +398,11 @@ def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool) -> tuple:
 def _row_risks(
     c: int, sample_size, lo: int, hi: int, spec: QualitySpec, bounds: RiskBounds,
     limit_n: Optional[int] = None,
-) -> tuple:
-    """Both risks of plans (sample_size(N), c) over the finite lots lo <= N
-    <= hi, evaluated only at the ends of each side's runs of constant
-    realized count, and whether the plan is admissible at every lot.
+) -> dict:
+    """The verdict on plans (sample_size(N), c) over the finite lots lo <= N
+    <= hi: both risks' extrema, evaluated only at the ends of each side's
+    runs of constant realized count, and whether the plan is admissible at
+    every lot.
 
     Within such a run the acceptance probability is monotone in N: it does
     not decrease for a fixed sample size (the hypergeometric is ordered by
@@ -419,10 +412,11 @@ def _row_risks(
     decision over the ends alone is the exact decision over every lot, and
     the cost grows with the number of runs, not of lots.
 
-    Returns ((alpha lots, alphas), (beta lots, betas), admissible);
+    Returns the fields of ``scheme.RowValidation`` other than ``row``, each
+    ``*_at`` the first lot, in N order, whose float risk is extreme;
     ``sample_size`` maps an int64 array of lots to their sample sizes.
-    Given ``limit_n``, the binomial limit of plan (limit_n, c) is appended
-    to both risk arrays, one past their lots, and joins the decision."""
+    Given ``limit_n``, the binomial limit of plan (limit_n, c) comes after
+    every finite lot, attained at None, and joins the decision."""
 
     def side(level, ceil, bound):
         lots, k = _run_ends(level, lo, hi, ceil)
@@ -437,16 +431,26 @@ def _row_risks(
         admitted = _Bound.around(bound, _tail_tolerance(lots)).admits_each(risks, exact_risk)
         return lots, risks, bool(admitted.all())
 
-    alpha_lots, alphas, alpha_admitted = side(spec.p_aql, False, bounds.alpha_max)
-    beta_lots, betas, beta_admitted = side(spec.p_lq, True, bounds.beta_max)
-    admissible = alpha_admitted and beta_admitted
+    sides = {
+        "alpha": side(spec.p_aql, False, bounds.alpha_max),
+        "beta": side(spec.p_lq, True, bounds.beta_max),
+    }
+    admissible = all(admitted for _, _, admitted in sides.values())
+    limit = None
     if limit_n is not None:
-        limit_rule = _LotRule(INFINITE_LOT, spec, _bound_pair(bounds), limit_n)
+        limit_rule = _LotRule(INFINITE_LOT, spec, limit_n, bounds)
         limit = limit_rule.risks(limit_n, c)
-        alphas = np.append(alphas, limit.alpha)
-        betas = np.append(betas, limit.beta)
         admissible = limit_rule.admits(limit_n, c) and admissible
-    return (alpha_lots, alphas), (beta_lots, betas), admissible
+    verdict = {"admissible": admissible}
+    for name, (lots, risks, _) in sides.items():
+        if limit is not None:  # the binomial limit, one past the lots
+            risks = np.append(risks, getattr(limit, name))
+        i_min, i_max = int(np.argmin(risks)), int(np.argmax(risks))
+        verdict[f"{name}_min"], verdict[f"{name}_max"] = float(risks[i_min]), float(risks[i_max])
+        verdict[f"{name}_min_at"], verdict[f"{name}_max_at"] = (
+            int(lots[i]) if i < lots.size else None for i in (i_min, i_max)
+        )
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .kernel import Plan, _check_count
 from .risks import QualitySpec, RiskBounds, _row_risks
 
@@ -251,15 +249,6 @@ def scheme_lookup(N: int, scheme: Scheme) -> Plan:
             return _row_plan(index, row, N)
 
 
-def _extremes(lots: np.ndarray, risks: np.ndarray) -> tuple:
-    """(min, max, min_at, max_at) of one side's risks at its run ends: the
-    first lot, in N order, attaining each, and None for a risk one past the
-    lots, the binomial limit."""
-    i_min, i_max = int(np.argmin(risks)), int(np.argmax(risks))
-    at = [int(lots[i]) if i < lots.size else None for i in (i_min, i_max)]
-    return float(risks[i_min]), float(risks[i_max]), *at
-
-
 def validate_scheme(
     scheme: Scheme,
     spec: QualitySpec = QualitySpec(),
@@ -291,25 +280,10 @@ def validate_scheme(
         # the binomial limit stands in for the lots beyond n_cap
         limit_n = row.rule.value if row.n_to is None else None
         hi = row.n_to if row.n_to is not None else n_cap
-        alphas, betas, admissible = _row_risks(
+        verdict = _row_risks(
             row.rule.c, row.rule.sample_size, row.n_from, hi, spec, bounds, limit_n
         )
-        a_min, a_max, a_min_at, a_max_at = _extremes(*alphas)
-        b_min, b_max, b_min_at, b_max_at = _extremes(*betas)
-        results.append(
-            RowValidation(
-                row=row,
-                alpha_min=a_min,
-                alpha_max=a_max,
-                beta_min=b_min,
-                beta_max=b_max,
-                alpha_min_at=a_min_at,
-                alpha_max_at=a_max_at,
-                beta_min_at=b_min_at,
-                beta_max_at=b_max_at,
-                admissible=admissible,
-            )
-        )
+        results.append(RowValidation(row=row, **verdict))
     return results
 
 
@@ -340,8 +314,6 @@ def parse_scheme(text: str) -> Scheme:
             c = int(parts[3])
             rule = PlanRule.from_token(parts[2], c)
             rows.append(SchemeRow(n_from=n_from, n_to=n_to, rule=rule))
-        except SchemeParseError:
-            raise
         except (ValueError, TypeError) as exc:
             raise SchemeParseError(line_number, str(exc)) from exc
     return Scheme(rows=tuple(rows))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .kernel import LotSize, Plan, _binomial_curve, interpolated_acceptance
-from .planner import PlanResult, _optimal
+from .planner import PlanResult, _search
 from .risks import QualitySpec, RiskBounds, RiskPair, _check_plan, _LotRule
 
 __all__ = [
@@ -115,7 +115,7 @@ def welmec_admissible_pointwise(
     if not lot.is_finite:
         raise ValueError("the pointwise criterion is defined for finite lots only")
     _check_plan(plan, lot)
-    rule = _LotRule(lot, spec, None, plan.n)
+    rule = _LotRule(lot, spec, plan.n)
     return rule.admits_pointwise(plan.n, plan.c, ACCEPT_LEVEL_AQL, ACCEPT_LEVEL_LQ)
 
 
@@ -136,7 +136,7 @@ def compare_interpretations(
     the rule's tails is evaluated twice.
     """
     lot = LotSize.of(lot)
-    reference, rule = _optimal(lot, spec, bounds)
+    reference, _, rule = _search(lot, spec, bounds)
     evaluated = []
     for plan in candidate_plans:
         _check_plan(plan, lot)

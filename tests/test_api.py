@@ -73,7 +73,7 @@ PACKAGE_IMPORTS = {
     "scheme": {"kernel", "risks"},
     "welmec": {"kernel", "planner", "risks"},
 }
-NUMPY_USERS = {"kernel", "risks", "scheme"}
+NUMPY_USERS = {"kernel", "risks"}
 
 
 def _imports(path: Path) -> tuple:

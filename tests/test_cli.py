@@ -322,6 +322,51 @@ class TestSchemeCommand:
         code, _, err = run(capsys, "scheme", "validate")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("1,inf,n:0,0\n", 2),
+            ("1,inf,offset:-1,0\n", 2),
+            ("1,inf,n:5,-1\n", 2),
+            ("0,inf,n:5,0\n", 2),
+            ("5,4,n:5,0\n", 2),
+            ("", 4),
+            ("# comments only\n", 4),
+            ("1,inf,full,0\n2,inf,n:5,0\n", 4),
+            ("1,inf,full,0\n", 4),
+        ],
+    )
+    def test_scheme_file_errors(self, capsys, tmp_path, text, code):
+        scheme_file = tmp_path / "bad.scheme"
+        scheme_file.write_text(text)
+        got, out, err = run(capsys, "scheme", "validate", "--file", str(scheme_file))
+        assert got == code
+        prefix = "error: scheme file: line 1: " if code == 2 else "error: scheme validation: "
+        assert out == "" and err.startswith(prefix)
+
+    def test_builtin_and_file_together(self, capsys, tmp_path):
+        scheme_file = tmp_path / "any.scheme"
+        scheme_file.write_text("1,inf,n:5,0\n")
+        code, out, err = run(capsys, "scheme", "validate", "--builtin",
+                             "--file", str(scheme_file))
+        assert code == 2
+        assert out == "" and "choose either --builtin or --file, not both" in err
+
+    def test_unreadable_scheme_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "scheme", "validate", "--file", str(tmp_path / "missing"))
+        assert code == 2
+        assert out == "" and "cannot read scheme file" in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [([], "scheme lookup requires --lot-size"),
+         (["--lot-size", "inf"], "scheme lookup requires a finite lot size")],
+    )
+    def test_lookup_needs_a_finite_lot(self, capsys, extra, message):
+        code, out, err = run(capsys, "scheme", "lookup", "--builtin", *extra)
+        assert code == 2
+        assert out == "" and message in err
+
 
 class TestCompareCommand:
     def test_lot_143(self, capsys):
@@ -465,6 +510,19 @@ class TestConfigFile:
         code, _, err = run(capsys, "plan", "--lot-size", "inf", "--config", str(config))
         assert code == 2
         assert "unknown config key" in err
+
+    def test_unreadable_config_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "plan", "--lot-size", "43",
+                             "--config", str(tmp_path / "missing.conf"))
+        assert code == 2
+        assert out == "" and "cannot read config file" in err
+
+    def test_line_without_equals_sign(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("# levels\naql 0.02\n")
+        code, out, err = run(capsys, "plan", "--lot-size", "43", "--config", str(config))
+        assert code == 2
+        assert out == "" and f"{config}:2: expected 'key = value', got 'aql 0.02'" in err
 
 
 class TestEntryPoint:

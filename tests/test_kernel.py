@@ -20,6 +20,7 @@ from midsampling import (
 )
 from midsampling.kernel import (
     _BULK_BLOCK,
+    _clamp_probability,
     _hypergeometric_cdf_bulk,
     _lot_tails,
     _tail_tolerance,
@@ -344,6 +345,14 @@ class TestScalarCore:
         assert len(tails) == 5000
         digest = hashlib.sha256("\n".join(map(float.hex, tails)).encode()).hexdigest()
         assert digest == "fec3dc49107ee494c808c956505574f266b792522c3c92ed750bd117311b8dc2"
+
+    def test_clamp_of_summation_noise(self):
+        # noise just past [0, 1] is clipped; a value far past it is a fault
+        assert _clamp_probability(0.25) == 0.25
+        assert _clamp_probability(-1e-9) == 0.0
+        assert _clamp_probability(1 + 1e-9) == 1.0
+        with pytest.raises(ArithmeticError, match="outside"):
+            _clamp_probability(1.01)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from midsampling import (
 )
 from midsampling.kernel import as_exact_level
 from midsampling.render import render
-from midsampling.risks import _run_ends
+from midsampling.risks import _LotRule, _run_ends
+
+from exact_oracle import exact_binomial_tail, exact_hypergeometric_tail, realized_counts
 
 
 class TestQualitySpecAndBounds:
@@ -194,6 +196,47 @@ class TestRisks:
             risk_pair(Plan(0, 0), INFINITE_LOT)
         with pytest.raises(ValueError):
             risk_pair(Plan(11, 0), LotSize(10))
+
+
+class TestSmallestBetaN:
+    """The lot rule's gallop and bisection for n_beta(c), the smallest n at
+    which the consumers' bound admits c, against a linear scan of exact risks."""
+
+    @staticmethod
+    def scan(lot, c, n_max):
+        for n in range(c + 1, n_max + 1):
+            if lot.is_finite:
+                N = lot.count
+                beta = exact_hypergeometric_tail(c, n, realized_counts(N, 0.01, 0.07)[1], N)
+            else:
+                beta = exact_binomial_tail(c, n, Fraction(7, 100))
+            if beta <= Fraction(1, 20):
+                return n
+        return None
+
+    @pytest.mark.parametrize(
+        "lot, n_max",
+        [(LotSize(10), 10), (LotSize(258), 258), (LotSize(2000), 2000),
+         (INFINITE_LOT, 60), (INFINITE_LOT, 400)],
+    )
+    def test_equals_a_linear_scan_from_any_start(self, lot, n_max):
+        found_none = False
+        for c in range(4):
+            expected = self.scan(lot, c, n_max)
+            found_none |= expected is None
+            hints = {None, 1, n_max + 5}
+            n_froms = {1}
+            if expected is not None:  # far below the answer, at it and above it
+                hints |= {max(1, expected // 4), expected, min(expected + 7, n_max)}
+                n_froms.add(expected)
+            for n_from in n_froms:
+                for hint in hints:
+                    rule = _LotRule(lot, QualitySpec(), n_max)
+                    assert rule.smallest_beta_n(c, n_from, hint) == expected, (c, n_from, hint)
+            assert _LotRule(lot, QualitySpec(), n_max).smallest_beta_n(c, n_max + 1) is None
+        # N = 10 holds one defective at the LQ, so no n admits c >= 1; and
+        # n_beta(2) at infinity is above 60
+        assert found_none == (lot == LotSize(10) or n_max == 60)
 
 
 class TestOcCurve:

@@ -296,6 +296,23 @@ class TestSchemeStructure:
         with pytest.raises(SchemeCoverageError):
             Scheme(rows=(SchemeRow(1, 10, PlanRule.full_inspection(0)),))
 
+    def test_unknown_rule_kind(self):
+        with pytest.raises(ValueError, match="unknown rule kind 'sample'"):
+            PlanRule("sample", 0)
+
+    def test_unbounded_row_must_be_last(self):
+        with pytest.raises(SchemeCoverageError, match="row 0 is unbounded but not last"):
+            parse_scheme("1,inf,full,0\n2,inf,n:5,0\n")
+
+    @pytest.mark.parametrize("text", ["", "# no rows\n\n   # at all\n"])
+    def test_scheme_without_rows(self, text):
+        with pytest.raises(SchemeCoverageError, match="no rows"):
+            parse_scheme(text)
+
+    def test_unbounded_row_needs_a_fixed_sample_size(self):
+        with pytest.raises(SchemeRuleError, match="row 0: an unbounded interval requires"):
+            validate_scheme(parse_scheme("1,inf,full,0\n"))
+
 
 class TestSchemeTextFormat:
     def test_round_trip(self):
@@ -323,6 +340,22 @@ class TestSchemeTextFormat:
         with pytest.raises(SchemeParseError) as excinfo:
             parse_scheme("1,inf,sample:10,0\n")
         assert excinfo.value.line_number == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,inf,n:0,0", "fixed sample size must be >= 1"),
+            ("1,inf,offset:-1,0", "offset must be >= 0"),
+            ("1,inf,n:5,-1", "acceptance number must be >= 0"),
+            ("0,inf,n:5,0", "interval must start at a lot size >= 1"),
+            ("5,4,n:5,0", "empty interval [5, 4]"),
+        ],
+    )
+    def test_invalid_row_values(self, text, message):
+        with pytest.raises(SchemeParseError) as excinfo:
+            parse_scheme(text + "\n15,inf,n:14,0\n")
+        assert excinfo.value.line_number == 1
+        assert str(excinfo.value) == f"line 1: {message}"
 
     def test_coverage_error_from_text(self):
         with pytest.raises(SchemeCoverageError):
