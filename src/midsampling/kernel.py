@@ -100,16 +100,24 @@ def _log_factorial_array(N: int) -> np.ndarray:
     return table
 
 
-def _tail_tolerance(N, p=None):
-    """A-priori bound on |computed - exact| for any tail of a lot of N items
-    or, given p, any binomial tail of at most N draws at proportion p.
-    N may be an integer array.  ln p and ln(1 - p) come from the exact
-    ratio of p, so a proportion within an ulp of 0 or 1 still has them."""
-    scale = N * np.log1p(N)  # >= ln N!, the largest log-factorial a term uses
-    if p is not None:
+def _tail_tolerance(N):
+    """A-priori bound on |computed - exact| for any tail of a lot of N items;
+    N may be an integer array."""
+    return _ERROR_PER_LOG_UNIT * (1.0 + N * np.log1p(N))  # N ln(N+1) >= ln N!
+
+
+def _binomial_tolerances(n: int, ps) -> tuple:
+    """The bound on |computed - exact| for any binomial tail of at most n
+    draws at each exact proportion p of ps, as floats, with n ln(n+1) taken
+    once for all of them.  ln p and ln(1 - p) come from the exact ratio of
+    p, so a proportion within an ulp of 0 or 1 still has them."""
+    scale = float(n * np.log1p(n))  # >= ln n!, the largest log-factorial a term uses
+    tols = []
+    for p in ps:
         a, b = p.as_integer_ratio()
-        scale = scale - N * (math.log(a) + math.log(b - a) - 2 * math.log(b))
-    return _ERROR_PER_LOG_UNIT * (1.0 + scale)
+        ln_pq = math.log(a) + math.log(b - a) - 2 * math.log(b)  # ln p(1 - p)
+        tols.append(_ERROR_PER_LOG_UNIT * (1.0 + (scale - n * ln_pq)))
+    return tuple(tols)
 
 
 def _clamp_probability(value: float) -> float:
@@ -249,10 +257,12 @@ def _lot_tails(level, N: Optional[int]):
         if c < x_lo:
             return 0.0
         ln_denom = ln_N - t[n] - t[N - n]
-        total = _fsum([
-            _exp(ln_k - t[x] - t[K - x] + (ln_good - t[n - x] - t[x - x_lo]) - ln_denom)
-            for x in range(x_lo if x_lo > 0 else 0, c + 1)
-        ])
+        terms = []  # a plain loop: a comprehension's call costs more than 1-4 terms
+        for x in range(x_lo if x_lo > 0 else 0, c + 1):
+            terms.append(
+                _exp(ln_k - t[x] - t[K - x] + (ln_good - t[n - x] - t[x - x_lo]) - ln_denom)
+            )
+        total = _fsum(terms)
         return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
 
     return hypergeometric_tail
@@ -287,7 +297,7 @@ def binomial_cdf(c: int, n: int, p: float) -> float:
     """P(X <= c) for X ~ Binomial(n, p), i.e. the acceptance probability of
     plan (n, c) against an infinite lot with defective proportion p.
 
-    Absolute error stays below ``_tail_tolerance(n, p)``.
+    Absolute error stays below ``_binomial_tolerances(n, (p,))``.
     """
     c = _check_count("c", c)
     n = _check_count("n", n)

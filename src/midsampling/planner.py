@@ -30,7 +30,8 @@ from .risks import (
     RiskPair,
     _check_plan,
     _LotRule,
-    realized_quality_levels,
+    _lot_tolerances,
+    _realized_levels,
 )
 
 __all__ = [
@@ -141,16 +142,20 @@ def _poisson_ratio(ln_beta: float) -> float:
 
 def _search(
     lot: LotSize, spec, bounds: RiskBounds, scan_cap: int = DEFAULT_SCAN_CAP,
-    hints: Sequence[int] = (),
+    hints: Sequence[int] = (), tol: Optional[float] = None,
 ) -> tuple:
     """The optimal plan for a LotSize of N items, with n <= N (n <=
     ``scan_cap`` for an infinite lot), the n_beta(c) it found on the way and
-    the lot rule it built.  The search for n_beta(c) starts at
-    ``hints[c]``, n_beta(c) of a nearby lot, or else at a closed-form
-    estimate for c = 0, at the Poisson ratio from n_beta(0) for c = 1 and
-    where the previous two n_beta point for c >= 2; a start never changes
-    the answer."""
-    rule = _LotRule(lot, spec, lot.count if lot.is_finite else scan_cap, bounds)
+    the lot rule it built, which takes ``tol`` as its tol(N).  The search
+    for n_beta(c) starts at ``hints[c]``, n_beta(c) of a nearby lot, or else
+    at a closed-form estimate for c = 0, at the Poisson ratio from
+    n_beta(0) for c = 1 and where the previous two n_beta point for c >= 2;
+    a start never changes the answer."""
+    rule = _LotRule(lot, spec, lot.count if lot.is_finite else scan_cap, bounds, tol)
+    ln_beta = None
+    if len(hints) < 2:  # a closed-form start is needed
+        beta_num, beta_den = bounds.beta_max.as_integer_ratio()
+        ln_beta = math.log(beta_num) - math.log(beta_den)  # finite for any bound
     n_betas = []
     n = 1
     for c in itertools.count():
@@ -158,20 +163,17 @@ def _search(
             hint = hints[c]
         elif c >= 2:  # n_beta(c) grows about linearly in c
             hint = 2 * n - n_betas[-2]
+        elif c == 0:
+            hint = _zero_c_start(rule, ln_beta)
         else:
-            beta_num, beta_den = bounds.beta_max.as_integer_ratio()
-            ln_beta = math.log(beta_num) - math.log(beta_den)  # finite for any bound
-            if c == 0:
-                hint = _zero_c_start(rule, ln_beta)
-            else:
-                hint = round(n * _poisson_ratio(ln_beta)) if ln_beta < 0.0 else None
+            hint = round(n * _poisson_ratio(ln_beta)) if ln_beta < 0.0 else None
         n = rule.smallest_beta_n(c, n, hint)
         if n is None:
             break
         n_betas.append(n)
         if rule.admits_alpha(n, c):
             c = rule.largest_beta_c(n, c)
-            realized = realized_quality_levels(lot, spec)
+            realized = _realized_levels(rule.levels, rule.N)
             result = PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=realized)
             return result, n_betas, rule
     raise NoPlanWithinCapError(
@@ -190,14 +192,15 @@ def plan_table(
     """Optimal plans for every lot size N in [n_min, n_max].
 
     n_beta(c) moves by at most a step or so from one lot size to the next,
-    so each lot's search starts from the previous lot's; every row equals
-    ``optimal_plan`` of its lot.
+    so each lot's search starts from the previous lot's, with the tol(N)
+    of every lot from one array call; every row equals ``optimal_plan`` of
+    its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
     rows, hints = [], ()
-    for N in range(n_min, n_max + 1):
-        result, hints, _ = _search(LotSize(N), spec, bounds, hints=hints)
+    for N, tol in zip(range(n_min, n_max + 1), _lot_tolerances(n_min, n_max)):
+        result, hints, _ = _search(LotSize(N), spec, bounds, hints=hints, tol=tol)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

@@ -126,7 +126,13 @@ def oc_curve_to_csv(points: Sequence, lot: LotSize) -> str:
     N = LotSize.of(lot).count
 
     def fraction(p) -> tuple:
-        return (0, 0) if N is None else (_realizable_count(p, N), N)
+        if N is None:
+            return (0, 0)
+        if isinstance(p, float) and 0.0 <= p <= 1.0:  # _defect_count's rule for a float, inline
+            k = round(p * N)
+            if k / N == p:
+                return (k, N)
+        return (_realizable_count(p, N), N)
 
     return _csv(
         "p_numerator,p_denominator_or_0_for_infinite,p_value,acceptance_probability",

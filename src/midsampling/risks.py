@@ -32,6 +32,7 @@ from .kernel import (
     as_exact_level,
     _check_count,
     _binomial_curve,
+    _binomial_tolerances,
     _defect_count,
     _hypergeometric_cdf_bulk,
     _lot_tails,
@@ -116,9 +117,17 @@ def realized_quality_levels(lot: LotSize, spec: QualitySpec = QualitySpec()) -> 
     """Quality levels at which the risks of a plan have to be evaluated."""
     lot = LotSize.of(lot)
     if not lot.is_finite:
-        return RealizedLevels(p_alpha=spec.p_aql, p_beta=spec.p_lq)
+        return _realized_levels((spec.p_aql, spec.p_lq), None)
     N = lot.count
-    k_alpha, k_beta = _count(spec.p_aql, N, False), _count(spec.p_lq, N, True)
+    return _realized_levels((_count(spec.p_aql, N, False), _count(spec.p_lq, N, True)), N)
+
+
+def _realized_levels(levels: tuple, N: Optional[int]) -> RealizedLevels:
+    """RealizedLevels from the two realized defect counts of a lot of N
+    items, or from the two nominal levels when N is None."""
+    if N is None:
+        return RealizedLevels(*levels)
+    k_alpha, k_beta = levels
     return RealizedLevels(Fraction(k_alpha, N), Fraction(k_beta, N), k_alpha, k_beta, N)
 
 
@@ -151,14 +160,15 @@ def _exact_acceptance(c: int, n: int, level, N: Optional[int]) -> Fraction:
     return Fraction(total, math.comb(N, n))
 
 
-def _reported(risk: float, tol: float, exact_risk) -> float:
+def _reported(risk: float, tol: float, exact_risk, *args) -> float:
     """A risk as the package reports it.  Bounds are short decimals, so a
     float risk within tol of a four-place decimal inside (0, 1) is replaced
-    by its correctly rounded exact value: compared with such a bound, a
-    reported risk then agrees with exact arithmetic (1/20 reads 0.05)."""
+    by its correctly rounded exact value ``exact_risk(*args)``: compared
+    with such a bound, a reported risk then agrees with exact arithmetic
+    (1/20 reads 0.05)."""
     step = round(risk * 10_000)
     if 0 < step < 10_000 and abs(risk - step / 10_000) <= tol:
-        return float(exact_risk())
+        return float(exact_risk(*args))
     return risk
 
 
@@ -204,48 +214,66 @@ class _Tails(dict):
         return tail
 
 
+def _lot_tolerances(lo: int, hi: int) -> list:
+    """tol(N) of every lot lo <= N <= hi from one array call: the floats a
+    lot rule computes for one lot, which it takes as ``tol``."""
+    return _tail_tolerance(np.arange(lo, hi + 1)).tolist()
+
+
 class _LotRule:
     """Both risks of plans (n, c) against one lot and their bounds, resolved
     once for many plans, with the planner's three search steps and the
     pointwise WELMEC decision.  Sample sizes run up to n_max, which also
     widens the band of binomial tails.  Each tail is evaluated once in the
     rule's lifetime, so the reported risks of a search's plan reuse the
-    tails it computed, and so does the pointwise decision."""
+    tails it computed, and so does the pointwise decision.  ``tol``, tol(N)
+    of a finite lot, may come from ``_lot_tolerances``."""
+
+    _tails_by_level = None  # built when the pointwise decision first asks
 
     def __init__(
-        self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds()
+        self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds(),
+        tol: Optional[float] = None,
     ):
         self.n_max, self.N, self.spec = n_max, lot.count, spec
         if lot.is_finite:  # the core takes defect counts, or proportions as floats
             N = lot.count
             self.levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
-            core_levels = self.levels
-            tols = (float(_tail_tolerance(N)),) * 2
+            self.core_levels = self.levels
+            self.alpha_tol = self.beta_tol = float(_tail_tolerance(N)) if tol is None else tol
         else:
             self.levels = (spec.p_aql, spec.p_lq)
-            core_levels = (float(spec.p_aql), float(spec.p_lq))
-            tols = [float(_tail_tolerance(n_max, p)) for p in self.levels]
-        self.alpha_tol, self.beta_tol = tols
-        self.alpha_tails = _Tails(_lot_tails(core_levels[0], self.N))
-        self.beta_tails = _Tails(_lot_tails(core_levels[1], self.N))
-        self._tails_by_level = {core_levels[0]: self.alpha_tails, core_levels[1]: self.beta_tails}
+            self.core_levels = (float(spec.p_aql), float(spec.p_lq))
+            self._binomial_tols = {}
+            self.alpha_tol, self.beta_tol = self._tolerances(n_max)
+        self.alpha_tails = _Tails(_lot_tails(self.core_levels[0], self.N))
+        self.beta_tails = _Tails(_lot_tails(self.core_levels[1], self.N))
         self.alpha_bound = _Bound.around(bounds.alpha_max, self.alpha_tol)
         self.beta_bound = _Bound.around(bounds.beta_max, self.beta_tol)
 
     def tails(self, level) -> _Tails:
         """The tails at ``level``, a level as the core takes it, kept for the
         rule's lifetime."""
-        tails = self._tails_by_level.get(level)
+        by_level = self._tails_by_level
+        if by_level is None:
+            by_level = self._tails_by_level = dict(
+                zip(self.core_levels, (self.alpha_tails, self.beta_tails))
+            )
+        tails = by_level.get(level)
         if tails is None:
-            tails = self._tails_by_level[level] = _Tails(_lot_tails(level, self.N))
+            tails = by_level[level] = _Tails(_lot_tails(level, self.N))
         return tails
 
     def _tolerances(self, n: int) -> tuple:
         """The kernel's error bounds on both tails of plans of at most n
-        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws."""
-        if self.N is None and n != self.n_max:
-            return tuple(float(_tail_tolerance(n, p)) for p in self.levels)
-        return self.alpha_tol, self.beta_tol
+        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws,
+        kept by n."""
+        if self.N is not None:
+            return self.alpha_tol, self.beta_tol
+        tols = self._binomial_tols.get(n)
+        if tols is None:
+            tols = self._binomial_tols[n] = _binomial_tolerances(n, self.levels)
+        return tols
 
     def exact_alpha(self, n: int, c: int) -> Fraction:
         return 1 - _exact_acceptance(c, n, self.levels[0], self.N)
@@ -259,8 +287,8 @@ class _LotRule:
         alpha_tol, beta_tol = self._tolerances(n)
         alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
         return RiskPair(
-            alpha=_reported(alpha, alpha_tol, lambda: self.exact_alpha(n, c)),
-            beta=_reported(beta, beta_tol, lambda: self.exact_beta(n, c)),
+            alpha=_reported(alpha, alpha_tol, self.exact_alpha, n, c),
+            beta=_reported(beta, beta_tol, self.exact_beta, n, c),
         )
 
     def admits(self, n: int, c: int) -> bool:
@@ -274,46 +302,35 @@ class _LotRule:
         admits acceptance number c (None if none does), given that no n
         below n_from does.  Beta(n, c) does not increase with n, so a gallop
         from ``hint`` (or n_from) brackets the answer and a bisection closes
-        the bracket; the hint moves only where the search starts.  Like
-        ``largest_beta_c``, it compares with the tie band inline."""
+        the bracket; the hint moves only where the search starts.  One loop
+        evaluates each probe and compares with the tie band inline, like
+        ``largest_beta_c``: a hint that is the answer costs two tails."""
         tails, core = self.beta_tails, self.beta_tails.core
         lo, hi, exact = self.beta_bound
-
-        def admits(n):
-            beta = tails[c, n] = core(c, n)
-            return beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact)
-
+        n_max = self.n_max
         # no n <= c admits c: such a sample accepts every lot
         failing, admitted = max(n_from, c + 1) - 1, None
-        if failing >= self.n_max:
+        if failing >= n_max:
             return None
-        n = failing + 1 if hint is None else min(max(hint, failing + 1), self.n_max)
-        step = 1
-        if admits(n):  # gallop down to a failing n or to the known one
-            admitted = n
-            while admitted - step > failing:
-                n = admitted - step
-                if not admits(n):
-                    failing = n
-                    break
-                admitted, step = n, 2 * step
-        else:  # gallop up to an admitted n, or to a failing n_max
-            failing = n
-            while admitted is None:
-                n = min(failing + step, self.n_max)
-                if n == failing:
-                    return None
-                if admits(n):
-                    admitted = n
-                else:
-                    failing, step = n, 2 * step
-        while admitted - failing > 1:
-            n = (failing + admitted) // 2
-            if admits(n):
+        n = failing + 1 if hint is None else min(max(hint, failing + 1), n_max)
+        step, failed = 1, False
+        while True:
+            beta = tails[c, n] = core(c, n)
+            if beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact):
                 admitted = n
             else:
-                failing = n
-        return admitted
+                failing, failed = n, True
+            if admitted is None:  # gallop up to an admitted n, or to a failing n_max
+                if n == n_max:
+                    return None
+                n = min(failing + step, n_max)
+            elif not failed and admitted - step > failing:  # gallop down to a failing n
+                n = admitted - step
+            elif admitted - failing > 1:  # bisect the bracket
+                n = (failing + admitted) // 2
+            else:
+                return admitted
+            step *= 2
 
     def largest_beta_c(self, n: int, c: int = -1) -> int:
         """The largest acceptance number at n that the consumers' bound
@@ -331,8 +348,15 @@ class _LotRule:
         return c
 
     def admits_alpha(self, n: int, c: int) -> bool:
-        alpha = 1.0 - self.alpha_tails[c, n]
-        return self.alpha_bound.admits(alpha, lambda: self.exact_alpha(n, c))
+        """Whether the producers' bound admits (n, c), compared with the tie
+        band inline."""
+        tails = self.alpha_tails
+        accept = tails.get((c, n))
+        if accept is None:
+            accept = tails[c, n] = tails.core(c, n)
+        alpha = 1.0 - accept
+        lo, hi, exact = self.alpha_bound
+        return alpha <= lo or (alpha <= hi and self.exact_alpha(n, c) <= exact)
 
     def admits_pointwise(self, n: int, c: int, at_aql: Fraction, at_lq: Fraction) -> bool:
         """Whether (n, c) accepts a finite lot with probability at most

@@ -20,6 +20,7 @@ from midsampling import (
 )
 from midsampling.kernel import (
     _BULK_BLOCK,
+    _binomial_tolerances,
     _clamp_probability,
     _hypergeometric_cdf_bulk,
     _lot_tails,
@@ -278,7 +279,7 @@ class TestDocumentedErrorBound:
             p = Fraction(rng.randint(1, 999), 1000)
             c = rng.randint(0, min(n, 8))
             want = exact_binomial_tail(c, n, p)
-            assert abs(binomial_cdf(c, n, float(p)) - want) <= _tail_tolerance(n, p), (c, n, p)
+            assert abs(binomial_cdf(c, n, float(p)) - want) <= _binomial_tolerances(n, (p,))[0], (c, n, p)
 
     def test_tolerance_is_tight_enough_to_matter(self):
         assert _tail_tolerance(25) < 1e-11
@@ -287,7 +288,7 @@ class TestDocumentedErrorBound:
     @pytest.mark.parametrize("p", [Fraction(1, 10**400), Fraction(10**21 - 1, 10**21)])
     def test_tolerance_at_levels_that_round_to_0_or_1(self, p):
         # float(p) is 0.0 or 1.0; ln p and ln(1 - p) come from the exact ratio
-        assert 0 < _tail_tolerance(100, p) < 1e-8
+        assert 0 < _binomial_tolerances(100, (p,))[0] < 1e-8
 
     def test_tolerance_of_one_lot_equals_the_array_path(self):
         # the tie band of a lot rule (scalar N) and of a scheme row (arrays)

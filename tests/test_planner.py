@@ -14,6 +14,7 @@ from midsampling import (
     QualitySpec,
     RiskBounds,
     binomial_cdf,
+    compare_interpretations,
     interpolated_acceptance_curve,
     is_admissible,
     max_acceptance_number,
@@ -23,6 +24,7 @@ from midsampling import (
     risk_pair,
     welmec_admissible_pointwise,
 )
+from midsampling import planner, risks
 
 from exact_oracle import exact_hypergeometric_tail, exact_optimal_plan, realized_counts
 
@@ -305,6 +307,90 @@ class TestPlanTable:
             cuts = sorted({1, *range(1 + phase, 601, 20), 601})
             parts = [plan_table(lo, hi - 1, spec, bounds).to_csv() for lo, hi in zip(cuts, cuts[1:])]
             assert parts[0] + "".join(part.split("\n", 1)[1] for part in parts[1:]) == text
+
+    @pytest.mark.parametrize(
+        "spec, bounds",
+        [(QualitySpec(), RiskBounds()), (QualitySpec("3/200", "2/25"), RiskBounds("0.05", "0.10"))],
+        ids=["default", "1.5-8"],
+    )
+    @pytest.mark.parametrize(
+        "lo, hi", [(16_370, 16_400), (99_990, 100_020), (30_000, 30_100)],
+        ids=["small-view-edge", "table-edge", "mid"],
+    )
+    def test_rows_across_the_log_factorial_views(self, spec, bounds, lo, hi):
+        # a row takes tol(N) from the table's one array call and its realized
+        # levels from its rule's counts; across the 2**14 and 100 002 edges of
+        # the log-factorial views it equals the plan found on its own
+        for N, result in plan_table(lo, hi, spec, bounds):
+            assert result == optimal_plan(LotSize(N), spec, bounds), N
+
+
+@pytest.fixture
+def count_tolerances(monkeypatch):
+    """Call it to start counting: it returns a list that receives, for each
+    tolerance the lot rules compute from then on, "array" or "scalar" for
+    tol(N) and "binomial" for the pair tol(n, p) of both levels."""
+    calls = []
+    tail_tolerance, binomial_tolerances = risks._tail_tolerance, risks._binomial_tolerances
+
+    def counting_tail(N):
+        calls.append("array" if isinstance(N, np.ndarray) else "scalar")
+        return tail_tolerance(N)
+
+    def counting_binomial(n, ps):
+        calls.append("binomial")
+        return binomial_tolerances(n, ps)
+
+    def start() -> list:
+        monkeypatch.setattr(risks, "_tail_tolerance", counting_tail)
+        monkeypatch.setattr(risks, "_binomial_tolerances", counting_binomial)
+        return calls
+
+    return start
+
+
+class TestWorkPins:
+    """What a table row and a cold plan compute, counted: each pin fails if
+    the work it guards is done again."""
+
+    def test_warm_rows_evaluate_thirteen_tails(self, count_core_evaluations, monkeypatch):
+        # c* = 3 at these lots: two tails per c for its n_beta(c) at the
+        # previous row's, one producers' tail per c and one tail past c*
+        per_row, search = [], planner._search
+
+        def counted_search(*args, **kwargs):
+            before = len(evaluations)
+            found = search(*args, **kwargs)
+            per_row.append(len(evaluations) - before)
+            return found
+
+        monkeypatch.setattr(planner, "_search", counted_search)
+        evaluations = count_core_evaluations()
+        table = plan_table(30_000, 30_400)
+        assert {result.plan.c for _, result in table} == {3}
+        assert len(per_row) == 401 and set(per_row[1:]) == {13}
+
+    def test_table_tails_from_one(self, count_core_evaluations):
+        evaluations = count_core_evaluations()
+        plan_table(1, 2000)
+        assert len(evaluations) == 19_937
+
+    def test_a_table_takes_tol_from_one_array_call(self, count_tolerances):
+        calls = count_tolerances()
+        plan_table(1, 500)
+        plan_table(99_990, 100_020, QualitySpec("1/50", "1/10"), RiskBounds("0.10", "0.05"))
+        assert calls == ["array", "array"]
+
+    def test_binomial_tolerances_once_per_sample_size(self, count_tolerances):
+        # the tie band at the scan cap and the reported risks at n*, each
+        # pair computed once; a compare at infinity adds only the candidate
+        # sample sizes its reference plan did not have
+        calls = count_tolerances()
+        assert optimal_plan(INFINITE_LOT).plan == Plan(109, 3)
+        assert calls == ["binomial"] * 2
+        calls.clear()
+        compare_interpretations(INFINITE_LOT, candidate_plans=[Plan(109, 3), Plan(108, 3)])
+        assert calls == ["binomial"] * 3
 
 
 class TestBruteForceOracle:

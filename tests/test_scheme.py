@@ -27,7 +27,7 @@ from midsampling import (
     validate_scheme,
     validation_report_csv,
 )
-from midsampling.kernel import _tail_tolerance
+from midsampling.kernel import _binomial_tolerances, _tail_tolerance
 
 from exact_oracle import decimal, exact_binomial_tail, exact_hypergeometric_tail, realized_counts
 
@@ -255,7 +255,7 @@ class TestRunEnds:
             if res.row.n_to is None:  # the binomial limit
                 alphas[None] = 1 - exact_binomial_tail(rule.c, rule.value, decimal(aql))
                 betas[None] = exact_binomial_tail(rule.c, rule.value, decimal(lq))
-                tol = max(tol, *(float(_tail_tolerance(rule.value, decimal(p))) for p in (aql, lq)))
+                tol = max(tol, *_binomial_tolerances(rule.value, (decimal(aql), decimal(lq))))
             assert res.admissible == (
                 max(alphas.values()) <= decimal(alpha_max)
                 and max(betas.values()) <= decimal(beta_max)
