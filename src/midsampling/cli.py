@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .kernel import LotSize, Plan, as_exact_level
+from .kernel import LotSize, Plan, as_exact_level, _check_count
 from .planner import DEFAULT_SCAN_CAP, NoPlanWithinCapError, optimal_plan, plan_table
 from .render import RENDERERS, render
 from .risks import QualitySpec, RiskBounds, monte_carlo_acceptance, oc_curve
@@ -103,7 +103,7 @@ def _resolve_config(args: argparse.Namespace, default_cap: Optional[int] = None)
         bounds=bounds,
         fmt=pick(getattr(args, "format", None), "format", str, "text"),
         output=getattr(args, "output", None),
-        seed=pick(getattr(args, "seed", None), "seed", int, None),
+        seed=pick(getattr(args, "seed", None), "seed", _parse_seed, None),
         n_cap=pick(getattr(args, "n_cap", None), "n_cap", int, default_cap),
     )
 
@@ -131,6 +131,13 @@ def _parse_level(token: str, what: str = "quality level") -> Fraction:
 
 def _parse_bound(token: str) -> Fraction:
     return _parse_level(token, "risk bound")
+
+
+def _parse_seed(token: str) -> int:
+    try:
+        return _check_count("seed", int(token))
+    except ValueError as exc:
+        raise UsageError(f"invalid seed {token!r}: {exc}") from exc
 
 
 def _parse_candidates(token: str) -> list:
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=_parse_level, required=True,
                        help="quality level (decimal or fraction)")
     p_sim.add_argument("--trials", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_parse_seed, default=None)
     _add_common(p_sim, "simulation")
     p_sim.set_defaults(func=_cmd_simulate)
 

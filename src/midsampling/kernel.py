@@ -20,7 +20,8 @@ A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
 (1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
 a log term sums at most nine log-factorials, each at most ln N! and within
 a few ulps, and exponentiation turns that error into a relative error of
-terms that sum to at most 1.
+terms that sum to at most 1.  tol(N) and the binomial bounds are stdlib
+floats, so no scalar decision path uses numpy.
 """
 
 from __future__ import annotations
@@ -100,10 +101,11 @@ def _log_factorial_array(N: int) -> np.ndarray:
     return table
 
 
-def _tail_tolerance(N):
-    """A-priori bound on |computed - exact| for any tail of a lot of N items;
-    N may be an integer array."""
-    return _ERROR_PER_LOG_UNIT * (1.0 + N * np.log1p(N))  # N ln(N+1) >= ln N!
+def _tail_tolerance(N: int) -> float:
+    """A-priori bound on |computed - exact| for any tail of a lot of N items,
+    the one tol(N) of every path.  It does not decrease with N, so tol of a
+    range's largest lot covers every lot of the range."""
+    return _ERROR_PER_LOG_UNIT * (1.0 + N * math.log1p(N))  # N ln(N+1) >= ln N!
 
 
 def _binomial_tolerances(n: int, ps) -> tuple:
@@ -111,7 +113,7 @@ def _binomial_tolerances(n: int, ps) -> tuple:
     draws at each exact proportion p of ps, as floats, with n ln(n+1) taken
     once for all of them.  ln p and ln(1 - p) come from the exact ratio of
     p, so a proportion within an ulp of 0 or 1 still has them."""
-    scale = float(n * np.log1p(n))  # >= ln n!, the largest log-factorial a term uses
+    scale = n * math.log1p(n)  # >= ln n!, the largest log-factorial a term uses
     tols = []
     for p in ps:
         a, b = p.as_integer_ratio()
@@ -153,12 +155,13 @@ def as_exact_level(value: LevelLike) -> Fraction:
         raise ValueError(f"level {value!r} has a zero denominator") from exc
 
 
-def _check_count(name: str, value) -> int:
+def _check_count(name: str, value, least: int = 0) -> int:
+    """``value`` as an int, or ValueError unless it is a whole number >= least."""
     if isinstance(value, bool) or value != int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -179,9 +182,7 @@ class LotSize:
 
     def __post_init__(self):
         if self.count is not None:
-            object.__setattr__(self, "count", _check_count("lot size", self.count))
-            if self.count < 1:
-                raise ValueError("finite lot size must be >= 1")
+            object.__setattr__(self, "count", _check_count("lot size", self.count, 1))
 
     @property
     def is_finite(self) -> bool:
@@ -398,9 +399,7 @@ def _defect_count(p: LevelLike, N: int) -> tuple:
 
 
 def _checked_interpolation_args(n: int, N, p) -> tuple:
-    N = _check_count("N", N)
-    if N < 1:
-        raise ValueError("lot size N must be >= 1")
+    N = _check_count("lot size N", N, 1)
     if n > N:
         raise ValueError(f"sample size n={n} exceeds lot size N={N}")
     pN, count = _defect_count(p, N)

@@ -30,7 +30,6 @@ from .risks import (
     RiskPair,
     _check_plan,
     _LotRule,
-    _lot_tolerances,
     _realized_levels,
 )
 
@@ -142,16 +141,15 @@ def _poisson_ratio(ln_beta: float) -> float:
 
 def _search(
     lot: LotSize, spec, bounds: RiskBounds, scan_cap: int = DEFAULT_SCAN_CAP,
-    hints: Sequence[int] = (), tol: Optional[float] = None,
+    hints: Sequence[int] = (),
 ) -> tuple:
     """The optimal plan for a LotSize of N items, with n <= N (n <=
     ``scan_cap`` for an infinite lot), the n_beta(c) it found on the way and
-    the lot rule it built, which takes ``tol`` as its tol(N).  The search
-    for n_beta(c) starts at ``hints[c]``, n_beta(c) of a nearby lot, or else
-    at a closed-form estimate for c = 0, at the Poisson ratio from
-    n_beta(0) for c = 1 and where the previous two n_beta point for c >= 2;
-    a start never changes the answer."""
-    rule = _LotRule(lot, spec, lot.count if lot.is_finite else scan_cap, bounds, tol)
+    the lot rule it built.  The search for n_beta(c) starts at ``hints[c]``,
+    n_beta(c) of a nearby lot, or else at a closed-form estimate for c = 0,
+    at the Poisson ratio from n_beta(0) for c = 1 and where the previous two
+    n_beta point for c >= 2; a start never changes the answer."""
+    rule = _LotRule(lot, spec, lot.count if lot.is_finite else scan_cap, bounds)
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
         beta_num, beta_den = bounds.beta_max.as_integer_ratio()
@@ -192,15 +190,14 @@ def plan_table(
     """Optimal plans for every lot size N in [n_min, n_max].
 
     n_beta(c) moves by at most a step or so from one lot size to the next,
-    so each lot's search starts from the previous lot's, with the tol(N)
-    of every lot from one array call; every row equals ``optimal_plan`` of
-    its lot.
+    so each lot's search starts from the previous lot's; every row equals
+    ``optimal_plan`` of its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
     rows, hints = [], ()
-    for N, tol in zip(range(n_min, n_max + 1), _lot_tolerances(n_min, n_max)):
-        result, hints, _ = _search(LotSize(N), spec, bounds, hints=hints, tol=tol)
+    for N in range(n_min, n_max + 1):
+        result, hints, _ = _search(LotSize(N), spec, bounds, hints=hints)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

@@ -177,15 +177,16 @@ class _Bound(NamedTuple):
     in which a float risk is too close to call.  The one rule behind every
     admissibility decision: a float risk at or below ``lo`` is admitted,
     one above ``hi`` is not, and one in between is settled by its exact
-    value, so that a risk of exactly 1/20 meets a bound of 0.05.  ``lo`` and
-    ``hi`` may be arrays; hot loops unpack the fields and compare inline."""
+    value, so that a risk of exactly 1/20 meets a bound of 0.05.  A band
+    wider than the kernel's error only settles more risks exactly.  Hot
+    loops unpack the fields and compare inline."""
 
     lo: float
     hi: float
     exact: Fraction
 
     @classmethod
-    def around(cls, bound: Fraction, tol) -> "_Bound":
+    def around(cls, bound: Fraction, tol: float) -> "_Bound":
         nearest = bound.numerator / bound.denominator
         return cls(nearest - tol, nearest + tol, bound)
 
@@ -214,33 +215,25 @@ class _Tails(dict):
         return tail
 
 
-def _lot_tolerances(lo: int, hi: int) -> list:
-    """tol(N) of every lot lo <= N <= hi from one array call: the floats a
-    lot rule computes for one lot, which it takes as ``tol``."""
-    return _tail_tolerance(np.arange(lo, hi + 1)).tolist()
-
-
 class _LotRule:
     """Both risks of plans (n, c) against one lot and their bounds, resolved
     once for many plans, with the planner's three search steps and the
     pointwise WELMEC decision.  Sample sizes run up to n_max, which also
     widens the band of binomial tails.  Each tail is evaluated once in the
     rule's lifetime, so the reported risks of a search's plan reuse the
-    tails it computed, and so does the pointwise decision.  ``tol``, tol(N)
-    of a finite lot, may come from ``_lot_tolerances``."""
+    tails it computed, and so does the pointwise decision."""
 
     _tails_by_level = None  # built when the pointwise decision first asks
 
     def __init__(
-        self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds(),
-        tol: Optional[float] = None,
+        self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds()
     ):
         self.n_max, self.N, self.spec = n_max, lot.count, spec
         if lot.is_finite:  # the core takes defect counts, or proportions as floats
             N = lot.count
             self.levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
             self.core_levels = self.levels
-            self.alpha_tol = self.beta_tol = float(_tail_tolerance(N)) if tol is None else tol
+            self.alpha_tol = self.beta_tol = _tail_tolerance(N)
         else:
             self.levels = (spec.p_aql, spec.p_lq)
             self.core_levels = (float(spec.p_aql), float(spec.p_lq))
@@ -434,7 +427,8 @@ def _row_risks(
     (X = K - Y, Y the defects among the k items left out).  So every lot's
     exact risk is at most the larger exact risk at its run's two ends, the
     decision over the ends alone is the exact decision over every lot, and
-    the cost grows with the number of runs, not of lots.
+    the cost grows with the number of runs, not of lots.  One tie band per
+    side, tol(hi) wide, covers the error of every lot's tail.
 
     Returns the fields of ``scheme.RowValidation`` other than ``row``, each
     ``*_at`` the first lot, in N order, whose float risk is extreme;
@@ -452,7 +446,7 @@ def _row_risks(
             return exact if ceil else 1 - exact
 
         risks = accept if ceil else 1.0 - accept
-        admitted = _Bound.around(bound, _tail_tolerance(lots)).admits_each(risks, exact_risk)
+        admitted = _Bound.around(bound, _tail_tolerance(hi)).admits_each(risks, exact_risk)
         return lots, risks, bool(admitted.all())
 
     sides = {
@@ -557,9 +551,7 @@ def monte_carlo_acceptance(
     """
     lot = LotSize.of(lot)
     _check_plan(plan, lot)
-    trials = _check_count("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     if lot.is_finite:
         N, width = lot.count, 1

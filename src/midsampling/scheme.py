@@ -240,9 +240,7 @@ def _row_plan(index: int, row: SchemeRow, N: int) -> Plan:
 
 def scheme_lookup(N: int, scheme: Scheme) -> Plan:
     """Plan prescribed by the scheme for a lot of size N."""
-    N = _check_count("lot size N", N)
-    if N < 1:
-        raise ValueError("lot size must be >= 1")
+    N = _check_count("lot size", N, 1)
     # the rows cover [1, inf) contiguously, so the first not ending below N holds it
     for index, row in enumerate(scheme.rows):
         if row.n_to is None or N <= row.n_to:

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import midsampling
+from midsampling import INFINITE_LOT, LotSize, Plan, kernel, risks
 
 # The public API, pinned: adding or removing a name is a visible diff here.
 PUBLIC_NAMES = [
@@ -103,3 +104,28 @@ def test_internal_import_graph_is_pinned():
             numpy_users.add(path.stem)
     assert graph == PACKAGE_IMPORTS
     assert numpy_users == NUMPY_USERS
+
+
+class _NoNumpy:
+    """A stand-in for the numpy module that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on a scalar path")
+
+
+def test_scalar_paths_use_no_numpy(monkeypatch):
+    # the decisions and reports that need no array: plans (one past the
+    # log-factorial table), a table, comparisons, risks, pointwise WELMEC,
+    # the infinite-lot OC curve and a scheme lookup
+    monkeypatch.setattr(kernel, "np", _NoNumpy())
+    monkeypatch.setattr(risks, "np", _NoNumpy())
+    for lot in (LotSize(258), LotSize(10**6), INFINITE_LOT):
+        midsampling.optimal_plan(lot)
+    assert len(midsampling.plan_table(1, 300)) == 300
+    midsampling.compare_interpretations(LotSize(143), candidate_plans=[Plan(51, 1)])
+    midsampling.compare_interpretations(INFINITE_LOT, candidate_plans=[Plan(109, 3)])
+    assert midsampling.is_admissible(Plan(57, 1), LotSize(258))
+    midsampling.risk_pair(Plan(57, 1), LotSize(258))
+    midsampling.welmec_admissible_pointwise(Plan(57, 1), LotSize(258))
+    assert len(midsampling.oc_curve(Plan(109, 3), INFINITE_LOT)) == 151
+    assert midsampling.scheme_lookup(22, midsampling.default_mid_scheme()) == Plan(18, 0)

@@ -107,6 +107,11 @@ class TestPlanCommand:
         assert code == 2
         assert "lot size" in err
 
+    def test_negative_lot_size(self, capsys):
+        code, out, err = run(capsys, "plan", "--lot-size", "-3")
+        assert code == 2
+        assert out == "" and "lot size must be >= 1, got -3" in err
+
     def test_no_plan_within_cap(self, capsys):
         code, _, err = run(capsys, "plan", "--lot-size", "inf", "--n-cap", "50")
         assert code == 3
@@ -432,6 +437,21 @@ class TestSimulateCommand:
         assert code == 0
         deviation = float(out.split("deviation=")[1].split()[0])
         assert abs(deviation) <= 4.0
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        argv = ["simulate", "--n", "34", "--c", "0", "--lot-size", "inf",
+                "--p", "0.03", "--trials", "100"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--seed", "-1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: invalid seed '-1': seed must be >= 0, got -1" in captured.err
+        config = tmp_path / "run.conf"
+        config.write_text("seed = -3\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert out == "" and "config key 'seed': invalid seed '-3': seed must be >= 0" in err
 
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, "simulate", "--n", "34", "--c", "0",

@@ -290,16 +290,15 @@ class TestDocumentedErrorBound:
         # float(p) is 0.0 or 1.0; ln p and ln(1 - p) come from the exact ratio
         assert 0 < _binomial_tolerances(100, (p,))[0] < 1e-8
 
-    def test_tolerance_of_one_lot_equals_the_array_path(self):
-        # the tie band of a lot rule (scalar N) and of a scheme row (arrays)
-        # must be the same floats; math.log1p in place of numpy's would
-        # differ in the last ulp for thousands of N
+    def test_tolerance_does_not_decrease_with_the_lot(self):
+        # a scheme row bands every lot with tol of its largest one
         grid = np.unique(np.concatenate([
             np.arange(1, 20_001), np.linspace(20_001, 10**6, 20_000).astype(np.int64)
-        ]))
-        bulk = _tail_tolerance(grid)
-        scalar = np.array([_tail_tolerance(N) for N in grid.tolist()])
-        assert bulk.tobytes() == scalar.tobytes()
+        ])).tolist()
+        tols = [_tail_tolerance(N) for N in grid]
+        assert all(type(tol) is float for tol in tols)
+        assert all(a <= b for a, b in zip(tols, tols[1:]))
+        assert math.isfinite(_tail_tolerance(2**70))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +479,7 @@ class TestPlanAndLotTypes:
     def test_lot_size_validation(self):
         from midsampling import INFINITE_LOT, LotSize
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lot size must be >= 1, got 0"):
             LotSize(0)
         assert LotSize.of("inf") == INFINITE_LOT
         assert LotSize.of(258).count == 258
@@ -530,6 +529,23 @@ class TestPlanAndLotTypes:
             monte_carlo_acceptance(Plan(5, 0), INFINITE_LOT, 0.01, 2.5, 1)
         with pytest.raises(ValueError):
             validate_scheme(default_mid_scheme(), n_cap=20000.5)
+
+    def test_counts_report_their_least_valid_value(self):
+        from midsampling import (
+            INFINITE_LOT,
+            LotSize,
+            default_mid_scheme,
+            monte_carlo_acceptance,
+            scheme_lookup,
+        )
+
+        with pytest.raises(ValueError, match="lot size must be >= 1, got -3"):
+            LotSize(-3)
+        with pytest.raises(ValueError, match="lot size must be >= 1, got -3"):
+            scheme_lookup(-3, default_mid_scheme())
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+                monte_carlo_acceptance(Plan(5, 0), INFINITE_LOT, 0.01, trials, 1)
 
 
 def test_import_does_not_load_scipy():

@@ -318,9 +318,9 @@ class TestPlanTable:
         ids=["small-view-edge", "table-edge", "mid"],
     )
     def test_rows_across_the_log_factorial_views(self, spec, bounds, lo, hi):
-        # a row takes tol(N) from the table's one array call and its realized
-        # levels from its rule's counts; across the 2**14 and 100 002 edges of
-        # the log-factorial views it equals the plan found on its own
+        # a row takes its realized levels from its rule's counts; across the
+        # 2**14 and 100 002 edges of the log-factorial views it equals the
+        # plan found on its own
         for N, result in plan_table(lo, hi, spec, bounds):
             assert result == optimal_plan(LotSize(N), spec, bounds), N
 
@@ -328,13 +328,13 @@ class TestPlanTable:
 @pytest.fixture
 def count_tolerances(monkeypatch):
     """Call it to start counting: it returns a list that receives, for each
-    tolerance the lot rules compute from then on, "array" or "scalar" for
-    tol(N) and "binomial" for the pair tol(n, p) of both levels."""
+    tolerance the lot rules compute from then on, "scalar" for tol(N) and
+    "binomial" for the pair tol(n, p) of both levels."""
     calls = []
     tail_tolerance, binomial_tolerances = risks._tail_tolerance, risks._binomial_tolerances
 
     def counting_tail(N):
-        calls.append("array" if isinstance(N, np.ndarray) else "scalar")
+        calls.append("scalar")
         return tail_tolerance(N)
 
     def counting_binomial(n, ps):
@@ -375,11 +375,11 @@ class TestWorkPins:
         plan_table(1, 2000)
         assert len(evaluations) == 19_937
 
-    def test_a_table_takes_tol_from_one_array_call(self, count_tolerances):
+    def test_a_table_takes_one_scalar_tol_per_row(self, count_tolerances):
         calls = count_tolerances()
         plan_table(1, 500)
         plan_table(99_990, 100_020, QualitySpec("1/50", "1/10"), RiskBounds("0.10", "0.05"))
-        assert calls == ["array", "array"]
+        assert calls == ["scalar"] * (500 + 31)
 
     def test_binomial_tolerances_once_per_sample_size(self, count_tolerances):
         # the tie band at the scan cap and the reported risks at n*, each

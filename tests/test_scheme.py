@@ -251,7 +251,7 @@ class TestRunEnds:
                 k_alpha, k_beta = realized_counts(N, aql, lq)
                 alphas[N] = 1 - exact_hypergeometric_tail(rule.c, n, k_alpha, N)
                 betas[N] = exact_hypergeometric_tail(rule.c, n, k_beta, N)
-            tol = float(_tail_tolerance(hi))
+            tol = _tail_tolerance(hi)
             if res.row.n_to is None:  # the binomial limit
                 alphas[None] = 1 - exact_binomial_tail(rule.c, rule.value, decimal(aql))
                 betas[None] = exact_binomial_tail(rule.c, rule.value, decimal(lq))
