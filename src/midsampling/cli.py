@@ -104,7 +104,7 @@ def _resolve_config(args: argparse.Namespace, default_cap: Optional[int] = None)
         fmt=pick(getattr(args, "format", None), "format", str, "text"),
         output=getattr(args, "output", None),
         seed=pick(getattr(args, "seed", None), "seed", _parse_seed, None),
-        n_cap=pick(getattr(args, "n_cap", None), "n_cap", int, default_cap),
+        n_cap=pick(getattr(args, "n_cap", None), "n_cap", _parse_cap, default_cap),
     )
 
 
@@ -133,11 +133,21 @@ def _parse_bound(token: str) -> Fraction:
     return _parse_level(token, "risk bound")
 
 
-def _parse_seed(token: str) -> int:
-    try:
-        return _check_count("seed", int(token))
-    except ValueError as exc:
-        raise UsageError(f"invalid seed {token!r}: {exc}") from exc
+def _count_reader(what: str, least: int = 0):
+    """A reader of a count of ``what``, a whole number >= least; argparse or
+    the config reader prefixes its usage error with the flag or key."""
+    def parse(token: str) -> int:
+        try:
+            return _check_count(what, int(token), least)
+        except ValueError as exc:
+            raise UsageError(f"invalid {what} {token!r}: {exc}") from exc
+    return parse
+
+
+_parse_seed = _count_reader("seed")
+_parse_cap = _count_reader("cap")
+_parse_sample_size = _count_reader("sample size n", 1)
+_parse_lot_count = _count_reader("lot size", 1)
 
 
 def _parse_candidates(token: str) -> list:
@@ -146,7 +156,7 @@ def _parse_candidates(token: str) -> list:
         part = part.strip()
         try:
             n_text, _, c_text = part.partition(":")
-            plans.append(Plan(int(n_text), int(c_text)))
+            plans.append(Plan(_check_count("sample size n", int(n_text), 1), int(c_text)))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"invalid candidate plan {part!r} (expected n:c): {exc}") from exc
     return plans
@@ -278,21 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="optimal plan for one lot size")
     p_plan.add_argument("--lot-size", required=True, help="positive integer or 'inf'")
-    p_plan.add_argument("--n-cap", type=int, default=None,
+    p_plan.add_argument("--n-cap", type=_parse_cap, default=None,
                         help="sample-size scan cap for infinite lots")
     _add_levels(p_plan)
     _add_common(p_plan, "plan")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_table = sub.add_parser("table", help="optimal plans for a range of lot sizes (CSV)")
-    p_table.add_argument("--from", dest="n_min", type=int, required=True)
-    p_table.add_argument("--to", dest="n_max", type=int, required=True)
+    p_table.add_argument("--from", dest="n_min", type=_parse_lot_count, required=True)
+    p_table.add_argument("--to", dest="n_max", type=_parse_lot_count, required=True)
     _add_levels(p_table)
     _add_common(p_table, None)
     p_table.set_defaults(func=_cmd_table)
 
     p_oc = sub.add_parser("oc", help="operating characteristic curve data")
-    p_oc.add_argument("--n", type=int, required=True)
+    p_oc.add_argument("--n", type=_parse_sample_size, required=True)
     p_oc.add_argument("--c", type=int, required=True)
     p_oc.add_argument("--lot-size", required=True)
     _add_common(p_oc, "oc")
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scheme.add_argument("--builtin", action="store_true", help="use the built-in scheme")
     p_scheme.add_argument("--file", default=None, help="scheme file to load")
     p_scheme.add_argument("--lot-size", default=None, help="lot size for lookup")
-    p_scheme.add_argument("--n-cap", type=int, default=None,
+    p_scheme.add_argument("--n-cap", type=_parse_cap, default=None,
                           help="largest lot size checked for the unbounded row")
     _add_levels(p_scheme)
     _add_common(p_scheme, "validation")
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=_cmd_compare)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo acceptance estimate")
-    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--n", type=_parse_sample_size, required=True)
     p_sim.add_argument("--c", type=int, required=True)
     p_sim.add_argument("--lot-size", required=True)
     p_sim.add_argument("--p", type=_parse_level, required=True,

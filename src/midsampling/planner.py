@@ -12,6 +12,14 @@ consumers' bound admits, which has the smallest producers' risk.  The lot
 rule in ``risks`` makes every decision exactly, so this argument holds
 exactly.  It evaluates each tail of its lot once, so the plan's reported
 risks are tails the search already computed.
+
+A table moves one lot rule from lot to lot and starts each search for
+n_beta(c) at the previous lot's, which is also a floor inside a run of lots
+with one realized LQ count K = ceil(p_lq*N): for fixed (n, c, K) the exact
+acceptance does not decrease with N (the likelihood-ratio ordering that
+``risks._row_risks`` relies on), so every n refused at N - 1 is refused at
+N.  Where K steps up, acceptance falls and n_beta(c) may fall with it.  The
+floor skips only probes whose exact decision is known: it changes none.
 """
 
 from __future__ import annotations
@@ -108,7 +116,7 @@ def optimal_plan(
     succeed (full inspection is admissible); infinite lots raise
     :class:`NoPlanWithinCapError` when n* would exceed ``scan_cap``.
     """
-    return _search(LotSize.of(lot), spec, bounds, _check_count("scan_cap", scan_cap))[0]
+    return _search(_LotRule(LotSize.of(lot), spec, _check_count("scan_cap", scan_cap), bounds))[0]
 
 
 def _zero_c_start(rule: _LotRule, ln_beta: float) -> int:
@@ -139,26 +147,25 @@ def _poisson_ratio(ln_beta: float) -> float:
     return m / m0
 
 
-def _search(
-    lot: LotSize, spec, bounds: RiskBounds, scan_cap: int = DEFAULT_SCAN_CAP,
-    hints: Sequence[int] = (),
-) -> tuple:
-    """The optimal plan for a LotSize of N items, with n <= N (n <=
-    ``scan_cap`` for an infinite lot), the n_beta(c) it found on the way and
-    the lot rule it built.  The search for n_beta(c) starts at ``hints[c]``,
-    n_beta(c) of a nearby lot, or else at a closed-form estimate for c = 0,
-    at the Poisson ratio from n_beta(0) for c = 1 and where the previous two
-    n_beta point for c >= 2; a start never changes the answer."""
-    rule = _LotRule(lot, spec, lot.count if lot.is_finite else scan_cap, bounds)
+def _search(rule: _LotRule, hints: Sequence[int] = (), floors: bool = False) -> tuple:
+    """The optimal plan for the lot of ``rule``, with n <= rule.n_max, and
+    the n_beta(c) it found on the way.  The search for n_beta(c) starts at
+    ``hints[c]``, n_beta(c) of the previous lot, or else at a closed-form
+    estimate for c = 0, at the Poisson ratio from n_beta(0) for c = 1 and
+    where the previous two n_beta point for c >= 2; a start never changes
+    the answer.  Given ``floors``, no n below ``hints[c]`` admits c at
+    this lot, so the search for n_beta(c) starts no lower."""
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
-        beta_num, beta_den = bounds.beta_max.as_integer_ratio()
+        beta_num, beta_den = rule.bounds.beta_max.as_integer_ratio()
         ln_beta = math.log(beta_num) - math.log(beta_den)  # finite for any bound
     n_betas = []
     n = 1
     for c in itertools.count():
         if c < len(hints):
             hint = hints[c]
+            if floors and hint > n:
+                n = hint
         elif c >= 2:  # n_beta(c) grows about linearly in c
             hint = 2 * n - n_betas[-2]
         elif c == 0:
@@ -172,13 +179,22 @@ def _search(
         if rule.admits_alpha(n, c):
             c = rule.largest_beta_c(n, c)
             realized = _realized_levels(rule.levels, rule.N)
-            result = PlanResult(plan=Plan(n, c), risks=rule.risks(n, c), realized=realized)
-            return result, n_betas, rule
+            return _result(n, c, rule.risks(n, c), realized), n_betas
+    spec, bounds = rule.spec, rule.bounds
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {rule.n_max} "
         f"for quality levels ({spec.p_aql}, {spec.p_lq}) "
         f"and risk bounds ({bounds.alpha_max}, {bounds.beta_max})"
     )
+
+
+def _result(n: int, c: int, risks: RiskPair, realized: RealizedLevels) -> PlanResult:
+    """PlanResult of plan (n, c) without the public checks, which the
+    search has proved: 1 <= n and 0 <= c <= n <= N."""
+    plan, result = object.__new__(Plan), object.__new__(PlanResult)
+    plan.__dict__.update(n=n, c=c)
+    result.__dict__.update(plan=plan, risks=risks, realized=realized)
+    return result
 
 
 def plan_table(
@@ -189,15 +205,20 @@ def plan_table(
 ) -> PlanTable:
     """Optimal plans for every lot size N in [n_min, n_max].
 
-    n_beta(c) moves by at most a step or so from one lot size to the next,
-    so each lot's search starts from the previous lot's; every row equals
-    ``optimal_plan`` of its lot.
+    One lot rule moves from lot to lot.  Each search starts at the previous
+    lot's n_beta(c), a floor where the LQ count has not stepped: at fixed
+    (n, c, K) acceptance does not fall as N grows, but falls when K steps
+    up.  No decision changes: every row equals ``optimal_plan`` of its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
-    rows, hints = [], ()
-    for N in range(n_min, n_max + 1):
-        result, hints, _ = _search(LotSize(N), spec, bounds, hints=hints)
+    rule = _LotRule(LotSize(n_min), spec, n_min, bounds)
+    result, hints = _search(rule)
+    rows = [(n_min, result)]
+    for N in range(n_min + 1, n_max + 1):
+        lq_count = rule.levels[1]
+        rule.move_to(N)
+        result, hints = _search(rule, hints, floors=rule.levels[1] == lq_count)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

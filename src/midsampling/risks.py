@@ -218,19 +218,30 @@ class _Tails(dict):
 class _LotRule:
     """Both risks of plans (n, c) against one lot and their bounds, resolved
     once for many plans, with the planner's three search steps and the
-    pointwise WELMEC decision.  Sample sizes run up to n_max, which also
-    widens the band of binomial tails.  Each tail is evaluated once in the
-    rule's lifetime, so the reported risks of a search's plan reuse the
-    tails it computed, and so does the pointwise decision."""
-
-    _tails_by_level = None  # built when the pointwise decision first asks
+    pointwise WELMEC decision.  Sample sizes run up to N, or up to n_max at
+    an infinite lot, where n_max also widens the band of binomial tails.
+    Each tail is evaluated once while the rule is at its lot, so the
+    reported risks of a search's plan reuse the tails it computed, and so
+    does the pointwise decision.  A table moves one rule from lot to lot:
+    the spec, the bounds and their nearest floats stay."""
 
     def __init__(
         self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds()
     ):
-        self.n_max, self.N, self.spec = n_max, lot.count, spec
-        if lot.is_finite:  # the core takes defect counts, or proportions as floats
-            N = lot.count
+        self.spec, self.bounds = spec, bounds
+        alpha_max, beta_max = bounds.alpha_max, bounds.beta_max
+        self.nearest = (
+            alpha_max.numerator / alpha_max.denominator, beta_max.numerator / beta_max.denominator
+        )
+        self.move_to(lot.count, n_max)
+
+    def move_to(self, N: Optional[int], n_max: Optional[int] = None) -> None:
+        """Make this the rule of a lot of N items (None, with n_max, for an
+        infinite lot): the one way to set the fields of a lot, its realized
+        levels, its tolerances, its tails and its two tie bands."""
+        spec, bounds = self.spec, self.bounds
+        self.N, self.n_max, self._tails_by_level = N, n_max if N is None else N, None
+        if N is not None:  # the core takes defect counts, or proportions as floats
             self.levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
             self.core_levels = self.levels
             self.alpha_tol = self.beta_tol = _tail_tolerance(N)
@@ -239,10 +250,11 @@ class _LotRule:
             self.core_levels = (float(spec.p_aql), float(spec.p_lq))
             self._binomial_tols = {}
             self.alpha_tol, self.beta_tol = self._tolerances(n_max)
-        self.alpha_tails = _Tails(_lot_tails(self.core_levels[0], self.N))
-        self.beta_tails = _Tails(_lot_tails(self.core_levels[1], self.N))
-        self.alpha_bound = _Bound.around(bounds.alpha_max, self.alpha_tol)
-        self.beta_bound = _Bound.around(bounds.beta_max, self.beta_tol)
+        self.alpha_tails = _Tails(_lot_tails(self.core_levels[0], N))
+        self.beta_tails = _Tails(_lot_tails(self.core_levels[1], N))
+        (alpha, beta), alpha_tol, beta_tol = self.nearest, self.alpha_tol, self.beta_tol
+        self.alpha_bound = _Bound(alpha - alpha_tol, alpha + alpha_tol, bounds.alpha_max)
+        self.beta_bound = _Bound(beta - beta_tol, beta + beta_tol, bounds.beta_max)
 
     def tails(self, level) -> _Tails:
         """The tails at ``level``, a level as the core takes it, kept for the

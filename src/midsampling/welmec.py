@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .kernel import LotSize, Plan, _binomial_curve, interpolated_acceptance
-from .planner import PlanResult, _search
+from .planner import DEFAULT_SCAN_CAP, PlanResult, _search
 from .risks import QualitySpec, RiskBounds, RiskPair, _check_plan, _LotRule
 
 __all__ = [
@@ -136,7 +136,8 @@ def compare_interpretations(
     the rule's tails is evaluated twice.
     """
     lot = LotSize.of(lot)
-    reference, _, rule = _search(lot, spec, bounds)
+    rule = _LotRule(lot, spec, DEFAULT_SCAN_CAP, bounds)
+    reference = _search(rule)[0]
     evaluated = []
     for plan in candidate_plans:
         _check_plan(plan, lot)

@@ -14,9 +14,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 @pytest.fixture
 def count_core_evaluations(monkeypatch):
     """Call it to start counting: it returns a list that receives (level, c,
-    n) of every tail the scalar core evaluates from then on, in every module
-    of the package that calls it.  A tail read back from a lot rule's memory
-    is not an evaluation."""
+    n, N) of every tail the scalar core evaluates from then on, in every
+    module of the package that calls it, N the lot size (None for an
+    infinite lot).  A tail read back from a lot rule's memory is not an
+    evaluation."""
     from midsampling import kernel
 
     core = kernel._lot_tails
@@ -32,7 +33,7 @@ def count_core_evaluations(monkeypatch):
             tail = core(level, N)
 
             def counted(c, n):
-                evaluations.append((level, c, n))
+                evaluations.append((level, c, n, N))
                 return tail(c, n)
 
             return counted

@@ -117,6 +117,23 @@ class TestPlanCommand:
         assert code == 3
         assert "no admissible plan" in err
 
+    @pytest.mark.parametrize("command", [["plan", "--lot-size", "inf"],
+                                         ["scheme", "validate", "--builtin"]],
+                             ids=["plan", "scheme-validate"])
+    def test_negative_n_cap_names_the_flag_or_key(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--n-cap", "-5"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n-cap: invalid cap '-5': cap must be >= 0, got -5" in captured.err
+        assert "scan_cap" not in captured.err and "n_cap must" not in captured.err
+        config = tmp_path / "run.conf"
+        config.write_text("n_cap = -5\n")
+        code, out, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert out == "" and "config key 'n_cap': invalid cap '-5': cap must be >= 0" in err
+
     def test_level_within_an_ulp_of_one(self, capsys):
         # the level rounds to 1.0 as a float; its exact value is below 1
         lq = "0.999999999999999999999"
@@ -152,6 +169,16 @@ class TestTableCommand:
     def test_invalid_range(self, capsys):
         code, _, err = run(capsys, "table", "--from", "5", "--to", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, argv", [("--from", ["--from", "-1", "--to", "5"]),
+                                            ("--to", ["--from", "1", "--to", "-1"])])
+    def test_lot_size_below_one_names_the_flag(self, capsys, flag, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table"] + argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: invalid lot size '-1': lot size must be >= 1" in captured.err
 
     def test_deterministic_output(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
@@ -213,6 +240,19 @@ class TestOcCommand:
                 main(argv + [flag, "0.5"])
             assert exit_info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_sample_size_below_one(self, capsys, n):
+        for argv in (["oc", "--c", "0", "--lot-size", "200"],
+                     ["simulate", "--c", "0", "--lot-size", "200", "--p", "0.01",
+                      "--trials", "10"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + ["--n", n])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"argument --n: invalid sample size n '{n}': "
+                    f"sample size n must be >= 1, got {n}") in captured.err
 
     def test_invalid_plan(self, capsys):
         code, _, _ = run(capsys, "oc", "--n", "2", "--c", "3", "--lot-size", "inf")
@@ -400,6 +440,13 @@ class TestCompareCommand:
     def test_invalid_candidate_syntax(self, capsys):
         code, _, err = run(capsys, "compare", "--lot-size", "143", "--candidates", "36-0")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_candidate_sample_size_below_one(self, capsys, n):
+        code, out, err = run(capsys, "compare", "--lot-size", "143", f"--candidates=36:0,{n}:0")
+        assert code == 2
+        assert out == "" and (f"invalid candidate plan '{n}:0' (expected n:c): "
+                              f"sample size n must be >= 1, got {n}") in err
 
     def test_candidate_larger_than_the_lot(self, capsys):
         code, out, err = run(capsys, "compare", "--lot-size", "10", "--candidates", "20:0")

@@ -1,5 +1,7 @@
 import csv
 import io
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from midsampling import (
     risk_pair,
     welmec_admissible_pointwise,
 )
-from midsampling import planner, risks
+from midsampling import risks
 
 from exact_oracle import exact_hypergeometric_tail, exact_optimal_plan, realized_counts
 
@@ -308,6 +310,22 @@ class TestPlanTable:
             parts = [plan_table(lo, hi - 1, spec, bounds).to_csv() for lo, hi in zip(cuts, cuts[1:])]
             assert parts[0] + "".join(part.split("\n", 1)[1] for part in parts[1:]) == text
 
+    def test_acceptance_does_not_fall_as_the_lot_grows(self):
+        # the fact behind the table's n_beta floor: for fixed (n, c, K) the
+        # exact acceptance at N + 1 is at least the one at N, so a sample
+        # size the consumers' bound refuses at N it refuses at N + 1 while
+        # the LQ count stays
+        rng = random.Random(1707)
+        cases = [(n, c, K, N) for N in range(1, 13) for n in range(1, N + 1)
+                 for c in range(n + 1) for K in range(N + 1)]
+        for _ in range(400):
+            N = rng.randint(1, 400)
+            n = rng.randint(1, N)
+            cases.append((n, rng.randint(0, min(n, 12)), rng.randint(0, N), N))
+        for n, c, K, N in cases:
+            grown = exact_hypergeometric_tail(c, n, K, N + 1)
+            assert grown >= exact_hypergeometric_tail(c, n, K, N), (n, c, K, N)
+
     @pytest.mark.parametrize(
         "spec, bounds",
         [(QualitySpec(), RiskBounds()), (QualitySpec("3/200", "2/25"), RiskBounds("0.05", "0.10"))],
@@ -353,27 +371,27 @@ class TestWorkPins:
     """What a table row and a cold plan compute, counted: each pin fails if
     the work it guards is done again."""
 
-    def test_warm_rows_evaluate_thirteen_tails(self, count_core_evaluations, monkeypatch):
-        # c* = 3 at these lots: two tails per c for its n_beta(c) at the
-        # previous row's, one producers' tail per c and one tail past c*
-        per_row, search = [], planner._search
-
-        def counted_search(*args, **kwargs):
-            before = len(evaluations)
-            found = search(*args, **kwargs)
-            per_row.append(len(evaluations) - before)
-            return found
-
-        monkeypatch.setattr(planner, "_search", counted_search)
+    def test_warm_row_tails_by_lq_count(self, count_core_evaluations):
+        # c* = 3 at these lots.  Inside a run of constant LQ count the
+        # previous row's n_beta(c) is a floor that admits again: one tail per
+        # c for it, one producers' tail per c and one tail past c*.  Where
+        # the count steps, n_beta(c) may fall, so each c takes one more tail
+        # below the previous row's
         evaluations = count_core_evaluations()
         table = plan_table(30_000, 30_400)
         assert {result.plan.c for _, result in table} == {3}
-        assert len(per_row) == 401 and set(per_row[1:]) == {13}
+        per_row = Counter(N for *_, N in evaluations)
+        lq_count = {N: -(-7 * N // 100) for N in range(30_000, 30_401)}  # ceil(0.07 N)
+        steps = [N for N in range(30_001, 30_401) if lq_count[N] > lq_count[N - 1]]
+        runs = [N for N in range(30_001, 30_401) if lq_count[N] == lq_count[N - 1]]
+        assert (len(steps), len(runs)) == (28, 372)
+        assert {per_row[N] for N in runs} == {9}
+        assert {per_row[N] for N in steps} == {13}
 
     def test_table_tails_from_one(self, count_core_evaluations):
         evaluations = count_core_evaluations()
         plan_table(1, 2000)
-        assert len(evaluations) == 19_937
+        assert len(evaluations) == 15_078
 
     def test_a_table_takes_one_scalar_tol_per_row(self, count_tolerances):
         calls = count_tolerances()

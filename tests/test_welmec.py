@@ -257,7 +257,7 @@ class TestCompareEqualsItsParts:
                 for p in (spec.p_aql, spec.p_lq):
                     if (p * lot.count).denominator == 1:
                         for plan in candidates:
-                            evaluations.remove((int(p * lot.count), plan.c, plan.n))
+                            evaluations.remove((int(p * lot.count), plan.c, plan.n, lot.count))
             assert evaluations and len(set(evaluations)) == len(evaluations), lot
             assert report.hypothesis_plan == optimal_plan(lot, spec)
             for ev in report.evaluated_plans:
