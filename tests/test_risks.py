@@ -277,6 +277,23 @@ class TestOcCurve:
             "01474e24f8edeaae02d1c920e23598c974bfb46eccd1b7487036123cbafc1f5b"
         )
 
+    def test_finite_curves_are_bit_identical_to_the_pinned_digest(self):
+        # the finite curve is the bulk kernel at one acceptance number
+        rng = random.Random(20261019)
+        hexes = []
+        for _ in range(40):
+            N = round(math.exp(rng.uniform(0.0, math.log(5000))))
+            n = rng.randint(1, min(N, 300))
+            plan = Plan(n, rng.randint(0, min(n, 8)))
+            grid = [Fraction(rng.randint(0, N), N) for _ in range(5)] + [0, 1]
+            for points in (oc_curve(plan, LotSize(N)), oc_curve(plan, LotSize(N), grid)):
+                for p, pac in points:
+                    hexes += [float.hex(p), float.hex(pac)]
+        assert len(hexes) == 33768
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == (
+            "d36e08ad30a506c314d10de770bf2d4a79ce3aa4b91a9569b1dafa3c171f0bd0"
+        )
+
     def test_custom_grid_and_errors(self):
         points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.0, 0.01, 0.07, "7/100"])
         assert [p for p, _ in points] == [0.0, 0.01, 0.07, 0.07]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import random
@@ -267,6 +268,48 @@ class TestRunEnds:
                 least, most = min(exact.values()), max(exact.values())
                 assert abs(low - least) <= tol and abs(high - most) <= tol, res
                 assert exact[low_at] - least <= 2 * tol and most - exact[high_at] <= 2 * tol, res
+
+
+def _validation_hexes(results) -> list:
+    """Every field of each RowValidation but the row: floats as float.hex."""
+    hexes = []
+    for res in results:
+        hexes += [float.hex(res.alpha_min), float.hex(res.alpha_max),
+                  float.hex(res.beta_min), float.hex(res.beta_max)]
+        hexes += [str(res.alpha_min_at), str(res.alpha_max_at),
+                  str(res.beta_min_at), str(res.beta_max_at), str(res.admissible)]
+    return hexes
+
+
+class TestValidationBits:
+    """The verdicts of validate_scheme, pinned bit for bit."""
+
+    def test_validations_are_bit_identical_to_the_pinned_digest(self):
+        cases = [
+            (default_mid_scheme(), QualitySpec(), RiskBounds(), 10**5),
+            (default_mid_scheme(), QualitySpec(), RiskBounds(), 10**6),
+            (default_mid_scheme(), QualitySpec("1/50", "1/10"), RiskBounds("0.10", "0.05"), 10**5),
+            # beta of (19, 0) at N = 25 is exactly 1/20: the exact fallback decides
+            (parse_scheme("1,18,full,0\n19,25,n:19,0\n26,inf,n:22,0\n"),
+             QualitySpec(), RiskBounds(), 5000),
+        ]
+        for seed in range(40):
+            rng = random.Random(1000 + seed)
+            scheme = _random_scheme(rng)
+            spec = QualitySpec(*rng.choice(
+                [("0.01", "0.07"), ("0.02", "0.1"), ("0.05", "0.2"), ("0.1", "0.3"), ("1/3", "1/2")]
+            ))
+            bounds = RiskBounds(*rng.choice(
+                [("0.05", "0.05"), ("0.1", "0.05"), ("0.2", "0.15"), ("0.3", "0.4"), ("0.5", "0.5")]
+            ))
+            cases.append((scheme, spec, bounds, scheme.rows[-1].n_from + rng.randint(0, 3000)))
+        hexes = []
+        for scheme, spec, bounds, n_cap in cases:
+            hexes += _validation_hexes(validate_scheme(scheme, spec, bounds, n_cap=n_cap))
+        assert len(hexes) == 1188
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == (
+            "dc86ce45e3ca6a1b429e61ee759a0e6c8c200936de053338156c40c2621b9e9b"
+        )
 
 
 class TestSchemeStructure:
