@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,9 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glued(argv: list) -> list:
+    """argv with each value like '-1:0' glued to its long option ('--candidates=-1:0'):
+    argparse takes a value that starts with '-' and is no plain number for an option."""
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-\d", argv[i]) and re.fullmatch(r"--\w[\w-]*", argv[i - 1]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glued(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
     except SchemeParseError as exc:

@@ -13,8 +13,9 @@ of four unchecked cores: ``_lot_tails`` (scalar hypergeometric tails,
 resolved once per lot and then evaluated per plan), ``_binomial_curve`` (the
 binomial tails of one plan over a grid of proportions, resolved once per
 plan, and the only routine that sums binomial terms: a scalar binomial tail
-is its value at one point), ``_hypergeometric_cdf_bulk`` (tails over arrays)
-and ``_interpolated_terms`` (terms at real defect counts).
+is its value at one point), ``_hypergeometric_cdf_bulk`` (tails over arrays,
+with an acceptance number shared by every lane or one per lane) and
+``_interpolated_terms`` (terms at real defect counts).
 
 A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
 (1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
@@ -336,10 +337,13 @@ def hypergeometric_cdf(c: int, n: int, K: int, N: int) -> float:
     return _lot_tails(K, N)(c, n)
 
 
-def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom) -> np.ndarray:
-    """P(X == x) over broadcast integer arrays, zero outside the support;
-    ``lf`` covers 0..max(N) and ``ln_denom`` is ln C(N, n)."""
+def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom, c=None) -> np.ndarray:
+    """P(X == x) over broadcast integer arrays, zero outside the support and,
+    given acceptance numbers c, where x > c; ``lf`` covers 0..max(N) and
+    ``ln_denom`` is ln C(N, n)."""
     valid = (x <= K) & (x <= n) & (n - x <= N - K)
+    if c is not None:
+        valid &= x <= c
     x = np.where(valid, x, 0)  # keep table indices in range on dead lanes
     rest = n - x
     log_terms = (
@@ -352,12 +356,16 @@ def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom) -> np.ndarray:
     return terms
 
 
-def _hypergeometric_cdf_bulk(c: int, n, K, N) -> np.ndarray:
-    """hypergeometric_cdf over aligned integer arrays n, K, N with a shared
-    acceptance number c, unchecked.  Works through blocks of _BULK_BLOCK
-    elements and loops over x within each, so its temporaries stay below
-    malloc's mmap threshold and reuse heap pages: at 10^5 lots, page faults
-    on freshly mapped temporaries cost as much as the arithmetic."""
+def _hypergeometric_cdf_bulk(c, n, K, N) -> np.ndarray:
+    """hypergeometric_cdf over aligned integer arrays n, K, N, unchecked, with
+    an acceptance number c shared by every lane or one per lane (an aligned
+    array; a lane adds an exact 0.0 for each x past its own c).  Works through
+    blocks of _BULK_BLOCK elements and loops over x within each, so its
+    temporaries stay below malloc's mmap threshold and reuse heap pages: at
+    10^5 lots, page faults on freshly mapped temporaries cost as much as the
+    arithmetic.  With per-lane c, a block whose lanes all have n <= N - K adds
+    its terms x <= min(c, K, n) without the support mask: the same
+    expression, so the same floats."""
     n, K, N = np.broadcast_arrays(
         np.asarray(n, dtype=np.int64),
         np.asarray(K, dtype=np.int64),
@@ -365,14 +373,27 @@ def _hypergeometric_cdf_bulk(c: int, n, K, N) -> np.ndarray:
     )
     shape = N.shape
     n, K, N = n.reshape(-1), K.reshape(-1), N.reshape(-1)
+    if np.ndim(c):
+        c = np.asarray(c, dtype=np.int64).reshape(-1)
     lf = _log_factorial_array(int(N.max(initial=1)))
     total = np.zeros(N.shape, dtype=np.float64)
     for start in range(0, N.size, _BULK_BLOCK):
         block = slice(start, start + _BULK_BLOCK)
         nb, Kb, Nb, total_b = n[block], K[block], N[block], total[block]
         ln_denom = lf[Nb] - lf[nb] - lf[Nb - nb]
-        for x in range(c + 1):
-            total_b += _hypergeometric_terms(x, nb, Kb, Nb, lf, ln_denom)
+        cb, top, whole = None, c, -1  # a shared c always takes the mask
+        if np.ndim(c):
+            cb, good = c[block], Nb - Kb
+            top = int(cb.max())
+            whole = int(np.minimum(np.minimum(cb, Kb), nb).min()) if (nb <= good).all() else -1
+        for x in range(top + 1):
+            if x <= whole:  # lanes in the support and in the tail: no mask
+                rest = nb - x
+                total_b += np.exp(
+                    lf[Kb] - lf[x] - lf[Kb - x] + lf[good] - lf[rest] - lf[good - rest] - ln_denom
+                )
+            else:
+                total_b += _hypergeometric_terms(x, nb, Kb, Nb, lf, ln_denom, cb)
     return np.minimum(total, 1.0).reshape(shape)
 
 

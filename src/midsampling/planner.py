@@ -17,7 +17,7 @@ A table moves one lot rule from lot to lot and starts each search for
 n_beta(c) at the previous lot's, which is also a floor inside a run of lots
 with one realized LQ count K = ceil(p_lq*N): for fixed (n, c, K) the exact
 acceptance does not decrease with N (the likelihood-ratio ordering that
-``risks._row_risks`` relies on), so every n refused at N - 1 is refused at
+``risks._scheme_risks`` relies on), so every n refused at N - 1 is refused at
 N.  Where K steps up, acceptance falls and n_beta(c) may fall with it.  The
 floor skips only probes whose exact decision is known: it changes none.
 """

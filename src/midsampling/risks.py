@@ -405,33 +405,38 @@ def is_admissible(
     return _LotRule(lot, spec, plan.n, bounds).admits(plan.n, plan.c)
 
 
-def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool) -> tuple:
+def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool, splits: Sequence[int] = ()) -> tuple:
     """The lots of [lo, hi] that start or end a run of constant realized
     count ``_count(level, N, ceil)``, in increasing order, and the count at
-    each, as int64 arrays.  A level below 1 raises the count by exactly one
-    from a run to the next.  With level = a/b, count j is first reached at
-    ceil(j*b/a) on the floor side and at floor((j-1)*b/a) + 1 on the ceil
+    each, as int64 arrays; a run also starts at each lot of ``splits``, the
+    increasing starts of rows in (lo, hi], so that the lots of each row are
+    the row's own run ends.  A level below 1 raises the count by exactly
+    one from a run to the next.  With level = a/b, count j is first reached
+    at ceil(j*b/a) on the floor side and at floor((j-1)*b/a) + 1 on the ceil
     side; products past int64 are taken with Python ints."""
     a, b = level.numerator, level.denominator
-    counts = np.arange(_count(level, lo, ceil), _count(level, hi, ceil) + 1, dtype=np.int64)
-    js = counts[1:] - 1 if ceil else counts[1:]
+    counts = np.arange(_count(level, lo, ceil) + 1, _count(level, hi, ceil) + 1, dtype=np.int64)
+    js = counts - 1 if ceil else counts
     if b * hi >= 2**63:  # j <= hi
         js = js.astype(object)
-    starts = (js * b) // a + 1 if ceil else -((-js * b) // a)
-    starts = np.concatenate(([lo], np.asarray(starts, dtype=np.int64)))
+    starts = np.asarray((js * b) // a + 1 if ceil else -((-js * b) // a), dtype=np.int64)
+    firsts = [lo, *splits]  # each with its count, then the runs that start after it
+    begins = np.searchsorted(starts, firsts, side="right").tolist()
+    ends = np.searchsorted(starts, [*splits, hi + 1]).tolist()
+    pieces = [(s, starts[i:j], counts[i:j]) for s, i, j in zip(firsts, begins, ends)]
+    starts = np.concatenate([x for s, run, _ in pieces for x in ([s], run)])
+    counts = np.concatenate([x for s, _, k in pieces for x in ([_count(level, s, ceil)], k)])
     lots = np.column_stack((starts, np.append(starts[1:] - 1, hi))).ravel()
     keep = np.append(True, lots[1:] != lots[:-1])  # a run of one lot ends where it starts
     return lots[keep], np.repeat(counts, 2)[keep]
 
 
-def _row_risks(
-    c: int, sample_size, lo: int, hi: int, spec: QualitySpec, bounds: RiskBounds,
-    limit_n: Optional[int] = None,
-) -> dict:
-    """The verdict on plans (sample_size(N), c) over the finite lots lo <= N
-    <= hi: both risks' extrema, evaluated only at the ends of each side's
-    runs of constant realized count, and whether the plan is admissible at
-    every lot.
+def _scheme_risks(rows: Sequence, n_cap: int, spec: QualitySpec, bounds: RiskBounds) -> list:
+    """The verdict on each scheme row, the plans (rule.sample_size(N), rule.c)
+    over its lots n_from <= N <= n_to (n_cap for the open last row, whose
+    binomial limit, plan (rule.value, rule.c), joins its decision): both
+    risks' extrema, evaluated only at the ends of each side's runs of
+    constant realized count, and whether the plan is admissible at every lot.
 
     Within such a run the acceptance probability is monotone in N: it does
     not decrease for a fixed sample size (the hypergeometric is ordered by
@@ -439,48 +444,44 @@ def _row_risks(
     (X = K - Y, Y the defects among the k items left out).  So every lot's
     exact risk is at most the larger exact risk at its run's two ends, the
     decision over the ends alone is the exact decision over every lot, and
-    the cost grows with the number of runs, not of lots.  One tie band per
-    side, tol(hi) wide, covers the error of every lot's tail.
+    the cost grows with the number of runs, not of lots.  Per side, one
+    run-end array split at the row starts covers every row, and one bulk
+    call with a per-lane acceptance number evaluates it.  A row's tie band,
+    tol of its last lot wide, covers the error of each of its tails.
 
-    Returns the fields of ``scheme.RowValidation`` other than ``row``, each
-    ``*_at`` the first lot, in N order, whose float risk is extreme;
-    ``sample_size`` maps an int64 array of lots to their sample sizes.
-    Given ``limit_n``, the binomial limit of plan (limit_n, c) comes after
-    every finite lot, attained at None, and joins the decision."""
-
-    def side(level, ceil, bound):
-        lots, k = _run_ends(level, lo, hi, ceil)
-        sample = np.broadcast_to(sample_size(lots), lots.shape)
+    Returns per row the fields of ``scheme.RowValidation`` other than
+    ``row``, each ``*_at`` the first lot, in N order, whose float risk is
+    extreme, and None for the binomial limit, which comes after every lot."""
+    starts, last = [row.n_from for row in rows], rows[-1].rule
+    limit_rule = _LotRule(INFINITE_LOT, spec, last.value, bounds)
+    limit = limit_rule.risks(last.value, last.c)
+    verdicts = [{"admissible": True} for _ in rows]
+    verdicts[-1]["admissible"] = limit_rule.admits(last.value, last.c)
+    for name, level, ceil, bound in (
+        ("alpha", spec.p_aql, False, bounds.alpha_max), ("beta", spec.p_lq, True, bounds.beta_max)
+    ):
+        lots, k = _run_ends(level, 1, n_cap, ceil, starts[1:])
+        edges = np.searchsorted(lots, [*starts, n_cap + 1]).tolist()  # row i: edges[i]:edges[i+1]
+        sample, c = np.empty_like(lots), np.empty_like(lots)
+        for row, i, j in zip(rows, edges, edges[1:]):
+            sample[i:j], c[i:j] = row.rule.sample_size(lots[i:j]), row.rule.c
         accept = _hypergeometric_cdf_bulk(c, sample, k, lots)
 
         def exact_risk(i):
-            exact = _exact_acceptance(c, int(sample[i]), int(k[i]), int(lots[i]))
+            exact = _exact_acceptance(int(c[i]), int(sample[i]), int(k[i]), int(lots[i]))
             return exact if ceil else 1 - exact
 
         risks = accept if ceil else 1.0 - accept
-        admitted = _Bound.around(bound, _tail_tolerance(hi)).admits_each(risks, exact_risk)
-        return lots, risks, bool(admitted.all())
-
-    sides = {
-        "alpha": side(spec.p_aql, False, bounds.alpha_max),
-        "beta": side(spec.p_lq, True, bounds.beta_max),
-    }
-    admissible = all(admitted for _, _, admitted in sides.values())
-    limit = None
-    if limit_n is not None:
-        limit_rule = _LotRule(INFINITE_LOT, spec, limit_n, bounds)
-        limit = limit_rule.risks(limit_n, c)
-        admissible = limit_rule.admits(limit_n, c) and admissible
-    verdict = {"admissible": admissible}
-    for name, (lots, risks, _) in sides.items():
-        if limit is not None:  # the binomial limit, one past the lots
-            risks = np.append(risks, getattr(limit, name))
-        i_min, i_max = int(np.argmin(risks)), int(np.argmax(risks))
-        verdict[f"{name}_min"], verdict[f"{name}_max"] = float(risks[i_min]), float(risks[i_max])
-        verdict[f"{name}_min_at"], verdict[f"{name}_max_at"] = (
-            int(lots[i]) if i < lots.size else None for i in (i_min, i_max)
-        )
-    return verdict
+        tol = np.repeat([_tail_tolerance(int(lots[j - 1])) for j in edges[1:]], np.diff(edges))
+        admitted = _Bound.around(bound, tol).admits_each(risks, exact_risk)
+        risks = np.append(risks, getattr(limit, name))  # the binomial limit, one past the lots
+        for verdict, i, j in zip(verdicts, edges, [*edges[1:-1], None]):  # the last row has it
+            verdict["admissible"] = verdict["admissible"] and bool(admitted[i:j].all())
+            row_risks = risks[i:j]
+            for end, m in (("min", int(np.argmin(row_risks))), ("max", int(np.argmax(row_risks)))):
+                verdict[f"{name}_{end}"] = float(row_risks[m])
+                verdict[f"{name}_{end}_at"] = int(lots[i + m]) if i + m < lots.size else None
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

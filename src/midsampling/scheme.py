@@ -9,8 +9,9 @@ consumers' risks stay below 5% for every lot size.
 Validation proves "for every lot size" without visiting every lot.  Over a
 run of lots with a constant realized defect count, floor(p_aql*N) or
 ceil(p_lq*N), each rule's acceptance probability is monotone in N, so a
-row's risks are extreme at the ends of its runs.  A row check evaluates
-them at about 2*(p_aql + p_lq) lots per lot it covers: O(runs), not O(lots).
+row's risks are extreme at the ends of its runs.  One scheme check evaluates
+every row there, in one pass per side, at about 2*(p_aql + p_lq) lots per
+lot covered: O(runs), not O(lots).
 
 Schemes can be read from and written to a one-row-per-line text format::
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .kernel import Plan, _check_count
-from .risks import QualitySpec, RiskBounds, _row_risks
+from .risks import QualitySpec, RiskBounds, _scheme_risks
 
 __all__ = [
     "PlanRule",
@@ -270,19 +271,12 @@ def validate_scheme(
     last_from = scheme.rows[-1].n_from
     if n_cap < last_from:
         raise ValueError(f"n_cap={n_cap} below the unbounded row's first lot size {last_from}")
-    results = []
     for index, row in enumerate(scheme.rows):
         _row_plan(index, row, row.n_from)
         if row.n_to is None and row.rule.kind != "n":
             raise SchemeRuleError(index, "an unbounded interval requires a fixed sample size rule")
-        # the binomial limit stands in for the lots beyond n_cap
-        limit_n = row.rule.value if row.n_to is None else None
-        hi = row.n_to if row.n_to is not None else n_cap
-        verdict = _row_risks(
-            row.rule.c, row.rule.sample_size, row.n_from, hi, spec, bounds, limit_n
-        )
-        results.append(RowValidation(row=row, **verdict))
-    return results
+    verdicts = _scheme_risks(scheme.rows, n_cap, spec, bounds)
+    return [RowValidation(row=row, **verdict) for row, verdict in zip(scheme.rows, verdicts)]
 
 
 # ---------------------------------------------------------------------------

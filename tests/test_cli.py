@@ -448,6 +448,14 @@ class TestCompareCommand:
         assert out == "" and (f"invalid candidate plan '{n}:0' (expected n:c): "
                               f"sample size n must be >= 1, got {n}") in err
 
+    @pytest.mark.parametrize("candidates", ["-1:0", "-1:0,36:0"])
+    def test_candidate_with_a_leading_dash_reaches_the_reader(self, capsys, candidates):
+        # argparse alone takes "-1:0" for an option: "expected one argument"
+        code, out, err = run(capsys, "compare", "--lot-size", "100", "--candidates", candidates)
+        assert code == 2
+        assert out == "" and ("invalid candidate plan '-1:0' (expected n:c): "
+                              "sample size n must be >= 1, got -1") in err
+
     def test_candidate_larger_than_the_lot(self, capsys):
         code, out, err = run(capsys, "compare", "--lot-size", "10", "--candidates", "20:0")
         assert code == 2

@@ -256,7 +256,7 @@ class TestDocumentedErrorBound:
 
     @pytest.mark.parametrize("c", range(7))
     def test_bulk_within_tolerance_up_to_a_million(self, c):
-        # the row check's tie rule reads bulk tails; cycling 40 cases through
+        # the scheme check's tie rule reads bulk tails; cycling 40 cases through
         # more than one block puts each on both sides of a block edge
         rng = random.Random(20261020 + c)
         cases = []
@@ -332,6 +332,53 @@ def pinned_tail_lots() -> list:
             pairs.append((rng.randint(0, min(n, 40)), n))
         lots.append((p, None, pairs))
     return lots
+
+
+def _mixed_support_lanes(rng: random.Random, size: int) -> tuple:
+    """Aligned (c, n, K, N) lanes with K < c, n > N - K, n = N, K = 0 and
+    K = N among them, c <= min(n, 6)."""
+    lanes = []
+    for _ in range(size):
+        N = rng.randint(1, 3000)
+        K = rng.choice([0, N, rng.randint(0, min(N, 3)), rng.randint(0, N)])
+        n = rng.choice([N, rng.randint(1, N), rng.randint(max(1, N - K), N)])
+        lanes.append((rng.randint(0, min(n, 6)), n, K, N))
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*lanes))
+
+
+class TestPerLaneAcceptanceNumbers:
+    """The bulk tail with an acceptance number per lane, as a scheme check
+    calls it, is lane by lane the tail with a shared acceptance number."""
+
+    def test_equals_the_shared_c_call_bit_for_bit(self):
+        c, n, K, N = _mixed_support_lanes(random.Random(20261019), _BULK_BLOCK + 700)
+        got = _hypergeometric_cdf_bulk(c, n, K, N)
+        for value in range(7):
+            lanes = c == value
+            want = _hypergeometric_cdf_bulk(value, n[lanes], K[lanes], N[lanes])
+            assert got[lanes].tobytes() == want.tobytes(), value
+
+    @pytest.mark.parametrize("c", range(5))
+    def test_unmasked_blocks_equal_the_masked_path(self, monkeypatch, c):
+        # every lane has min(K, n) >= c and n <= N - K, so each block adds its
+        # terms without the support mask; the shared-c call always masks
+        from midsampling import kernel
+
+        rng = np.random.default_rng(20261019 + c)
+        N = rng.integers(1000, 10**5, 2 * _BULK_BLOCK + 300)
+        K = rng.integers(c, N // 2)
+        n = rng.integers(max(c, 1), np.minimum(N - K, 400))
+        masked = kernel._hypergeometric_cdf_bulk(c, n, K, N)
+        calls = []
+
+        def counting(*args, core=kernel._hypergeometric_terms):
+            calls.append(args[0])
+            return core(*args)
+
+        monkeypatch.setattr(kernel, "_hypergeometric_terms", counting)
+        got = kernel._hypergeometric_cdf_bulk(np.full(N.shape, c), n, K, N)
+        assert calls == []
+        assert got.tobytes() == masked.tobytes()
 
 
 class TestScalarCore:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -144,6 +145,25 @@ class TestRealizedLevels:
                     if lot in ends:
                         assert ends[lot] == want
                 assert lots[-1] == N + 150
+
+
+    @given(
+        st.sampled_from([Fraction(1, 100), Fraction(7, 100), Fraction(1, 3), Fraction(
+            7000000000000000001, 100000000000000000000)]),
+        st.booleans(),
+        st.integers(1, 10**7),
+        st.lists(st.integers(1, 300), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_splits_give_each_row_its_own_run_ends(self, level, ceil, lo, widths):
+        # a scheme takes one run-end array for all its rows, split at their
+        # starts; rows of one lot and rows that start inside a run included
+        firsts = list(itertools.accumulate(widths[:-1], initial=lo))
+        hi = firsts[-1] + widths[-1] - 1
+        lots, counts = _run_ends(level, lo, hi, ceil, firsts[1:])
+        rows = [_run_ends(level, a, b - 1, ceil) for a, b in zip(firsts, [*firsts[1:], hi + 1])]
+        assert lots.tolist() == [N for row_lots, _ in rows for N in row_lots.tolist()]
+        assert counts.tolist() == [k for _, row_counts in rows for k in row_counts.tolist()]
 
 
 class TestRisks:

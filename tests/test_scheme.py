@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,7 +165,8 @@ class TestValidateScheme:
 
     def test_bulk_budget(self, monkeypatch):
         # the risks are evaluated at the ends of each side's runs of constant
-        # realized count, about 2*(0.01 + 0.07)*n_cap lots, not at every lot
+        # realized count, about 2*(0.01 + 0.07)*n_cap lots, not at every lot,
+        # in one bulk call per side for all the rows
         from midsampling import risks
 
         elements = []
@@ -175,7 +177,15 @@ class TestValidateScheme:
 
         monkeypatch.setattr(risks, "_hypergeometric_cdf_bulk", counting)
         assert all(res.admissible for res in validate_scheme(default_mid_scheme(), n_cap=10**5))
-        assert sum(elements) <= 20_000
+        assert len(elements) == 2 and sum(elements) == 16_026
+        row_counts = set()
+        for seed in range(30):
+            scheme = _random_scheme(random.Random(seed))
+            row_counts.add(len(scheme.rows))
+            elements.clear()
+            validate_scheme(scheme, n_cap=scheme.rows[-1].n_from + 500)
+            assert len(elements) == 2, scheme
+        assert row_counts == {1, 2, 3, 4}
 
     def test_extrema_locations_reported(self, results):
         last = results[-1]
@@ -225,6 +235,43 @@ class TestRunEnds:
             assert accept == sorted(accept)
         else:  # X = K - Y, Y the defects among the items left out
             assert accept == sorted(accept, reverse=True)
+
+    @pytest.mark.parametrize(
+        "text, n_cap, spec",
+        [
+            # one-lot rows, rows that start inside a run, full and offset rows,
+            # and n_cap at the last row's first lot
+            ("1,1,full,0\n2,2,n:1,0\n3,40,offset:2,0\n41,41,n:30,0\n42,120,full,1\n"
+             "121,inf,n:50,1\n", 121, QualitySpec()),
+            ("1,2,full,0\n3,3,offset:1,0\n4,9,n:3,1\n10,10,full,2\n11,inf,n:8,2\n",
+             60, QualitySpec("1/3", "1/2")),
+            (format_scheme(default_mid_scheme()), 10**5, QualitySpec()),
+        ],
+    )
+    def test_each_row_is_evaluated_at_its_own_run_ends(self, monkeypatch, text, n_cap, spec):
+        # one bulk call per side; restricted to a row, its lanes are the row's
+        # own run ends, counts, sample sizes and acceptance number
+        from midsampling import risks
+        from midsampling.risks import _run_ends
+
+        calls = []
+
+        def capturing(c, n, K, N, core=risks._hypergeometric_cdf_bulk):
+            calls.append([np.broadcast_to(a, N.shape).tolist() for a in (c, n, K, N)])
+            return core(c, n, K, N)
+
+        monkeypatch.setattr(risks, "_hypergeometric_cdf_bulk", capturing)
+        scheme = parse_scheme(text)
+        validate_scheme(scheme, spec, n_cap=n_cap)
+        assert len(calls) == 2
+        for lanes, level, ceil in zip(calls, (spec.p_aql, spec.p_lq), (False, True)):
+            want = [[], [], [], []]
+            for row in scheme.rows:
+                lots, counts = _run_ends(level, row.n_from, row.n_to or n_cap, ceil)
+                sizes = np.broadcast_to(row.rule.sample_size(lots), lots.shape)
+                for have, values in zip(want, ([row.rule.c] * lots.size, sizes, counts, lots)):
+                    have.extend(np.asarray(values).tolist())
+            assert lanes == want
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_exact_values_at_every_lot(self, seed):
