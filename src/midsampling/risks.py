@@ -460,7 +460,7 @@ def _scheme_risks(rows: Sequence, n_cap: int, spec: QualitySpec, bounds: RiskBou
     for name, level, ceil, bound in (
         ("alpha", spec.p_aql, False, bounds.alpha_max), ("beta", spec.p_lq, True, bounds.beta_max)
     ):
-        lots, k = _run_ends(level, 1, n_cap, ceil, starts[1:])
+        lots, k = _run_ends(level, starts[0], n_cap, ceil, starts[1:])
         edges = np.searchsorted(lots, [*starts, n_cap + 1]).tolist()  # row i: edges[i]:edges[i+1]
         sample, c = np.empty_like(lots), np.empty_like(lots)
         for row, i, j in zip(rows, edges, edges[1:]):
