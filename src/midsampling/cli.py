@@ -12,17 +12,15 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .kernel import LotSize, Plan, as_exact_level, _check_count
-from .planner import DEFAULT_SCAN_CAP, NoPlanWithinCapError, optimal_plan, plan_table
+from .planner import NoPlanWithinCapError, optimal_plan, plan_table
 from .render import RENDERERS, render
 from .risks import QualitySpec, RiskBounds, monte_carlo_acceptance, oc_curve
 from .scheme import (
-    DEFAULT_VALIDATION_CAP,
     SchemeCoverageError,
     SchemeParseError,
     SchemeRuleError,
@@ -41,79 +39,6 @@ EXIT_VALIDATION = 4
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
     """A usage error; argparse reports its message when a ``type=`` raises it."""
-
-
-@dataclass
-class RunConfig:
-    spec: Optional[QualitySpec]  # None for commands without quality levels
-    bounds: Optional[RiskBounds]
-    fmt: str
-    output: Optional[str]
-    seed: Optional[int]
-    n_cap: Optional[int]
-
-
-_CONFIG_KEYS = {"aql", "lq", "alpha_max", "beta_max", "format", "seed", "n_cap"}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{line_number}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{line_number}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def _resolve_config(args: argparse.Namespace, default_cap: Optional[int] = None) -> RunConfig:
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag_value, key, convert, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            try:
-                return convert(file_values[key])
-            except ValueError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
-        return fallback
-
-    spec = bounds = None
-    if hasattr(args, "aql"):  # the commands registered with _add_levels
-        spec = QualitySpec(
-            p_aql=pick(args.aql, "aql", _parse_level, Fraction(1, 100)),
-            p_lq=pick(args.lq, "lq", _parse_level, Fraction(7, 100)),
-        )
-        bounds = RiskBounds(
-            alpha_max=pick(args.alpha_max, "alpha_max", _parse_bound, Fraction(1, 20)),
-            beta_max=pick(args.beta_max, "beta_max", _parse_bound, Fraction(1, 20)),
-        )
-    return RunConfig(
-        spec=spec,
-        bounds=bounds,
-        fmt=pick(getattr(args, "format", None), "format", str, "text"),
-        output=getattr(args, "output", None),
-        seed=pick(getattr(args, "seed", None), "seed", _parse_seed, None),
-        n_cap=pick(getattr(args, "n_cap", None), "n_cap", _parse_cap, default_cap),
-    )
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_lot(token: str) -> LotSize:
@@ -164,29 +89,91 @@ def _parse_candidates(token: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Config file and output
+# ---------------------------------------------------------------------------
+
+#: Each config key with the reader of its option (``render`` judges a format).
+_CONFIG_READERS = {
+    "aql": _parse_level, "lq": _parse_level, "alpha_max": _parse_bound,
+    "beta_max": _parse_bound, "format": str, "seed": _parse_seed, "n_cap": _parse_cap,
+}
+
+
+def _read_config_file(path: str) -> dict:
+    values = {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{line_number}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().lower().replace("-", "_")
+        if key not in _CONFIG_READERS:
+            raise UsageError(f"{path}:{line_number}: unknown config key {key!r}")
+        values[key] = value.strip()
+    return values
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill each option that the command takes and the user left unset from
+    ``--config``: a command ignores the keys of the options it does not take."""
+    values = _read_config_file(args.config) if args.config else {}
+    for key, read in _CONFIG_READERS.items():
+        if key in values and getattr(args, key, False) is None:
+            try:
+                setattr(args, key, read(values[key]))
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
+
+
+def _given(args: argparse.Namespace, **options) -> dict:
+    """The library keywords whose options (keyword=option) the user gave; the
+    library supplies its own defaults for the others."""
+    return {kw: getattr(args, opt) for kw, opt in options.items() if getattr(args, opt) is not None}
+
+
+def _levels(args: argparse.Namespace) -> tuple:
+    return (QualitySpec(**_given(args, p_aql="aql", p_lq="lq")),
+            RiskBounds(**_given(args, alpha_max="alpha_max", beta_max="beta_max")))
+
+
+def _emit(args: argparse.Namespace, kind: str, *result) -> None:
+    """``result`` rendered as ``kind`` (text unless ``--format`` says otherwise)
+    to ``--output`` or stdout."""
+    text = render(kind, "text" if args.format is None else args.format, *result)
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {args.output}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, default_cap=DEFAULT_SCAN_CAP)
+    spec, bounds = _levels(args)
     lot = _parse_lot(args.lot_size)
-    result = optimal_plan(lot, config.spec, config.bounds, scan_cap=config.n_cap)
-    _emit(render("plan", config.fmt, lot, result), config.output)
+    _emit(args, "plan", lot, optimal_plan(lot, spec, bounds, **_given(args, scan_cap="n_cap")))
     return EXIT_OK
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    table = plan_table(args.n_min, args.n_max, config.spec, config.bounds)
-    _emit(render("table", "csv", table), config.output)
+    _emit(args, "table", plan_table(args.n_min, args.n_max, *_levels(args)))
     return EXIT_OK
 
 
 def _cmd_oc(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     lot = _parse_lot(args.lot_size)
-    plan = Plan(args.n, args.c)
-    _emit(render("oc", config.fmt, oc_curve(plan, lot), lot), config.output)
+    _emit(args, "oc", oc_curve(Plan(args.n, args.c), lot), lot)
     return EXIT_OK
 
 
@@ -205,7 +192,7 @@ def _load_scheme(args: argparse.Namespace):
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
-    config = _resolve_config(args, default_cap=DEFAULT_VALIDATION_CAP)
+    spec, bounds = _levels(args)
     scheme = _load_scheme(args)
     if args.action == "lookup":
         if args.lot_size is None:
@@ -213,30 +200,28 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
         lot = _parse_lot(args.lot_size)
         if not lot.is_finite:
             raise UsageError("scheme lookup requires a finite lot size")
-        _emit(render("lookup", config.fmt, lot, scheme_lookup(lot.count, scheme)), config.output)
+        _emit(args, "lookup", lot, scheme_lookup(lot.count, scheme))
         return EXIT_OK
-    results = validate_scheme(scheme, config.spec, config.bounds, n_cap=config.n_cap)
-    _emit(render("validation", config.fmt, results), config.output)
+    results = validate_scheme(scheme, spec, bounds, **_given(args, n_cap="n_cap"))
+    _emit(args, "validation", results)
     return EXIT_OK if all(res.admissible for res in results) else EXIT_VALIDATION
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    spec, bounds = _levels(args)
     lot = _parse_lot(args.lot_size)
     candidates = _parse_candidates(args.candidates)
     for plan in candidates:
         if lot.is_finite and plan.n > lot.count:
             raise UsageError(f"candidate {plan} exceeds lot size N={lot.count}")
-    report = compare_interpretations(lot, config.spec, config.bounds, candidates)
-    _emit(render("comparison", config.fmt, report), config.output)
+    _emit(args, "comparison", compare_interpretations(lot, spec, bounds, candidates))
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     lot = _parse_lot(args.lot_size)
     plan = Plan(args.n, args.c)
-    seed = config.seed if config.seed is not None else 0
+    seed = 0 if args.seed is None else args.seed
     estimate = monte_carlo_acceptance(plan, lot, args.p, args.trials, seed)
     [(_, analytic)] = oc_curve(plan, lot, grid=[args.p])
     sigma = math.sqrt(analytic * (1.0 - analytic) / args.trials)
@@ -244,10 +229,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         deviation = (estimate - analytic) / sigma
     else:
         deviation = 0.0 if estimate == analytic else math.inf
-    _emit(
-        render("simulation", config.fmt, estimate, analytic, sigma, deviation, args.trials, seed),
-        config.output,
-    )
+    _emit(args, "simulation", estimate, analytic, sigma, deviation, args.trials, seed)
     return EXIT_OK
 
 
@@ -300,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--to", dest="n_max", type=_parse_lot_count, required=True)
     _add_levels(p_table)
     _add_common(p_table, None)
-    p_table.set_defaults(func=_cmd_table)
+    p_table.set_defaults(func=_cmd_table, format="csv")  # a table is CSV only
 
     p_oc = sub.add_parser("oc", help="operating characteristic curve data")
     p_oc.add_argument("--n", type=_parse_sample_size, required=True)
@@ -355,6 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glued(list(sys.argv[1:] if argv is None else argv)))
     try:
+        _apply_config(args)
         return args.func(args)
     except SchemeParseError as exc:
         print(f"error: scheme file: {exc}", file=sys.stderr)

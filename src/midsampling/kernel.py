@@ -1,9 +1,10 @@
 """Numerically stable binomial and hypergeometric tail probabilities.
 
 Probability mass terms are evaluated in log space through the log-gamma
-function, exponentiated term by term, and accumulated with compensated
-summation (``math.fsum``).  Direct factorials would overflow long before
-the lot sizes this package has to handle (10**5 and beyond).
+function and exponentiated term by term.  The scalar cores sum them with
+``math.fsum``; the array paths sum them left to right (``+=`` per x,
+``np.cumsum``).  Every path stays within tol(N), below.  Direct factorials
+would overflow long before the lot sizes this package has to handle.
 
 Every log-factorial comes from ``math.lgamma``, whether read from the table
 built at import, from its numpy copy (which the array paths extend on

@@ -600,6 +600,66 @@ class TestConfigFile:
         assert out == "" and f"{config}:2: expected 'key = value', got 'aql 0.02'" in err
 
 
+_OC = ["oc", "--n", "86", "--c", "2", "--lot-size", "500"]
+_PLAN = ["plan", "--lot-size", "258"]
+_SIMULATE = ["simulate", "--n", "34", "--c", "0", "--lot-size", "inf",
+             "--p", "0.03", "--trials", "100"]
+
+
+class TestConfigKeyRule:
+    """A config key fills its option in the commands that take the option;
+    the other commands ignore it, however malformed its value."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (_OC, "seed = -3"),
+        (_OC, "n_cap = x"),
+        (["table", "--from", "43", "--to", "45"], "format = xml"),
+        (_PLAN, "seed = -3"),
+        (_OC, "aql = 1/0"),
+    ], ids=["oc-seed", "oc-n_cap", "table-format", "plan-seed", "oc-aql"])
+    def test_command_without_the_option_ignores_its_key(self, capsys, tmp_path, argv, line):
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 0 and err == ""
+        assert out == plain
+
+    @pytest.mark.parametrize("argv, line, message", [
+        (_SIMULATE, "seed = -3", "config key 'seed': invalid seed '-3'"),
+        (_PLAN, "n_cap = x", "config key 'n_cap': invalid cap 'x'"),
+        (_PLAN, "format = xml", "got 'xml'"),
+        (_PLAN, "aql = 1/0", "config key 'aql': invalid quality level '1/0'"),
+        (_SIMULATE, "seed =", "config key 'seed': invalid seed ''"),
+        (_PLAN, "format =", "got ''"),
+        (_PLAN, "aql =", "config key 'aql': invalid quality level ''"),
+    ], ids=["seed", "n_cap", "format", "aql", "empty-seed", "empty-format", "empty-aql"])
+    def test_command_with_the_option_rejects_a_malformed_key(
+        self, capsys, tmp_path, argv, line, message
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert out == "" and message in err
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("target", ["missing/x.txt", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, *_PLAN, "--output", str(path))
+        assert code == 2
+        assert out == "" and f"error: cannot write output file {path}: " in err
+
+    def test_unwritable_output_from_module(self, tmp_path):
+        proc = run_module(*_PLAN, "--output", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "cannot write output file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
