@@ -97,6 +97,8 @@ _CONFIG_READERS = {
     "aql": _parse_level, "lq": _parse_level, "alpha_max": _parse_bound,
     "beta_max": _parse_bound, "format": str, "seed": _parse_seed, "n_cap": _parse_cap,
 }
+#: The keys of the options ``scheme lookup`` shares with ``validate`` but never uses.
+_LOOKUP_IGNORES = ("aql", "lq", "alpha_max", "beta_max", "n_cap")
 
 
 def _read_config_file(path: str) -> dict:
@@ -121,10 +123,12 @@ def _read_config_file(path: str) -> dict:
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill each option that the command takes and the user left unset from
-    ``--config``: a command ignores the keys of the options it does not take."""
+    ``--config``: a command ignores the keys of the options it does not take
+    or, as a scheme lookup, does not use."""
     values = _read_config_file(args.config) if args.config else {}
+    ignored = _LOOKUP_IGNORES if getattr(args, "action", None) == "lookup" else ()
     for key, read in _CONFIG_READERS.items():
-        if key in values and getattr(args, key, False) is None:
+        if key in values and key not in ignored and getattr(args, key, False) is None:
             try:
                 setattr(args, key, read(values[key]))
             except ValueError as exc:
@@ -192,7 +196,7 @@ def _load_scheme(args: argparse.Namespace):
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
-    spec, bounds = _levels(args)
+    levels = _levels(args) if args.action == "validate" else ()  # a lookup uses none
     scheme = _load_scheme(args)
     if args.action == "lookup":
         if args.lot_size is None:
@@ -202,7 +206,7 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
             raise UsageError("scheme lookup requires a finite lot size")
         _emit(args, "lookup", lot, scheme_lookup(lot.count, scheme))
         return EXIT_OK
-    results = validate_scheme(scheme, spec, bounds, **_given(args, n_cap="n_cap"))
+    results = validate_scheme(scheme, *levels, **_given(args, n_cap="n_cap"))
     _emit(args, "validation", results)
     return EXIT_OK if all(res.admissible for res in results) else EXIT_VALIDATION
 

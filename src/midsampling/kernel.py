@@ -9,14 +9,17 @@ would overflow long before the lot sizes this package has to handle.
 Every log-factorial comes from ``math.lgamma``, whether read from the table
 built at import, from its numpy copy (which the array paths extend on
 demand) or computed past the table's end, so no value depends on the path
-or on earlier calls.  Public functions check their arguments, then call one
-of four unchecked cores: ``_lot_tails`` (scalar hypergeometric tails,
-resolved once per lot and then evaluated per plan), ``_binomial_curve`` (the
-binomial tails of one plan over a grid of proportions, resolved once per
-plan, and the only routine that sums binomial terms: a scalar binomial tail
-is its value at one point), ``_hypergeometric_cdf_bulk`` (tails over arrays,
-with an acceptance number shared by every lane or one per lane) and
-``_interpolated_terms`` (terms at real defect counts).
+or on earlier calls.  Public functions check their arguments, then call
+unchecked cores: ``_lot_tails`` (scalar tails, resolved once per lot and
+then evaluated per plan; at an infinite lot ``_binomial_tail``, one
+proportion summed term by term), ``_binomial_curve`` (the binomial tails of
+one plan over a grid of proportions, evaluated x-major: each x resolves its
+coefficient once and adds one term per proportion, equal to the scalar tail
+bit for bit), ``_hypergeometric_cdf_bulk`` (tails over arrays, with an
+acceptance number per lane), ``_hypergeometric_cdf_all_counts`` (the tails
+of one plan at every defect count of a lot, the finite OC curve, summed over
+contiguous slices of the log-factorial table, equal to the bulk tails bit for
+bit) and ``_interpolated_terms`` (terms at real defect counts).
 
 A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
 (1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
@@ -240,7 +243,7 @@ def _lot_tails(level, N: Optional[int]):
 
     X is hypergeometric over a lot of N items holding ``level`` defectives,
     or binomial with defective proportion ``level`` when N is None, where
-    the tail is ``_binomial_curve`` at that one proportion.  For a finite
+    the tail is ``_binomial_tail`` at that one proportion.  For a finite
     lot, what does not depend on (c, n), the log-factorial view and the
     lot's own log terms, is resolved here, once per lot.  Terms are
     evaluated in log space and compensated-summed in ascending order of x;
@@ -248,7 +251,7 @@ def _lot_tails(level, N: Optional[int]):
     for a proportion).
     """
     if N is None:
-        return lambda c, n: _binomial_curve(c, n, (level,))[0]
+        return lambda c, n: _binomial_tail(c, n, level)
     K, good = level, N - level
     t = _log_factorials(N)
     ln_k, ln_good, ln_N = t[K], t[good], t[N]
@@ -271,23 +274,52 @@ def _lot_tails(level, N: Optional[int]):
     return hypergeometric_tail
 
 
-def _binomial_curve(c: int, n: int, ps) -> list:
-    """P(X <= c) for X ~ Binomial(n, p) at each float proportion p of ps,
-    unchecked, with (c, n) resolved once for the whole grid: the one binomial
-    term expression, compensated-summed in ascending order of x."""
+def _binomial_tail(c: int, n: int, p: float) -> float:
+    """P(X <= c) for X ~ Binomial(n, p) at one float proportion p, unchecked:
+    the binomial term expression, compensated-summed in ascending order of x."""
     if c >= n:
-        return [1.0] * len(ps)
+        return 1.0
+    if not 0.0 < p < 1.0:  # X is 0 at p = 0, and X is n > c at p = 1
+        return 1.0 - p
     t = _log_factorials(n)
     ln_n = t[n]
+    log_p, log_q = math.log(p), math.log1p(-p)
+    total = _fsum([
+        _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
+    ])
+    return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
+
+
+def _binomial_logs(ps) -> list:
+    """(ln p, ln(1 - p)) for each float proportion p of ps inside (0, 1)."""
+    return [(math.log(p), math.log1p(-p)) for p in ps if 0.0 < p < 1.0]
+
+
+def _binomial_curve(c: int, n: int, ps, logs=None) -> list:
+    """``_binomial_tail`` at each float proportion p of ps, unchecked, with
+    (c, n) resolved once for the whole grid and ``logs``, if given, the
+    ``_binomial_logs`` of ps.  The grid is evaluated x-major: each x takes
+    its coefficient ln n! - ln x! - ln (n-x)! once and adds one term per p,
+    the tail's expression with the same association, and each p sums its
+    column with ``math.fsum``, which rounds correctly whatever the order, so
+    every point equals the tail bit for bit."""
+    if c >= n:
+        return [1.0] * len(ps)
+    if logs is None:
+        logs = _binomial_logs(ps)
+    t = _log_factorials(n)
+    ln_n = t[n]
+    rows = []
+    for x in range(c + 1):
+        a, m = ln_n - t[x] - t[n - x], n - x
+        rows.append([_exp(a + x * log_p + m * log_q) for log_p, log_q in logs])
+    sums = iter([_fsum(column) for column in zip(*rows)])
     curve = []
     for p in ps:
-        if not 0.0 < p < 1.0:  # X is 0 at p = 0, and X is n > c at p = 1
+        if not 0.0 < p < 1.0:
             curve.append(1.0 - p)
             continue
-        log_p, log_q = math.log(p), math.log1p(-p)
-        total = _fsum([
-            _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
-        ])
+        total = next(sums)
         curve.append(total if 0.0 <= total <= 1.0 else _clamp_probability(total))
     return curve
 
@@ -309,7 +341,7 @@ def binomial_cdf(c: int, n: int, p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return _binomial_curve(c, n, (p,))[0]
+    return _binomial_tail(c, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -358,36 +390,26 @@ def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom, c=None) -> np.nd
 
 
 def _hypergeometric_cdf_bulk(c, n, K, N) -> np.ndarray:
-    """hypergeometric_cdf over aligned integer arrays n, K, N, unchecked, with
-    an acceptance number c shared by every lane or one per lane (an aligned
-    array; a lane adds an exact 0.0 for each x past its own c).  Works through
-    blocks of _BULK_BLOCK elements and loops over x within each, so its
-    temporaries stay below malloc's mmap threshold and reuse heap pages: at
-    10^5 lots, page faults on freshly mapped temporaries cost as much as the
-    arithmetic.  With per-lane c, a block whose lanes all have n <= N - K adds
-    its terms x <= min(c, K, n) without the support mask: the same
-    expression, so the same floats."""
-    n, K, N = np.broadcast_arrays(
-        np.asarray(n, dtype=np.int64),
-        np.asarray(K, dtype=np.int64),
-        np.asarray(N, dtype=np.int64),
-    )
+    """hypergeometric_cdf over aligned integer arrays c, n, K, N, unchecked
+    (a scalar is broadcast to every lane; a lane adds an exact 0.0 for each
+    x past its own c).  Works through blocks of _BULK_BLOCK elements and
+    loops over x within each, so its temporaries stay below malloc's mmap
+    threshold and reuse heap pages: at 10^5 lots, page faults on freshly
+    mapped temporaries cost as much as the arithmetic.  A block whose lanes
+    all have n <= N - K adds its terms x <= min(c, K, n) without the support
+    mask: the same expression, so the same floats."""
+    c, n, K, N = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (c, n, K, N)))
     shape = N.shape
-    n, K, N = n.reshape(-1), K.reshape(-1), N.reshape(-1)
-    if np.ndim(c):
-        c = np.asarray(c, dtype=np.int64).reshape(-1)
+    c, n, K, N = c.reshape(-1), n.reshape(-1), K.reshape(-1), N.reshape(-1)
     lf = _log_factorial_array(int(N.max(initial=1)))
     total = np.zeros(N.shape, dtype=np.float64)
     for start in range(0, N.size, _BULK_BLOCK):
         block = slice(start, start + _BULK_BLOCK)
-        nb, Kb, Nb, total_b = n[block], K[block], N[block], total[block]
+        cb, nb, Kb, Nb, total_b = c[block], n[block], K[block], N[block], total[block]
         ln_denom = lf[Nb] - lf[nb] - lf[Nb - nb]
-        cb, top, whole = None, c, -1  # a shared c always takes the mask
-        if np.ndim(c):
-            cb, good = c[block], Nb - Kb
-            top = int(cb.max())
-            whole = int(np.minimum(np.minimum(cb, Kb), nb).min()) if (nb <= good).all() else -1
-        for x in range(top + 1):
+        good = Nb - Kb
+        whole = int(np.minimum(np.minimum(cb, Kb), nb).min()) if (nb <= good).all() else -1
+        for x in range(int(cb.max()) + 1):
             if x <= whole:  # lanes in the support and in the tail: no mask
                 rest = nb - x
                 total_b += np.exp(
@@ -396,6 +418,28 @@ def _hypergeometric_cdf_bulk(c, n, K, N) -> np.ndarray:
             else:
                 total_b += _hypergeometric_terms(x, nb, Kb, Nb, lf, ln_denom, cb)
     return np.minimum(total, 1.0).reshape(shape)
+
+
+def _hypergeometric_cdf_all_counts(c: int, n: int, N: int) -> np.ndarray:
+    """hypergeometric_cdf(c, n, K, N) at every defect count K = 0..N,
+    unchecked, bit for bit as ``_hypergeometric_cdf_bulk(c, n, np.arange(N +
+    1), N)`` computes it.  At each x the support is the contiguous range
+    x <= K <= x + N - n, so every table read of the term expression is a
+    slice of the log-factorial table (K - x runs up from 0, N - K and
+    N - K - n + x run down) and each x adds its terms to a slice of the
+    totals, without a gather or a mask; a lane outside the support, which
+    the bulk path adds an exact 0.0 to, is left as it is."""
+    lf = _log_factorial_array(N)
+    m = N - n
+    ln_denom = lf[N] - lf[n] - lf[m]
+    total = np.zeros(N + 1)
+    for x in range(c + 1):
+        total[x : x + m + 1] += np.exp(
+            lf[x : x + m + 1] - lf[x] - lf[: m + 1]
+            + lf[n - x : N - x + 1][::-1] - lf[n - x] - lf[m::-1]
+            - ln_denom
+        )
+    return np.minimum(total, 1.0)
 
 
 # ---------------------------------------------------------------------------

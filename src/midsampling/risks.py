@@ -32,8 +32,10 @@ from .kernel import (
     as_exact_level,
     _check_count,
     _binomial_curve,
+    _binomial_logs,
     _binomial_tolerances,
     _defect_count,
+    _hypergeometric_cdf_all_counts,
     _hypergeometric_cdf_bulk,
     _lot_tails,
     _tail_tolerance,
@@ -490,6 +492,9 @@ def _scheme_risks(rows: Sequence, n_cap: int, spec: QualitySpec, bounds: RiskBou
 
 #: Number of grid points for the default infinite-lot OC grid on [0, 0.15].
 DEFAULT_OC_POINTS = 151
+# The default infinite-lot grid k/1000 and its (ln p, ln(1 - p)) pairs.
+_DEFAULT_OC_GRID = tuple(k / 1000 for k in range(DEFAULT_OC_POINTS))
+_DEFAULT_OC_LOGS = _binomial_logs(_DEFAULT_OC_GRID)
 
 
 def oc_curve(
@@ -510,15 +515,16 @@ def oc_curve(
         N = lot.count
         if grid is None:
             ks = np.arange(N + 1)
+            accept = _hypergeometric_cdf_all_counts(plan.c, plan.n, N)
         else:
             ks = np.array([_realizable_count(p, N) for p in grid], dtype=np.int64)
-        accept = _hypergeometric_cdf_bulk(plan.c, plan.n, ks, N)
+            accept = _hypergeometric_cdf_bulk(plan.c, plan.n, ks, N)
         return list(zip((ks / N).tolist(), accept.tolist()))
     if grid is None:
-        ps = [k / 1000 for k in range(DEFAULT_OC_POINTS)]
+        ps, logs = _DEFAULT_OC_GRID, _DEFAULT_OC_LOGS
     else:
-        ps = [_checked_proportion(p) for p in grid]
-    return list(zip(ps, _binomial_curve(plan.c, plan.n, ps)))
+        ps, logs = [_checked_proportion(p) for p in grid], None
+    return list(zip(ps, _binomial_curve(plan.c, plan.n, ps, logs)))
 
 
 def _checked_proportion(p: LevelLike) -> float:

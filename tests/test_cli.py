@@ -293,6 +293,26 @@ class TestSchemeCommand:
         assert code == 0
         assert "n=18" in out and "c=0" in out
 
+    @pytest.mark.parametrize("flags, lines", [
+        (["--aql", "0.5", "--lq", "0.1"], None),
+        ([], "n_cap = x\n"),
+        ([], "aql = 0.5\nlq = 0.1\nbeta_max = 1/0\n"),
+    ], ids=["level-flags", "config-n_cap", "config-levels"])
+    def test_lookup_ignores_what_only_validate_uses(self, capsys, tmp_path, flags, lines):
+        # a lookup needs neither the levels and bounds nor the cap, which
+        # validate still checks
+        if lines is not None:
+            config = tmp_path / "run.conf"
+            config.write_text(lines)
+            flags = [*flags, "--config", str(config)]
+        code, out, err = run(capsys, "scheme", "lookup", "--builtin", "--lot-size", "300",
+                             *flags)
+        assert (code, out, err) == (0, "N=300 n=82 c=2\n", "")
+        code, out, err = run(capsys, "scheme", "validate", "--builtin", "--lot-size", "300",
+                             *flags)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_lookup_csv_rejected(self, capsys):
         code, out, err = run(capsys, "scheme", "lookup", "--builtin", "--lot-size", "22",
                              "--format", "csv")

@@ -22,6 +22,7 @@ from midsampling.kernel import (
     _BULK_BLOCK,
     _binomial_tolerances,
     _clamp_probability,
+    _hypergeometric_cdf_all_counts,
     _hypergeometric_cdf_bulk,
     _lot_tails,
     _tail_tolerance,
@@ -379,6 +380,48 @@ class TestPerLaneAcceptanceNumbers:
         got = kernel._hypergeometric_cdf_bulk(np.full(N.shape, c), n, K, N)
         assert calls == []
         assert got.tobytes() == masked.tobytes()
+
+
+def _all_counts_cases() -> list:
+    """(c, n, N) with n = 1, n = N, c = 0 and c = n among them: every plan
+    of the lots up to 12, then seeded plans of lots on both sides of the
+    table edges 2**14 and 100 002 (the numpy table grows past the second)."""
+    cases = [(c, n, N) for N in range(1, 13) for n in range(1, N + 1) for c in range(n + 1)]
+    rng = random.Random(20261020)
+    for N in (2**14 - 1, 2**14, 2**14 + 1, 100_001, 100_002, 100_003):
+        small = rng.randint(2, 60)
+        cases += [(0, 1, N), (1, 1, N), (0, N, N), (2, N, N), (0, small, N), (small, small, N)]
+        cases += [(rng.randint(0, 6), rng.randint(6, 400), N) for _ in range(2)]
+    for _ in range(60):
+        N = rng.randint(13, 3000)
+        n = rng.choice([1, N, rng.randint(1, N), rng.randint(1, min(N, 50))])
+        cases.append((rng.choice([0, n if n <= 50 else 8, rng.randint(0, min(n, 8))]), n, N))
+    return cases
+
+
+def test_all_counts_curve_equals_the_bulk_tail_bit_for_bit():
+    # the OC curve of a finite lot over its default grid, one tail per count
+    for c, n, N in _all_counts_cases():
+        want = _hypergeometric_cdf_bulk(c, n, np.arange(N + 1), N)
+        assert _hypergeometric_cdf_all_counts(c, n, N).tobytes() == want.tobytes(), (c, n, N)
+
+
+def test_unmasked_blocks_equal_the_masked_terms_summed():
+    # a scalar c is broadcast to lanes, so these lanes take the unmasked
+    # expression; the masked term routine, summed left to right, is the
+    # reference
+    from midsampling import kernel
+
+    rng = np.random.default_rng(20261020)
+    N = rng.integers(1000, 10**5, _BULK_BLOCK + 300)
+    K = rng.integers(3, N // 2)
+    n = rng.integers(3, np.minimum(N - K, 400))
+    lf = kernel._log_factorial_array(int(N.max()))
+    ln_denom = lf[N] - lf[n] - lf[N - n]
+    want = np.zeros(N.shape)
+    for x in range(4):
+        want += kernel._hypergeometric_terms(x, n, K, N, lf, ln_denom)
+    assert _hypergeometric_cdf_bulk(3, n, K, N).tobytes() == np.minimum(want, 1.0).tobytes()
 
 
 class TestScalarCore:

@@ -314,6 +314,50 @@ class TestOcCurve:
             "d36e08ad30a506c314d10de770bf2d4a79ce3aa4b91a9569b1dafa3c171f0bd0"
         )
 
+    def test_only_a_custom_finite_grid_takes_the_bulk_kernel(self, monkeypatch):
+        # the default grid, every count 0..N, takes the all-counts curve
+        from midsampling import kernel, risks
+
+        calls = []
+
+        def counting(name, core):
+            def call(*args):
+                calls.append(name)
+                return core(*args)
+            return call
+
+        monkeypatch.setattr(kernel, "_hypergeometric_terms",
+                            counting("terms", kernel._hypergeometric_terms))
+        monkeypatch.setattr(risks, "_hypergeometric_cdf_bulk",
+                            counting("bulk", risks._hypergeometric_cdf_bulk))
+        for plan, N in ((Plan(57, 1), 258), (Plan(1, 0), 1), (Plan(109, 3), 20_000)):
+            assert len(oc_curve(plan, LotSize(N))) == N + 1
+        assert calls == []
+        oc_curve(Plan(57, 1), LotSize(258), grid=[0, "2/258", 1])
+        assert calls.count("bulk") == 1 and "terms" in calls
+
+    @pytest.mark.parametrize("grid", [
+        None, [0, 1, 5e-324, 1e-300, 1.0 - 2**-53], [0.07, "7/100", 0.01, 0.07, 1, 1, 0, 0],
+        [], [0.5],
+    ], ids=["default", "edges", "repeated", "empty", "one"])
+    def test_infinite_points_equal_the_scalar_tail_bit_for_bit(self, grid):
+        rng = random.Random(20261020)
+        plans = [Plan(1, 0), Plan(1, 1), Plan(5, 5), Plan(109, 3), Plan(400, 8)]
+        plans += [Plan(n, rng.randint(0, n)) for n in (rng.randint(1, 40) for _ in range(10))]
+        for plan in plans:
+            points = oc_curve(plan, INFINITE_LOT, grid)
+            assert len(points) == (151 if grid is None else len(grid))
+            for p, pac in points:
+                assert float.hex(pac) == float.hex(binomial_cdf(plan.c, plan.n, p)), (plan, p)
+
+    def test_default_infinite_grid_logs_are_resolved_at_import(self):
+        from midsampling import risks
+
+        assert risks._DEFAULT_OC_GRID == tuple(k / 1000 for k in range(151))
+        assert risks._DEFAULT_OC_LOGS == [
+            (math.log(p), math.log1p(-p)) for p in risks._DEFAULT_OC_GRID[1:]
+        ]
+
     def test_custom_grid_and_errors(self):
         points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.0, 0.01, 0.07, "7/100"])
         assert [p for p, _ in points] == [0.0, 0.01, 0.07, 0.07]
