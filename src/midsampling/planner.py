@@ -95,8 +95,7 @@ def max_acceptance_number(
     """
     lot = LotSize.of(lot)
     n = _check_count("sample size n", n)
-    _check_plan(Plan(n, 0), lot)
-    c = _LotRule(lot, spec, n, bounds).largest_beta_c(n)
+    c = _LotRule(_check_plan(Plan(n, 0), lot), spec, n, bounds).largest_beta_c(n)
     return None if c < 0 else c
 
 

@@ -140,11 +140,14 @@ def _count(level: Fraction, N: int, ceil: bool) -> int:
     return -(-a * N // b) if ceil else a * N // b
 
 
-def _check_plan(plan: Plan, lot: LotSize) -> None:
+def _check_plan(plan: Plan, lot) -> LotSize:
+    """The lot as a ``LotSize``, once ``plan`` is checked against it."""
+    lot = LotSize.of(lot)
     if plan.n < 1:
         raise ValueError("degenerate plan with n = 0 is not a usable sampling plan")
     if lot.is_finite and plan.n > lot.count:
         raise ValueError(f"sample size n={plan.n} exceeds lot size N={lot.count}")
+    return lot
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +392,7 @@ def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> Ri
     by monotonicity of the acceptance probability these bound the risks
     for every level below the AQL and above the LQ respectively.
     """
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
-    return _LotRule(lot, spec, plan.n).risks(plan.n, plan.c)
+    return _LotRule(_check_plan(plan, lot), spec, plan.n).risks(plan.n, plan.c)
 
 
 def is_admissible(
@@ -402,9 +403,7 @@ def is_admissible(
 ) -> bool:
     """True iff both risks stay within the tolerated bounds, decided as
     exact rational arithmetic would decide it."""
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
-    return _LotRule(lot, spec, plan.n, bounds).admits(plan.n, plan.c)
+    return _LotRule(_check_plan(plan, lot), spec, plan.n, bounds).admits(plan.n, plan.c)
 
 
 def _run_ends(level: Fraction, lo: int, hi: int, ceil: bool, splits: Sequence[int] = ()) -> tuple:
@@ -509,8 +508,7 @@ def oc_curve(
     (p*N integer).  For infinite lots the default grid is 151 uniform
     points on [0, 0.15].
     """
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
+    lot = _check_plan(plan, lot)
     if lot.is_finite:
         N = lot.count
         if grid is None:
@@ -568,8 +566,7 @@ def monte_carlo_acceptance(
     by independent draws that are defective with probability ``p``.
     Deterministic for a fixed seed.
     """
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
+    lot = _check_plan(plan, lot)
     trials = _check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     if lot.is_finite:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .kernel import LotSize, Plan, _binomial_curve, interpolated_acceptance
+from .kernel import LotSize, Plan, interpolated_acceptance
 from .planner import DEFAULT_SCAN_CAP, PlanResult, _search
 from .risks import QualitySpec, RiskBounds, RiskPair, _check_plan, _LotRule
 
@@ -60,11 +60,18 @@ class ComparisonReport:
     evaluated_plans: Tuple[CandidateEvaluation, ...]
 
 
-def _acceptance_at_nominal_levels(plan: Plan, lot: LotSize, spec: QualitySpec) -> tuple:
-    levels = (spec.p_aql, spec.p_lq)
-    if lot.is_finite:
-        return tuple(interpolated_acceptance(plan, lot.count, p) for p in levels)
-    return tuple(_binomial_curve(plan.c, plan.n, [float(p) for p in levels]))
+def _nominal_acceptance(rule: _LotRule, plan: Plan) -> list:
+    """The acceptance of ``plan`` at the nominal levels of ``rule``: the
+    rule's own tail at a level that its lot realizes (every level of an
+    infinite lot; a finite lot's where p*N is whole, so that its floor and
+    ceil counts are p*N), else the Gamma-interpolated value."""
+    n, c, N = plan.n, plan.c, rule.N
+    levels = (rule.spec.p_aql, rule.spec.p_lq)
+    return [
+        tails[c, n] if N is None or K * p.denominator == p.numerator * N
+        else interpolated_acceptance(plan, N, p)
+        for p, K, tails in zip(levels, rule.levels, (rule.alpha_tails, rule.beta_tails))
+    ]
 
 
 def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
@@ -82,9 +89,7 @@ def welmec_risks(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) ->
     Gamma-interpolated OC curve; for infinite lots this coincides with
     the plain binomial risks.
     """
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
-    at_aql, at_lq = _acceptance_at_nominal_levels(plan, lot, spec)
+    at_aql, at_lq = _nominal_acceptance(_LotRule(_check_plan(plan, lot), spec, plan.n), plan)
     return WelmecRisks(alpha_cont=1.0 - at_aql, beta_cont=at_lq)
 
 
@@ -94,9 +99,8 @@ def welmec_admissible_continuous(
     """Continuous WELMEC criterion: the (interpolated) OC curve passes at
     or below both anchor points, i.e. acceptance <= 95% at the AQL and
     <= 5% at the LQ.  Boundary equality counts as admissible."""
-    lot = LotSize.of(lot)
-    _check_plan(plan, lot)
-    return _continuous_admissible(*_acceptance_at_nominal_levels(plan, lot, spec))
+    rule = _LotRule(_check_plan(plan, lot), spec, plan.n)
+    return _continuous_admissible(*_nominal_acceptance(rule, plan))
 
 
 def welmec_admissible_pointwise(
@@ -114,8 +118,7 @@ def welmec_admissible_pointwise(
     lot = LotSize.of(lot)
     if not lot.is_finite:
         raise ValueError("the pointwise criterion is defined for finite lots only")
-    _check_plan(plan, lot)
-    rule = _LotRule(lot, spec, plan.n)
+    rule = _LotRule(_check_plan(plan, lot), spec, plan.n)
     return rule.admits_pointwise(plan.n, plan.c, ACCEPT_LEVEL_AQL, ACCEPT_LEVEL_LQ)
 
 
@@ -132,8 +135,9 @@ def compare_interpretations(
     continuous-interpretation risks (at nominal levels) and both WELMEC
     admissibility flags.  The hypothesis-test risks and the pointwise flag
     of every candidate come from the lot rule that the reference search
-    built, and so do the nominal-level tails of an infinite lot, so none of
-    the rule's tails is evaluated twice.
+    built, and so do its nominal-level acceptances wherever the lot
+    realizes a level (at infinity, and where p*N is whole), so no tail is
+    evaluated twice.
     """
     lot = LotSize.of(lot)
     rule = _LotRule(lot, spec, DEFAULT_SCAN_CAP, bounds)
@@ -141,10 +145,7 @@ def compare_interpretations(
     evaluated = []
     for plan in candidate_plans:
         _check_plan(plan, lot)
-        if lot.is_finite:
-            at_aql, at_lq = _acceptance_at_nominal_levels(plan, lot, spec)
-        else:  # the nominal levels are the rule's levels
-            at_aql, at_lq = rule.alpha_tails[plan.c, plan.n], rule.beta_tails[plan.c, plan.n]
+        at_aql, at_lq = _nominal_acceptance(rule, plan)
         evaluated.append(
             CandidateEvaluation(
                 plan=plan,

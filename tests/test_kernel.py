@@ -359,17 +359,28 @@ class TestPerLaneAcceptanceNumbers:
             want = _hypergeometric_cdf_bulk(value, n[lanes], K[lanes], N[lanes])
             assert got[lanes].tobytes() == want.tobytes(), value
 
-    @pytest.mark.parametrize("c", range(5))
-    def test_unmasked_blocks_equal_the_masked_path(self, monkeypatch, c):
+    @pytest.mark.parametrize(
+        "c, seed, size, per_lane",
+        [*((c, 20261019 + c, 2 * _BULK_BLOCK + 300, True) for c in range(5)),
+         (3, 20261020, _BULK_BLOCK + 300, False)],
+        ids=[*map(str, range(5)), "scalar-c"],
+    )
+    def test_unmasked_blocks_equal_the_masked_path(self, monkeypatch, c, seed, size, per_lane):
         # every lane has min(K, n) >= c and n <= N - K, so each block adds its
-        # terms without the support mask; the shared-c call always masks
+        # terms without the support mask, an acceptance number per lane or a
+        # scalar c broadcast to lanes alike; the reference is the masked term
+        # routine summed left to right
         from midsampling import kernel
 
-        rng = np.random.default_rng(20261019 + c)
-        N = rng.integers(1000, 10**5, 2 * _BULK_BLOCK + 300)
+        rng = np.random.default_rng(seed)
+        N = rng.integers(1000, 10**5, size)
         K = rng.integers(c, N // 2)
         n = rng.integers(max(c, 1), np.minimum(N - K, 400))
-        masked = kernel._hypergeometric_cdf_bulk(c, n, K, N)
+        lf = kernel._log_factorial_array(int(N.max()))
+        ln_denom = lf[N] - lf[n] - lf[N - n]
+        masked = np.zeros(N.shape)
+        for x in range(c + 1):
+            masked += kernel._hypergeometric_terms(x, n, K, N, lf, ln_denom, c)
         calls = []
 
         def counting(*args, core=kernel._hypergeometric_terms):
@@ -377,9 +388,9 @@ class TestPerLaneAcceptanceNumbers:
             return core(*args)
 
         monkeypatch.setattr(kernel, "_hypergeometric_terms", counting)
-        got = kernel._hypergeometric_cdf_bulk(np.full(N.shape, c), n, K, N)
+        got = kernel._hypergeometric_cdf_bulk(np.full(N.shape, c) if per_lane else c, n, K, N)
         assert calls == []
-        assert got.tobytes() == masked.tobytes()
+        assert got.tobytes() == np.minimum(masked, 1.0).tobytes()
 
 
 def _all_counts_cases() -> list:
@@ -404,24 +415,6 @@ def test_all_counts_curve_equals_the_bulk_tail_bit_for_bit():
     for c, n, N in _all_counts_cases():
         want = _hypergeometric_cdf_bulk(c, n, np.arange(N + 1), N)
         assert _hypergeometric_cdf_all_counts(c, n, N).tobytes() == want.tobytes(), (c, n, N)
-
-
-def test_unmasked_blocks_equal_the_masked_terms_summed():
-    # a scalar c is broadcast to lanes, so these lanes take the unmasked
-    # expression; the masked term routine, summed left to right, is the
-    # reference
-    from midsampling import kernel
-
-    rng = np.random.default_rng(20261020)
-    N = rng.integers(1000, 10**5, _BULK_BLOCK + 300)
-    K = rng.integers(3, N // 2)
-    n = rng.integers(3, np.minimum(N - K, 400))
-    lf = kernel._log_factorial_array(int(N.max()))
-    ln_denom = lf[N] - lf[n] - lf[N - n]
-    want = np.zeros(N.shape)
-    for x in range(4):
-        want += kernel._hypergeometric_terms(x, n, K, N, lf, ln_denom)
-    assert _hypergeometric_cdf_bulk(3, n, K, N).tobytes() == np.minimum(want, 1.0).tobytes()
 
 
 class TestScalarCore:
@@ -574,6 +567,7 @@ class TestPlanAndLotTypes:
         assert LotSize.of("inf") == INFINITE_LOT
         assert LotSize.of(258).count == 258
         assert LotSize.of(float("inf")) == INFINITE_LOT
+        assert LotSize.of(None) == INFINITE_LOT
         assert not INFINITE_LOT.is_finite
         assert str(LotSize(43)) == "43"
 

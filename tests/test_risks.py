@@ -406,6 +406,18 @@ class TestOcCurve:
             hypergeometric_cdf(0, 22, 3, 43), abs=1e-6
         )
 
+    def test_csv_export_reads_an_exact_point_at_its_count(self):
+        # a point given exactly, as a Fraction or a decimal string, gives the
+        # row of its float k/N; a level that no count realizes is refused
+        accept = hypergeometric_cdf(2, 20, 3, 40)
+        points = [[(p, accept)] for p in (3 / 40, Fraction(3, 40), "0.075")]
+        rows = [oc_curve_to_csv(point, LotSize(40)) for point in points]
+        assert rows[0].splitlines()[1].startswith("3,40,0.075000,")
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        for p in (Fraction(1, 80), "1/80", 1 / 80):
+            with pytest.raises(ValueError, match="not a multiple of 1/40"):
+                oc_curve_to_csv([(p, accept)], LotSize(40))
+
     def test_csv_export_infinite_marks_zero_denominator(self):
         points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.01])
         rows = list(csv.reader(io.StringIO(oc_curve_to_csv(points, INFINITE_LOT))))

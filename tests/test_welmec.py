@@ -65,6 +65,21 @@ class TestWelmecRisks:
             0.345, abs=2e-3
         )
 
+    @pytest.mark.parametrize(
+        "lot, counts",
+        [(INFINITE_LOT, (0.01, 0.07)), (LotSize(400), (4, 28)), (LotSize(258), ())],
+        ids=["infinite", "whole-pN", "fractional-pN"],
+    )
+    def test_a_realized_nominal_level_is_one_scalar_tail(self, count_core_evaluations, lot, counts):
+        # the lot rule's own tail at each level the lot realizes (every
+        # level at infinity); a fractional p*N is Gamma-interpolated
+        evaluations = count_core_evaluations()
+        for plan in (Plan(88, 2), Plan(109, 3)):
+            for function in (welmec_risks, welmec_admissible_continuous):
+                evaluations.clear()
+                function(plan, lot)
+                assert evaluations == [(k, plan.c, plan.n, lot.count) for k in counts]
+
 
 class TestContinuousAdmissibility:
     def test_full_inspection_with_one_allowed_defect_is_rejected(self):
@@ -231,9 +246,8 @@ class TestComparisonReport:
 class TestCompareEqualsItsParts:
     """compare_interpretations judges its candidates through the lot rule of
     its reference search; every field equals the function that computes it
-    on its own, and no tail is evaluated twice, but for the nominal-level
-    tails of a finite lot where p*N is whole, which interpolated_acceptance
-    evaluates once more for each candidate."""
+    on its own, and no tail is evaluated twice, anywhere: a nominal level
+    that the lot realizes reads the rule's tail."""
 
     @pytest.mark.parametrize(
         "spec", [QualitySpec(), QualitySpec("1/40", "1/8")], ids=["1-7", "2.5-12.5"]
@@ -253,11 +267,6 @@ class TestCompareEqualsItsParts:
                 candidates.append(Plan(n, rng.randint(0, min(n, 6))))
             evaluations.clear()
             report = compare_interpretations(lot, spec, candidate_plans=candidates)
-            if lot.is_finite:  # interpolated_acceptance reads a whole p*N at its count anew
-                for p in (spec.p_aql, spec.p_lq):
-                    if (p * lot.count).denominator == 1:
-                        for plan in candidates:
-                            evaluations.remove((int(p * lot.count), plan.c, plan.n, lot.count))
             assert evaluations and len(set(evaluations)) == len(evaluations), lot
             assert report.hypothesis_plan == optimal_plan(lot, spec)
             for ev in report.evaluated_plans:
