@@ -223,6 +223,17 @@ class TestOcCommand:
             "b2bcc70948b2ccbec4d07c4914ffa222a3f54ed5fb85a81ac7aac7be160d9725"
         )
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "c93d0bf0540d376a618002b337d80729d2f2a8c7f6716da97ae3c120ef299271"),
+        ("json", "74cae6aff58dca3e3a21da5a5a8b759566ce38c4628e70806a388130dd778111"),
+    ])
+    def test_text_and_json_bytes_at_lot_100_000(self, capsys, fmt, digest):
+        # the other two renderings of the CSV pin above
+        code, out, _ = run(capsys, "oc", "--n", "109", "--c", "3", "--lot-size", "100000",
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "oc", "--n", "5", "--c", "1", "--lot-size", "inf",
                            "--format", "json")
