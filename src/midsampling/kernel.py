@@ -32,6 +32,7 @@ floats, so no scalar decision path uses numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from decimal import Decimal
@@ -143,17 +144,20 @@ LevelLike = Union[Fraction, float, int, str]
 def as_exact_level(value: LevelLike) -> Fraction:
     """Convert a quality level or risk bound to an exact Fraction.
 
-    Floats go through their shortest decimal representation, so the
-    literal a user typed (0.07) becomes the rational they meant (7/100)
-    rather than the nearest binary double.  Malformed strings, "1/0"
-    included, raise ``ValueError``.
+    Floats, numpy's included, go through their shortest decimal
+    representation, so the literal a user typed (0.07) becomes the rational
+    they meant (7/100) rather than the nearest binary double; any other
+    real that is not rational, such as ``np.float32``, is read as the float
+    it converts to.  Malformed strings, "1/0" included, raise ``ValueError``.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"level {value!r} is not a finite number")
-        return Fraction(Decimal(repr(value)))
+        return Fraction(Decimal(float.__repr__(value)))  # np.float64's repr names its type
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        return as_exact_level(float(value))
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:
@@ -328,9 +332,9 @@ def _binomial_curve(c: int, n: int, ps, logs=None) -> list:
 # Binomial model (infinite lots)
 # ---------------------------------------------------------------------------
 
-def binomial_cdf(c: int, n: int, p: float) -> float:
+def binomial_cdf(c: int, n: int, p: LevelLike) -> float:
     """P(X <= c) for X ~ Binomial(n, p), i.e. the acceptance probability of
-    plan (n, c) against an infinite lot with defective proportion p.
+    plan (n, c) against an infinite lot with defective proportion p, a level.
 
     Absolute error stays below ``_binomial_tolerances(n, (p,))``.
     """
@@ -338,10 +342,7 @@ def binomial_cdf(c: int, n: int, p: float) -> float:
     n = _check_count("n", n)
     if c > n:
         raise ValueError(f"c={c} exceeds n={n}")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return _binomial_tail(c, n, p)
+    return _binomial_tail(c, n, _defect_count(p, None)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +447,35 @@ def _hypergeometric_cdf_all_counts(c: int, n: int, N: int) -> np.ndarray:
 # Gamma-interpolated hypergeometric model (WELMEC-style continuous risks)
 # ---------------------------------------------------------------------------
 
-def _defect_count(p: LevelLike, N: int) -> tuple:
+def _defect_count(p: LevelLike, N: Optional[int]) -> tuple:
     """(p*N as a float, the whole count p*N or None) for a quality level p
-    in [0, 1], the one reader of a realizable defect count; ValueError
-    outside [0, 1].  Fractions, ints and strings are read exactly.  A float
-    names count k only when it is the double nearest k/N, ``k / N == p``;
+    in [0, 1] against a lot of N items, and (p as a float, None) at an
+    infinite lot, N None: the one reader of a level; ValueError outside
+    [0, 1].  Fractions, ints and strings are read exactly.  A float names
+    count k only when it is the double nearest k/N, ``k / N == p``;
     otherwise p*N is its float product."""
     if isinstance(p, float):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"quality level {p!r} outside [0, 1]")
+        if N is None:
+            return float(p) + 0.0, None  # a Python float; -0.0 reads as the level 0
         k = round(p * N)
         return p * N, (k if k / N == p else None)
     a, b = as_exact_level(p).as_integer_ratio()
     if not 0 <= a <= b:
         raise ValueError(f"quality level {p!r} outside [0, 1]")
+    if N is None:
+        return a / b, None
     count, rest = divmod(a * N, b)
     return a * N / b, (None if rest else count)
+
+
+def _realizable_count(p: LevelLike, N: int) -> int:
+    """Defective count k with p == k/N, or ValueError if p is not realizable."""
+    k = _defect_count(p, N)[1]
+    if k is None:
+        raise ValueError(f"quality level {p} is not a multiple of 1/{N}")
+    return k
 
 
 def _checked_interpolation_args(n: int, N, p) -> tuple:

@@ -16,8 +16,7 @@ import json
 import math
 from typing import Optional, Sequence
 
-from .kernel import LotSize, Plan
-from .risks import RiskPair, _realizable_count
+from .kernel import LotSize, Plan, _defect_count, _realizable_count
 
 __all__ = [
     "oc_curve_to_csv",
@@ -39,7 +38,7 @@ def _rounded(**risks: float) -> dict:
     return {name: round(risk, 6) for name, risk in risks.items()}
 
 
-def _risks_json(risks: RiskPair) -> dict:
+def _risks_json(risks) -> dict:
     return _rounded(alpha=risks.alpha, beta=risks.beta)
 
 
@@ -121,22 +120,21 @@ def oc_curve_to_csv(points: Sequence, lot: LotSize) -> str:
     Columns: p_numerator, p_denominator_or_0_for_infinite, p_value,
     acceptance_probability.  Finite lots carry the exact k/N rational in
     the first two columns; infinite lots flag themselves with a zero
-    denominator.
+    denominator.  p_value is each point as the kernel reads it.
     """
     N = LotSize.of(lot).count
 
-    def fraction(p) -> tuple:
+    def row(p, pac) -> list:
         if N is None:
-            return (0, 0)
-        if isinstance(p, float) and 0.0 <= p <= 1.0:  # _defect_count's rule for a float, inline
-            k = round(p * N)
-            if k / N == p:
-                return (k, N)
-        return (_realizable_count(p, N), N)
+            return [0, 0, f"{_defect_count(p, None)[0]:.6f}", f"{pac:.6f}"]
+        k = round(p * N) if isinstance(p, float) and 0.0 <= p <= 1.0 else None
+        if k is None or k / N != p:  # the fast path is _realizable_count's rule for a float
+            k = _realizable_count(p, N)
+        return [k, N, f"{k / N:.6f}", f"{pac:.6f}"]
 
     return _csv(
         "p_numerator,p_denominator_or_0_for_infinite,p_value,acceptance_probability",
-        ([*fraction(p), f"{float(p):.6f}", f"{pac:.6f}"] for p, pac in points),
+        (row(p, pac) for p, pac in points),
     )
 
 

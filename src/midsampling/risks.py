@@ -38,6 +38,7 @@ from .kernel import (
     _hypergeometric_cdf_all_counts,
     _hypergeometric_cdf_bulk,
     _lot_tails,
+    _realizable_count,
     _tail_tolerance,
 )
 
@@ -521,23 +522,8 @@ def oc_curve(
     if grid is None:
         ps, logs = _DEFAULT_OC_GRID, _DEFAULT_OC_LOGS
     else:
-        ps, logs = [_checked_proportion(p) for p in grid], None
+        ps, logs = [_defect_count(p, None)[0] for p in grid], None
     return list(zip(ps, _binomial_curve(plan.c, plan.n, ps, logs)))
-
-
-def _checked_proportion(p: LevelLike) -> float:
-    value = as_exact_level(p)
-    if not 0 <= value <= 1:
-        raise ValueError(f"quality level {p!r} outside [0, 1]")
-    return float(value)
-
-
-def _realizable_count(p: LevelLike, N: int) -> int:
-    """Defective count k with p == k/N, or ValueError if p is not realizable."""
-    k = _defect_count(p, N)[1]
-    if k is None:
-        raise ValueError(f"quality level {p} is not a multiple of 1/{N}")
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +562,7 @@ def monte_carlo_acceptance(
         def defects(m):  # one defect count per inspection
             return rng.hypergeometric(K, N - K, plan.n, size=m)
     else:
-        width, prob = plan.n, _checked_proportion(p)
+        width, prob = plan.n, _defect_count(p, None)[0]
 
         def defects(m):  # one draw per sampled item
             return np.count_nonzero(rng.random((m, width)) < prob, axis=1)

@@ -15,7 +15,7 @@ lot covered: O(runs), not O(lots).
 
 Schemes can be read from and written to a one-row-per-line text format::
 
-    from,to,rule,c        # to may be "inf"; rule is n:<int> | full | offset:<int>
+    from,to,rule,c        # to is a lot size or "inf"; rule is n:<int> | full | offset:<int>
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .kernel import Plan, _check_count
+from .kernel import LotSize, Plan, _check_count
 from .risks import QualitySpec, RiskBounds, _scheme_risks
 
 __all__ = [
@@ -287,10 +287,11 @@ def parse_scheme(text: str) -> Scheme:
     """Parse the line-based scheme format.
 
     Each non-empty, non-comment line reads ``from,to,rule,c`` where ``to``
-    may be ``inf`` and ``rule`` is ``n:<int>``, ``full`` or
-    ``offset:<int>``.  Raises :class:`SchemeParseError` with the offending
-    line number, or :class:`SchemeCoverageError` if the rows do not cover
-    [1, inf) contiguously.
+    is a lot size as ``LotSize.of`` reads it (``inf`` for an open row) and
+    ``rule`` is ``n:<int>``, ``full`` or ``offset:<int>``.  Raises
+    :class:`SchemeParseError` with the offending line number, or
+    :class:`SchemeCoverageError` if the rows do not cover [1, inf)
+    contiguously.
     """
     rows = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -302,7 +303,7 @@ def parse_scheme(text: str) -> Scheme:
             raise SchemeParseError(line_number, f"expected 'from,to,rule,c', got {raw!r}")
         try:
             n_from = int(parts[0])
-            n_to = None if parts[1].lower() in ("inf", "infinite") else int(parts[1])
+            n_to = LotSize.of(parts[1]).count
             c = int(parts[3])
             rule = PlanRule.from_token(parts[2], c)
             rows.append(SchemeRow(n_from=n_from, n_to=n_to, rule=rule))

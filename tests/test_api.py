@@ -69,7 +69,7 @@ PACKAGE_IMPORTS = {
     "cli": {"kernel", "planner", "render", "risks", "scheme", "welmec"},
     "kernel": set(),
     "planner": {"kernel", "render", "risks"},
-    "render": {"kernel", "risks"},
+    "render": {"kernel"},
     "risks": {"kernel"},
     "scheme": {"kernel", "risks"},
     "welmec": {"kernel", "planner", "risks"},

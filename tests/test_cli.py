@@ -492,6 +492,9 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert "(20,0)" in err
+        code, out, err = run(capsys, "compare", "--lot-size", "50", "--candidates", "60:1")
+        assert (code, out) == (2, "")
+        assert "error: candidate (60,1) exceeds lot size N=50" in err
 
 
 class TestSimulateCommand:

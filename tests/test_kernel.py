@@ -113,6 +113,12 @@ class TestBinomialCdf:
         assert binomial_cdf(9, 10, 1.0) == 0.0
         assert binomial_cdf(10, 10, 1.0) == 1.0
 
+    def test_reads_p_as_a_level(self):
+        # exactly, as every level is read, and a numpy float as its float
+        assert binomial_cdf(3, 109, "7/100") == binomial_cdf(3, 109, 0.07)
+        assert binomial_cdf(3, 109, Fraction(7, 100)) == binomial_cdf(3, 109, 0.07)
+        assert binomial_cdf(1, 5, np.float32(0.1)) == float.fromhex("0x1.d64adfe579292p-1")
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             binomial_cdf(5, 4, 0.1)

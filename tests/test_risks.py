@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +47,11 @@ class TestQualitySpecAndBounds:
         spec = QualitySpec(p_aql=0.015, p_lq=0.08)
         assert spec.p_aql == Fraction(3, 200)
         assert spec.p_lq == Fraction(2, 25)
+        # numpy's floats too: np.float64 is a float whose repr names its type,
+        # and np.float32 reads as the float it converts to
+        assert QualitySpec(np.float64(0.01), np.float64(0.07)) == QualitySpec()
+        assert RiskBounds(np.float64(0.05), np.float64(0.05)) == RiskBounds()
+        assert as_exact_level(np.float32(0.1)) == as_exact_level(float(np.float32(0.1)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -282,6 +288,12 @@ class TestOcCurve:
         lookup = {round(p, 6): pac for p, pac in points}
         assert lookup[0.01] == pytest.approx(0.944466, abs=1e-6)
 
+    def test_numpy_grid_reads_as_python_floats(self):
+        grid = np.linspace(0, 0.15, 151)
+        points = oc_curve(Plan(109, 3), INFINITE_LOT, grid)
+        assert points == oc_curve(Plan(109, 3), INFINITE_LOT, grid.tolist())
+        assert {type(p) for p, _ in points} == {float}
+
     def test_infinite_curves_are_bit_identical_to_the_pinned_digest(self):
         # sha256 of float.hex of every point, as one tail per point computed it
         rng = random.Random(20261018)
@@ -407,13 +419,19 @@ class TestOcCurve:
         )
 
     def test_csv_export_reads_an_exact_point_at_its_count(self):
-        # a point given exactly, as a Fraction or a decimal string, gives the
-        # row of its float k/N; a level that no count realizes is refused
+        # a point given exactly, as a Fraction or a string, gives the row of
+        # its float k/N, and at an infinite lot the row of that float; a
+        # level that no count realizes is refused
         accept = hypergeometric_cdf(2, 20, 3, 40)
-        points = [[(p, accept)] for p in (3 / 40, Fraction(3, 40), "0.075")]
-        rows = [oc_curve_to_csv(point, LotSize(40)) for point in points]
-        assert rows[0].splitlines()[1].startswith("3,40,0.075000,")
-        assert rows[1] == rows[0] and rows[2] == rows[0]
+        for lot in (LotSize(40), INFINITE_LOT):
+            rows = [
+                oc_curve_to_csv([(p, accept)], lot)
+                for p in (3 / 40, Fraction(3, 40), "0.075", "3/40")
+            ]
+            assert rows[0].splitlines()[1].startswith(
+                "3,40,0.075000," if lot.is_finite else "0,0,0.075000,"
+            )
+            assert rows[1:] == [rows[0]] * 3
         for p in (Fraction(1, 80), "1/80", 1 / 80):
             with pytest.raises(ValueError, match="not a multiple of 1/40"):
                 oc_curve_to_csv([(p, accept)], LotSize(40))

@@ -421,6 +421,12 @@ class TestSchemeTextFormat:
         scheme = parse_scheme(text)
         assert len(scheme.rows) == 2
 
+    @pytest.mark.parametrize("to", ["INF", "infinity", " Infinite "])
+    def test_open_row_reads_as_a_lot_size_does(self, to):
+        # any spelling of an infinite lot that --lot-size takes
+        text = "1,14,full,0\n15,{},n:14,0\n"
+        assert parse_scheme(text.format(to)) == parse_scheme(text.format("inf"))
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(SchemeParseError) as excinfo:
             parse_scheme("1,14,full,0\nnot a row\n")
