@@ -72,7 +72,6 @@ def _count_reader(what: str, least: int = 0):
 
 _parse_seed = _count_reader("seed")
 _parse_cap = _count_reader("cap")
-_parse_sample_size = _count_reader("sample size n", 1)
 _parse_lot_count = _count_reader("lot size", 1)
 
 
@@ -254,6 +253,13 @@ def _add_levels(parser: argparse.ArgumentParser) -> None:
                         help="largest tolerated consumers' risk (default 0.05)")
 
 
+def _add_plan(parser: argparse.ArgumentParser) -> None:
+    """The plan (n, c) and the lot it meets, for the commands that take one plan."""
+    parser.add_argument("--n", type=_count_reader("sample size n", 1), required=True)
+    parser.add_argument("--c", type=_count_reader("acceptance number c"), required=True)
+    parser.add_argument("--lot-size", required=True)
+
+
 def _add_common(parser: argparse.ArgumentParser, output: Optional[str]) -> None:
     """The options every command takes; ``--format`` offers the formats its
     ``output`` kind renders, none if ``output`` is None."""
@@ -289,9 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table, format="csv")  # a table is CSV only
 
     p_oc = sub.add_parser("oc", help="operating characteristic curve data")
-    p_oc.add_argument("--n", type=_parse_sample_size, required=True)
-    p_oc.add_argument("--c", type=int, required=True)
-    p_oc.add_argument("--lot-size", required=True)
+    _add_plan(p_oc)
     _add_common(p_oc, "oc")
     p_oc.set_defaults(func=_cmd_oc)
 
@@ -315,12 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=_cmd_compare)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo acceptance estimate")
-    p_sim.add_argument("--n", type=_parse_sample_size, required=True)
-    p_sim.add_argument("--c", type=int, required=True)
-    p_sim.add_argument("--lot-size", required=True)
+    _add_plan(p_sim)
     p_sim.add_argument("--p", type=_parse_level, required=True,
                        help="quality level (decimal or fraction)")
-    p_sim.add_argument("--trials", type=int, required=True)
+    p_sim.add_argument("--trials", type=_count_reader("trials", 1), required=True)
     p_sim.add_argument("--seed", type=_parse_seed, default=None)
     _add_common(p_sim, "simulation")
     p_sim.set_defaults(func=_cmd_simulate)

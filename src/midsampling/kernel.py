@@ -338,11 +338,8 @@ def binomial_cdf(c: int, n: int, p: LevelLike) -> float:
 
     Absolute error stays below ``_binomial_tolerances(n, (p,))``.
     """
-    c = _check_count("c", c)
-    n = _check_count("n", n)
-    if c > n:
-        raise ValueError(f"c={c} exceeds n={n}")
-    return _binomial_tail(c, n, _defect_count(p, None)[0])
+    plan = Plan(n, c)
+    return _binomial_tail(plan.c, plan.n, _defect_count(p, None)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +355,13 @@ def hypergeometric_cdf(c: int, n: int, K: int, N: int) -> float:
     1e-12 at N = 25, 1e-9 at N = 10**4 and 2e-7 at N = 10**6; observed
     errors are some forty times smaller.
     """
-    c = _check_count("c", c)
-    n = _check_count("n", n)
-    K = _check_count("K", K)
-    N = _check_count("N", N)
+    plan = Plan(n, c)
+    K, N = _check_count("K", K), _check_count("N", N)
     if K > N:
         raise ValueError(f"defective count K={K} exceeds lot size N={N}")
-    if n > N:
-        raise ValueError(f"sample size n={n} exceeds lot size N={N}")
-    if c > n:
-        raise ValueError(f"c={c} exceeds n={n}")
-    return _lot_tails(K, N)(c, n)
+    if plan.n > N:
+        raise ValueError(f"sample size n={plan.n} exceeds lot size N={N}")
+    return _lot_tails(K, N)(plan.c, plan.n)
 
 
 def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom, c=None) -> np.ndarray:
@@ -463,7 +456,7 @@ def _defect_count(p: LevelLike, N: Optional[int]) -> tuple:
         return p * N, (k if k / N == p else None)
     a, b = as_exact_level(p).as_integer_ratio()
     if not 0 <= a <= b:
-        raise ValueError(f"quality level {p!r} outside [0, 1]")
+        raise ValueError(f"quality level {p} outside [0, 1]")
     if N is None:
         return a / b, None
     count, rest = divmod(a * N, b)

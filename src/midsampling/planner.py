@@ -93,9 +93,8 @@ def max_acceptance_number(
     Only the consumers' bound is checked here; the acceptance probability
     grows with c, so the feasible acceptance numbers are exactly 0..c_n.
     """
-    lot = LotSize.of(lot)
-    n = _check_count("sample size n", n)
-    c = _LotRule(_check_plan(Plan(n, 0), lot), spec, n, bounds).largest_beta_c(n)
+    lot, plan = LotSize.of(lot), Plan(n, 0)
+    c = _LotRule(_check_plan(plan, lot), spec, plan.n, bounds).largest_beta_c(plan.n)
     return None if c < 0 else c
 
 

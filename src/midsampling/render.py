@@ -138,9 +138,15 @@ def oc_curve_to_csv(points: Sequence, lot: LotSize) -> str:
     )
 
 
+def _oc_level(p, lot: LotSize) -> float:
+    """A level that is not a float, read as ``oc_curve_to_csv`` reads it."""
+    return _realizable_count(p, lot.count) / lot.count if lot.count else _defect_count(p, None)[0]
+
+
 def _oc_json(points: Sequence, lot: LotSize) -> str:
     """JSON rendering of an OC curve: an array of {p, pac} objects."""
-    payload = [{"p": round(float(p), 6), "pac": round(float(pac), 6)} for p, pac in points]
+    payload = [{"p": round(float(p if isinstance(p, float) else _oc_level(p, lot)), 6),
+                "pac": round(float(pac), 6)} for p, pac in points]
     return json.dumps(payload) + "\n"
 
 
@@ -276,7 +282,9 @@ RENDERERS = {
     },
     "table": {"csv": lambda table: _plans_csv(table.rows)},
     "oc": {
-        "text": lambda points, lot: _lines(f"{p:.6f} {pac:.6f}" for p, pac in points),
+        "text": lambda points, lot: _lines(
+            f"{p if isinstance(p, float) else _oc_level(p, lot):.6f} {pac:.6f}" for p, pac in points
+        ),
         "csv": oc_curve_to_csv,
         "json": _oc_json,
     },

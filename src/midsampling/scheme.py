@@ -80,12 +80,9 @@ class PlanRule:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "n" and self.value < 1:
-            raise ValueError("fixed sample size must be >= 1")
-        if self.kind == "offset" and self.value < 0:
-            raise ValueError("offset must be >= 0")
-        if self.c < 0:
-            raise ValueError("acceptance number must be >= 0")
+        what, least = ("fixed sample size", 1) if self.kind == "n" else ("offset", 0)
+        object.__setattr__(self, "value", _check_count(what, self.value, least))
+        object.__setattr__(self, "c", _check_count("acceptance number", self.c))
 
     @classmethod
     def fixed(cls, n: int, c: int) -> "PlanRule":

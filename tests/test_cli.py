@@ -265,6 +265,18 @@ class TestOcCommand:
             assert (f"argument --n: invalid sample size n '{n}': "
                     f"sample size n must be >= 1, got {n}") in captured.err
 
+    def test_acceptance_number_below_zero(self, capsys):
+        for argv in (["oc", "--n", "5", "--lot-size", "10"],
+                     ["simulate", "--n", "5", "--lot-size", "10", "--p", "0.1",
+                      "--trials", "10"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + ["--c", "-1"])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("argument --c: invalid acceptance number c '-1': "
+                    "acceptance number c must be >= 0, got -1") in captured.err
+
     def test_invalid_plan(self, capsys):
         code, _, _ = run(capsys, "oc", "--n", "2", "--c", "3", "--lot-size", "inf")
         assert code == 2
@@ -541,6 +553,23 @@ class TestSimulateCommand:
         code, out, err = run(capsys, *argv, "--config", str(config))
         assert code == 2
         assert out == "" and "config key 'seed': invalid seed '-3': seed must be >= 0" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one(self, capsys, trials):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--n", "34", "--c", "0", "--lot-size", "inf",
+                  "--p", "0.03", "--trials", trials])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --trials: invalid trials '{trials}': "
+                f"trials must be >= 1, got {trials}") in captured.err
+
+    def test_level_outside_the_unit_interval_is_named_as_written(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "5", "--c", "1", "--lot-size", "inf",
+                             "--p", "2", "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "error: quality level 2 outside [0, 1]\n" == err
 
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, "simulate", "--n", "34", "--c", "0",

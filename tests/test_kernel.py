@@ -126,6 +126,8 @@ class TestBinomialCdf:
             binomial_cdf(1, 4, 1.5)
         with pytest.raises(ValueError):
             binomial_cdf(-1, 4, 0.5)
+        with pytest.raises(ValueError, match="acceptance number c=5 exceeds sample size n=3"):
+            binomial_cdf(5, 3, 0.1)  # Plan's message
 
     @given(
         st.integers(1, 300),
@@ -179,6 +181,8 @@ class TestHypergeometricCdf:
             hypergeometric_cdf(0, 11, 5, 10)  # n > N
         with pytest.raises(ValueError):
             hypergeometric_cdf(6, 5, 5, 10)  # c > n
+        with pytest.raises(ValueError, match="acceptance number c=6 exceeds sample size n=5"):
+            hypergeometric_cdf(6, 5, 5, 10)  # Plan's message
 
     def test_exact_oracle_grid(self):
         # every N <= 60 with representative sample/defective combinations

@@ -436,6 +436,17 @@ class TestOcCurve:
             with pytest.raises(ValueError, match="not a multiple of 1/40"):
                 oc_curve_to_csv([(p, accept)], LotSize(40))
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_text_and_json_read_an_exact_point_as_the_csv_does(self, fmt):
+        # k / N at a finite lot, the level's float at an infinite one
+        accept = hypergeometric_cdf(2, 20, 3, 40)
+        for lot in (LotSize(40), INFINITE_LOT):
+            want = render("oc", fmt, [(3 / 40, accept)], lot)
+            for p in (Fraction(3, 40), "0.075", "3/40"):
+                assert render("oc", fmt, [(p, accept)], lot) == want
+        with pytest.raises(ValueError, match="not a multiple of 1/40"):
+            render("oc", fmt, [("1/80", accept)], LotSize(40))
+
     def test_csv_export_infinite_marks_zero_denominator(self):
         points = oc_curve(Plan(86, 2), INFINITE_LOT, grid=[0.01])
         rows = list(csv.reader(io.StringIO(oc_curve_to_csv(points, INFINITE_LOT))))

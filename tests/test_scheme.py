@@ -390,6 +390,18 @@ class TestSchemeStructure:
         with pytest.raises(ValueError, match="unknown rule kind 'sample'"):
             PlanRule("sample", 0)
 
+    @pytest.mark.parametrize("value", [True, 1.5])
+    def test_rule_numbers_are_whole(self, value):
+        with pytest.raises(ValueError, match=f"must be an integer, got {value!r}"):
+            PlanRule("n", value, 5)
+        with pytest.raises(ValueError, match=f"must be an integer, got {value!r}"):
+            PlanRule("n", 0, value)
+
+    def test_a_whole_float_rule_number_is_stored_as_its_int(self):
+        rule = PlanRule.fixed(14.0, 0.0)
+        assert type(rule.value) is int and rule.value == 14
+        assert type(rule.c) is int and rule == PlanRule.fixed(14, 0)
+
     def test_unbounded_row_must_be_last(self):
         with pytest.raises(SchemeCoverageError, match="row 0 is unbounded but not last"):
             parse_scheme("1,inf,full,0\n2,inf,n:5,0\n")
@@ -408,6 +420,14 @@ class TestSchemeTextFormat:
     def test_round_trip(self):
         scheme = default_mid_scheme()
         assert parse_scheme(format_scheme(scheme)) == scheme
+
+    def test_round_trip_of_a_whole_float_sample_size(self):
+        # written as n:14, not n:14.0, which the parser refuses
+        scheme = Scheme(rows=(SchemeRow(1, 14, PlanRule.full_inspection(0)),
+                              SchemeRow(15, None, PlanRule.fixed(14.0, 0))))
+        text = format_scheme(scheme)
+        assert text == "1,14,full,0\n15,inf,n:14,0\n"
+        assert parse_scheme(text) == scheme
 
     def test_default_scheme_rendering(self):
         text = format_scheme(default_mid_scheme())
@@ -440,9 +460,9 @@ class TestSchemeTextFormat:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("1,inf,n:0,0", "fixed sample size must be >= 1"),
-            ("1,inf,offset:-1,0", "offset must be >= 0"),
-            ("1,inf,n:5,-1", "acceptance number must be >= 0"),
+            ("1,inf,n:0,0", "fixed sample size must be >= 1, got 0"),
+            ("1,inf,offset:-1,0", "offset must be >= 0, got -1"),
+            ("1,inf,n:5,-1", "acceptance number must be >= 0, got -1"),
             ("0,inf,n:5,0", "interval must start at a lot size >= 1"),
             ("5,4,n:5,0", "empty interval [5, 4]"),
         ],
