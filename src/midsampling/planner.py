@@ -5,21 +5,21 @@ the sample size n and the producers' risk does not decrease, so the
 consumers' bound admits c exactly from some smallest n_beta(c) on, and
 n_beta(c) does not decrease with c.  The search walks c = 0, 1, ...,
 finds each n_beta(c) by galloping and bisecting upward from the previous
-one (from a closed-form estimate for c = 0 and 1), and stops at the first c
-whose producers' risk at n_beta(c) is admitted: no plan with a smaller n is
-admissible.  At that n the plan takes the largest acceptance number the
-consumers' bound admits, which has the smallest producers' risk.  The lot
-rule in ``risks`` makes every decision exactly, so this argument holds
-exactly.  It evaluates each tail of its lot once, so the plan's reported
-risks are tails the search already computed.
+one (from a closed-form estimate for c = 0 and 1), and stops at the first c*
+whose producers' risk at n* = n_beta(c*) is admitted: no smaller n is
+admissible.  A sample of n holds at most one defect more than its first
+n - 1 items, so beta(n, c + 1) >= beta(n - 1, c): as (n* - 1, c*) is
+refused, c* is the largest c the consumers' bound admits at n*, the one with
+the smallest producers' risk.  The lot rule in ``risks`` decides exactly and
+evaluates each tail once: the reported risks are tails the search computed.
 
-A table moves one lot rule from lot to lot and starts each search for
-n_beta(c) at the previous lot's, which is also a floor inside a run of lots
-with one realized LQ count K = ceil(p_lq*N): for fixed (n, c, K) the exact
-acceptance does not decrease with N (the likelihood-ratio ordering that
-``risks._scheme_risks`` relies on), so every n refused at N - 1 is refused at
-N.  Where K steps up, acceptance falls and n_beta(c) may fall with it.  The
-floor skips only probes whose exact decision is known: it changes none.
+A table starts each search for n_beta(c) at the previous lot's, a floor m
+inside a run of lots with one realized LQ count K = ceil(p_lq*N): for fixed
+(n, c, K) the exact acceptance does not decrease with N (the ordering that
+``risks._scheme_risks`` relies on).  There a c below the previous c* whose
+producers' risk at m is refused has no plan, as that risk does not fall as
+n grows.  Where K steps up, n_beta(c) may fall.  The floors skip only probes
+whose exact decision is known: they change no plan.
 """
 
 from __future__ import annotations
@@ -147,12 +147,12 @@ def _poisson_ratio(ln_beta: float) -> float:
 
 def _search(rule: _LotRule, hints: Sequence[int] = (), floors: bool = False) -> tuple:
     """The optimal plan for the lot of ``rule``, with n <= rule.n_max, and
-    the n_beta(c) it found on the way.  The search for n_beta(c) starts at
-    ``hints[c]``, n_beta(c) of the previous lot, or else at a closed-form
-    estimate for c = 0, at the Poisson ratio from n_beta(0) for c = 1 and
-    where the previous two n_beta point for c >= 2; a start never changes
-    the answer.  Given ``floors``, no n below ``hints[c]`` admits c at
-    this lot, so the search for n_beta(c) starts no lower."""
+    for each c searched n_beta(c) or a floor of it.  The search for n_beta(c)
+    starts at ``hints[c]``, or else at a closed-form estimate for c = 0, at
+    the Poisson ratio from n_beta(0) for c = 1 and where the previous two
+    point for c >= 2; a start never changes the answer.  Given ``floors``, no
+    n below ``hints[c]`` admits c at this lot: a c below the last hint that
+    the producers' bound refuses there has no plan."""
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
         beta_num, beta_den = rule.bounds.beta_max.as_integer_ratio()
@@ -162,8 +162,11 @@ def _search(rule: _LotRule, hints: Sequence[int] = (), floors: bool = False) -> 
     for c in itertools.count():
         if c < len(hints):
             hint = hints[c]
-            if floors and hint > n:
-                n = hint
+            if floors:
+                n = max(n, hint)
+                if c + 1 < len(hints) and not rule.admits_alpha(n, c):
+                    n_betas.append(n)  # alpha(n, c) does not fall as n grows
+                    continue
         elif c >= 2:  # n_beta(c) grows about linearly in c
             hint = 2 * n - n_betas[-2]
         elif c == 0:
@@ -175,7 +178,6 @@ def _search(rule: _LotRule, hints: Sequence[int] = (), floors: bool = False) -> 
             break
         n_betas.append(n)
         if rule.admits_alpha(n, c):
-            c = rule.largest_beta_c(n, c)
             realized = _realized_levels(rule.levels, rule.N)
             return _result(n, c, rule.risks(n, c), realized), n_betas
     spec, bounds = rule.spec, rule.bounds
@@ -203,10 +205,10 @@ def plan_table(
 ) -> PlanTable:
     """Optimal plans for every lot size N in [n_min, n_max].
 
-    One lot rule moves from lot to lot.  Each search starts at the previous
-    lot's n_beta(c), a floor where the LQ count has not stepped: at fixed
-    (n, c, K) acceptance does not fall as N grows, but falls when K steps
-    up.  No decision changes: every row equals ``optimal_plan`` of its lot.
+    One lot rule moves from lot to lot, and each search starts at the previous
+    lot's n_beta(c) or a floor of it: still a floor while the LQ count holds,
+    where a refused c below the previous c* costs one tail.  No decision
+    changes: every row equals ``optimal_plan`` of its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:

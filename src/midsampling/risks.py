@@ -223,9 +223,9 @@ class _Tails(dict):
 
 class _LotRule:
     """Both risks of plans (n, c) against one lot and their bounds, resolved
-    once for many plans, with the planner's three search steps and the
-    pointwise WELMEC decision.  Sample sizes run up to N, or up to n_max at
-    an infinite lot, where n_max also widens the band of binomial tails.
+    once for many plans, with the planner's two search steps, the largest c
+    admitted at an n and the pointwise WELMEC decision.  Sample sizes run up
+    to N, or to n_max at an infinite lot, where n_max widens binomial bands.
     Each tail is evaluated once while the rule is at its lot, so the
     reported risks of a search's plan reuse the tails it computed, and so
     does the pointwise decision.  A table moves one rule from lot to lot:
@@ -315,7 +315,7 @@ class _LotRule:
         from ``hint`` (or n_from) brackets the answer and a bisection closes
         the bracket; the hint moves only where the search starts.  One loop
         evaluates each probe and compares with the tie band inline, like
-        ``largest_beta_c``: a hint that is the answer costs two tails."""
+        ``largest_beta_c``: a hint that is the answer costs two tails (one at n_from)."""
         tails, core = self.beta_tails, self.beta_tails.core
         lo, hi, exact = self.beta_bound
         n_max = self.n_max
@@ -343,20 +343,18 @@ class _LotRule:
                 return admitted
             step *= 2
 
-    def largest_beta_c(self, n: int, c: int = -1) -> int:
+    def largest_beta_c(self, n: int) -> int:
         """The largest acceptance number at n that the consumers' bound
-        admits (-1 if none), searched upward from c, an acceptance number
-        it admits or -1, one tail per step: the planner calls it once per
-        plan, from the c it searched for.  The loop compares with the tie
-        band inline and settles a risk inside it through its exact value."""
+        admits (-1 if none), searched upward from 0, one tail per step.
+        The loop compares with the tie band inline and settles a risk
+        inside it through its exact value."""
         tails, core = self.beta_tails, self.beta_tails.core
         lo, hi, exact = self.beta_bound
-        while c < n:
-            beta = tails[c + 1, n] = core(c + 1, n)
-            if beta > hi or (beta > lo and self.exact_beta(n, c + 1) > exact):
-                break
-            c += 1
-        return c
+        for c in range(n + 1):
+            beta = tails[c, n] = core(c, n)
+            if beta > hi or (beta > lo and self.exact_beta(n, c) > exact):
+                return c - 1
+        return n
 
     def admits_alpha(self, n: int, c: int) -> bool:
         """Whether the producers' bound admits (n, c), compared with the tie

@@ -28,7 +28,12 @@ from midsampling import (
 )
 from midsampling import risks
 
-from exact_oracle import exact_hypergeometric_tail, exact_optimal_plan, realized_counts
+from exact_oracle import (
+    exact_binomial_tail,
+    exact_hypergeometric_tail,
+    exact_optimal_plan,
+    realized_counts,
+)
 
 
 def exact_consumers_risk(plan, N):
@@ -115,15 +120,15 @@ class TestOptimalPlan:
     def test_producers_tail_once_per_new_c(self, count_core_evaluations, lot):
         # alpha(n, c) does not decrease in n, so a c that failed the
         # producers' bound at a smaller n need not be checked again: one
-        # producers' tail per new c, and at most one more for the reported
-        # risks when the plan's c is larger than the one searched for
+        # producers' tail per new c, and the plan's c is the one searched
+        # for, so the reported risks add none
         levels = realized_quality_levels(lot)
         alpha_level = levels.k_alpha if lot.is_finite else float(levels.p_alpha)
         evaluations = count_core_evaluations()
         result = optimal_plan(lot)
         assert result.plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
         producers_tails = [e for e in evaluations if e[0] == alpha_level]
-        assert 0 < len(producers_tails) <= result.plan.c + 2
+        assert 0 < len(producers_tails) <= result.plan.c + 1
 
     @pytest.mark.parametrize("lot, budget", [(LotSize(2000), 24), (INFINITE_LOT, 22)],
                              ids=["2000", "inf"])
@@ -139,15 +144,15 @@ class TestOptimalPlan:
                              ids=["2000", "inf"])
     def test_reported_risks_reuse_search_tails(self, count_core_evaluations, lot, budget):
         # the risks of the plan found are the tails its search computed last
-        # (two more evaluations when they were computed again), and a warm
-        # table row costs about ten tails
+        # (two more evaluations when they were computed again), and a table
+        # row costs at most five tails on average
         evaluations = count_core_evaluations()
         result = optimal_plan(lot)
         assert len(evaluations) <= budget
         assert result.risks == risk_pair(result.plan, lot)
         evaluations.clear()
         plan_table(1, 2000)
-        assert len(evaluations) / 2000 <= 10.0
+        assert len(evaluations) / 2000 <= 5.0
 
     def test_infinite_scan_cap(self):
         with pytest.raises(NoPlanWithinCapError):
@@ -326,6 +331,45 @@ class TestPlanTable:
             grown = exact_hypergeometric_tail(c, n, K, N + 1)
             assert grown >= exact_hypergeometric_tail(c, n, K, N), (n, c, K, N)
 
+    @staticmethod
+    def one_item_more_cases():
+        """(n, tail), tail(c, m) the exact P(X <= c) for a sample of m items:
+        every lot of at most 12 items, seeded lots of up to 400 items, and
+        binomial levels."""
+        rng = random.Random(2411)
+        lots = [(n, K, N) for N in range(1, 13) for n in range(1, N + 1) for K in range(N + 1)]
+        for N in [rng.randint(1, 400) for _ in range(400)]:
+            lots.append((rng.randint(1, N), rng.randint(0, N), N))
+        for n, K, N in lots:
+            yield n, lambda c, m, K=K, N=N: exact_hypergeometric_tail(c, m, K, N)
+        for p in (Fraction(1, 100), Fraction(7, 100), Fraction(1, 7), Fraction(99, 100)):
+            for n in range(1, 41):
+                yield n, lambda c, m, p=p: exact_binomial_tail(c, m, p)
+
+    def test_one_item_more_adds_at_most_one_defect(self):
+        # drawn one item at a time, X(n) <= X(n - 1) + 1, so beta(n, c + 1) >=
+        # beta(n - 1, c): the consumers' bound refuses (n* - 1, c*), so it
+        # refuses (n*, c* + 1), and the planner asks for no tail past c*
+        for n, tail in self.one_item_more_cases():
+            for c in range(min(n, 12)):
+                assert tail(c + 1, n) >= tail(c, n - 1), (n, c)
+
+    def test_acceptance_does_not_rise_with_the_sample_size(self):
+        # drawn one item at a time, X(n - 1) <= X(n), so alpha(n, c) does not
+        # fall as n grows: a c whose producers' risk is refused at a floor of
+        # n_beta(c) has no plan, and a table row refuses it with that one tail
+        for n, tail in self.one_item_more_cases():
+            for c in range(min(n, 12)):
+                assert tail(c, n) <= tail(c, n - 1), (n, c)
+
+    def test_plan_takes_the_largest_c_the_consumers_bound_admits(self):
+        # the search reads c* off the coupling above, without a tail past it
+        for N, result in plan_table(1, 2000):
+            assert max_acceptance_number(result.plan.n, LotSize(N)) == result.plan.c, N
+        for lot in (LotSize(258), LotSize(2000), LotSize(500_000), INFINITE_LOT):
+            plan = optimal_plan(lot).plan
+            assert max_acceptance_number(plan.n, lot) == plan.c, lot
+
     @pytest.mark.parametrize(
         "spec, bounds",
         [(QualitySpec(), RiskBounds()), (QualitySpec("3/200", "2/25"), RiskBounds("0.05", "0.10"))],
@@ -373,10 +417,11 @@ class TestWorkPins:
 
     def test_warm_row_tails_by_lq_count(self, count_core_evaluations):
         # c* = 3 at these lots.  Inside a run of constant LQ count the
-        # previous row's n_beta(c) is a floor that admits again: one tail per
-        # c for it, one producers' tail per c and one tail past c*.  Where
-        # the count steps, n_beta(c) may fall, so each c takes one more tail
-        # below the previous row's
+        # previous row's n_beta(c) is a floor m: a c below c* is refused by
+        # one producers' tail at m, and c* is admitted again at m, one tail
+        # for each bound.  Where the count steps, n_beta(c) may fall, so each
+        # c takes two consumers' tails, at m and below it, and one producers'
+        # tail.  No tail past c* is needed: beta(n, c+1) >= beta(n-1, c)
         evaluations = count_core_evaluations()
         table = plan_table(30_000, 30_400)
         assert {result.plan.c for _, result in table} == {3}
@@ -385,13 +430,13 @@ class TestWorkPins:
         steps = [N for N in range(30_001, 30_401) if lq_count[N] > lq_count[N - 1]]
         runs = [N for N in range(30_001, 30_401) if lq_count[N] == lq_count[N - 1]]
         assert (len(steps), len(runs)) == (28, 372)
-        assert {per_row[N] for N in runs} == {9}
-        assert {per_row[N] for N in steps} == {13}
+        assert {per_row[N] for N in runs} == {5}
+        assert {per_row[N] for N in steps} == {12}
 
     def test_table_tails_from_one(self, count_core_evaluations):
         evaluations = count_core_evaluations()
         plan_table(1, 2000)
-        assert len(evaluations) == 15_078
+        assert len(evaluations) == 9_099
 
     def test_a_table_takes_one_scalar_tol_per_row(self, count_tolerances):
         calls = count_tolerances()
