@@ -64,7 +64,11 @@ def _count_reader(what: str, least: int = 0):
     the config reader prefixes its usage error with the flag or key."""
     def parse(token: str) -> int:
         try:
-            return _check_count(what, int(token), least)
+            value = int(token)
+        except ValueError:
+            value = token  # _check_count refuses it by name
+        try:
+            return _check_count(what, value, least)
         except ValueError as exc:
             raise UsageError(f"invalid {what} {token!r}: {exc}") from exc
     return parse
@@ -81,9 +85,11 @@ def _parse_candidates(token: str) -> list:
         part = part.strip()
         try:
             n_text, _, c_text = part.partition(":")
-            plans.append(Plan(_check_count("sample size n", int(n_text), 1), int(c_text)))
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"invalid candidate plan {part!r} (expected n:c): {exc}") from exc
+            plans.append(Plan(_count_reader("sample size n", 1)(n_text),
+                              _count_reader("acceptance number c")(c_text)))
+        except (ValueError, TypeError) as exc:  # a reader's cause is the count check's
+            cause = exc.__cause__ or exc
+            raise UsageError(f"invalid candidate plan {part!r} (expected n:c): {cause}") from exc
     return plans
 
 

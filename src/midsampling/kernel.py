@@ -166,7 +166,7 @@ def as_exact_level(value: LevelLike) -> Fraction:
 
 def _check_count(name: str, value, least: int = 0) -> int:
     """``value`` as an int, or ValueError unless it is a whole number >= least."""
-    if isinstance(value, bool) or value != int(value):
+    if isinstance(value, (bool, str)) or value != int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < least:
@@ -356,7 +356,7 @@ def hypergeometric_cdf(c: int, n: int, K: int, N: int) -> float:
     errors are some forty times smaller.
     """
     plan = Plan(n, c)
-    K, N = _check_count("K", K), _check_count("N", N)
+    K, N = _check_count("defective count K", K), _check_count("lot size N", N, 1)
     if K > N:
         raise ValueError(f"defective count K={K} exceeds lot size N={N}")
     if plan.n > N:
@@ -544,7 +544,7 @@ def interpolated_acceptance_curve(n: int, N: int, p) -> np.ndarray:
     defect count K = p*N the curve is the hypergeometric one, ``out[c]`` ==
     ``hypergeometric_cdf(c, n, K, N)`` up to rounding, in one vectorized pass.
     """
-    n = _check_count("n", n)
+    n = _check_count("sample size n", n)
     N, pN, integer_count = _checked_interpolation_args(n, N, p)
     if integer_count is not None:
         lf = _log_factorial_array(N)

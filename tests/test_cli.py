@@ -277,6 +277,27 @@ class TestOcCommand:
             assert ("argument --c: invalid acceptance number c '-1': "
                     "acceptance number c must be >= 0, got -1") in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flag, what, token",
+        [
+            (["oc", "--n", "5", "--c", "1.5", "--lot-size", "10"], "--c", "acceptance number c",
+             "1.5"),
+            (["oc", "--n", "5.0", "--c", "1", "--lot-size", "10"], "--n", "sample size n", "5.0"),
+            (["table", "--from", "1.5", "--to", "3"], "--from", "lot size", "1.5"),
+            (["simulate", "--n", "5", "--c", "0", "--lot-size", "10", "--p", "0.1",
+              "--trials", "ten"], "--trials", "trials", "ten"),
+        ],
+        ids=["oc-c", "oc-n", "table-from", "simulate-trials"],
+    )
+    def test_count_that_is_no_integer_is_named(self, capsys, argv, flag, what, token):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument {flag}: invalid {what} {token!r}: "
+                f"{what} must be an integer, got {token!r}") in captured.err
+
     def test_invalid_plan(self, capsys):
         code, _, _ = run(capsys, "oc", "--n", "2", "--c", "3", "--lot-size", "inf")
         assert code == 2
@@ -490,6 +511,17 @@ class TestCompareCommand:
         assert code == 2
         assert out == "" and (f"invalid candidate plan '{n}:0' (expected n:c): "
                               f"sample size n must be >= 1, got {n}") in err
+
+    @pytest.mark.parametrize(
+        "part, message",
+        [("5.5:1", "sample size n must be an integer, got '5.5'"),
+         ("5:1.5", "acceptance number c must be an integer, got '1.5'"),
+         ("36-0", "sample size n must be an integer, got '36-0'")],
+    )
+    def test_candidate_count_that_is_no_integer(self, capsys, part, message):
+        code, out, err = run(capsys, "compare", "--lot-size", "143", "--candidates", part)
+        assert code == 2
+        assert out == "" and f"invalid candidate plan {part!r} (expected n:c): {message}" in err
 
     @pytest.mark.parametrize("candidates", ["-1:0", "-1:0,36:0"])
     def test_candidate_with_a_leading_dash_reaches_the_reader(self, capsys, candidates):

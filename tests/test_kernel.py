@@ -183,6 +183,14 @@ class TestHypergeometricCdf:
             hypergeometric_cdf(6, 5, 5, 10)  # c > n
         with pytest.raises(ValueError, match="acceptance number c=6 exceeds sample size n=5"):
             hypergeometric_cdf(6, 5, 5, 10)  # Plan's message
+        with pytest.raises(ValueError, match="lot size N must be >= 1, got 0"):
+            hypergeometric_cdf(0, 0, 0, 0)  # an empty lot
+        with pytest.raises(ValueError, match="lot size N must be >= 1, got 0"):
+            hypergeometric_cdf(0, 5, 1, 0)
+        with pytest.raises(ValueError, match="defective count K must be >= 0, got -1"):
+            hypergeometric_cdf(0, 5, -1, 10)
+        with pytest.raises(ValueError, match="sample size n must be an integer, got '5'"):
+            hypergeometric_cdf(0, "5", 1, 10)  # a string is no count, however it reads
 
     def test_exact_oracle_grid(self):
         # every N <= 60 with representative sample/defective combinations
@@ -525,6 +533,8 @@ class TestInterpolatedAcceptance:
             interpolated_acceptance(Plan(5, 0), 10, float("nan"))
         with pytest.raises(ValueError):
             interpolated_acceptance(Plan(11, 0), 10, 0.01)
+        with pytest.raises(ValueError, match="sample size n must be >= 0, got -1"):
+            interpolated_acceptance_curve(-1, 10, 0.1)
 
     def test_curve_matches_scalar(self):
         for n, N, p in [(27, 43, 0.01), (56, 143, 0.01), (82, 400, 0.035), (27, 43, 0.07)]:
