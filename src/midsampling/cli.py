@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .kernel import LotSize, Plan, as_exact_level, _check_count
+from .kernel import LotSize, Plan, as_exact_level, _read_count
 from .planner import NoPlanWithinCapError, optimal_plan, plan_table
 from .render import RENDERERS, render
 from .risks import QualitySpec, RiskBounds, monte_carlo_acceptance, oc_curve
@@ -64,11 +64,7 @@ def _count_reader(what: str, least: int = 0):
     the config reader prefixes its usage error with the flag or key."""
     def parse(token: str) -> int:
         try:
-            value = int(token)
-        except ValueError:
-            value = token  # _check_count refuses it by name
-        try:
-            return _check_count(what, value, least)
+            return _read_count(what, token, least)
         except ValueError as exc:
             raise UsageError(f"invalid {what} {token!r}: {exc}") from exc
     return parse
@@ -85,11 +81,10 @@ def _parse_candidates(token: str) -> list:
         part = part.strip()
         try:
             n_text, _, c_text = part.partition(":")
-            plans.append(Plan(_count_reader("sample size n", 1)(n_text),
-                              _count_reader("acceptance number c")(c_text)))
-        except (ValueError, TypeError) as exc:  # a reader's cause is the count check's
-            cause = exc.__cause__ or exc
-            raise UsageError(f"invalid candidate plan {part!r} (expected n:c): {cause}") from exc
+            plans.append(Plan(_read_count("sample size n", n_text, 1),
+                              _read_count("acceptance number c", c_text)))
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"invalid candidate plan {part!r} (expected n:c): {exc}") from exc
     return plans
 
 

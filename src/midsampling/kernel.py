@@ -166,12 +166,24 @@ def as_exact_level(value: LevelLike) -> Fraction:
 
 def _check_count(name: str, value, least: int = 0) -> int:
     """``value`` as an int, or ValueError unless it is a whole number >= least."""
-    if isinstance(value, (bool, str)) or value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        if isinstance(value, (bool, str)) or value != int(value):
+            raise ValueError
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN raises too
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     value = int(value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _read_count(name: str, token: str, least: int = 0) -> int:
+    """A count written as text, read as ``_check_count`` reads a value."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = token  # _check_count refuses a str by name
+    return _check_count(name, value, least)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +220,7 @@ class LotSize:
         if isinstance(value, str):
             if value.strip().lower() in ("inf", "infinite", "infinity"):
                 return INFINITE_LOT
-            return cls(int(value.strip()))
+            return cls(_read_count("lot size", value.strip(), 1))
         if isinstance(value, float) and math.isinf(value):
             return INFINITE_LOT
         return cls(value)

@@ -10,19 +10,13 @@ lot or interval reads ``inf``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Optional, Sequence
 
 from .kernel import LotSize, Plan, _defect_count, _realizable_count
 
-__all__ = [
-    "oc_curve_to_csv",
-    "comparison_to_json",
-    "validation_report_csv",
-]
+__all__ = ["oc_curve_to_csv", "comparison_to_json", "validation_report_csv"]
 
 
 def _count_token(count: Optional[int]):
@@ -46,15 +40,16 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv(header: str, rows) -> str:
-    out = io.StringIO()
-    out.write(header + "\n")
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
-
-
 def _lines(lines) -> str:
     return "\n".join(lines) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """A header line and rows of cells joined by commas, None as an empty
+    cell.  Every cell the package writes is an int, a formatted float,
+    ``inf``, a rule label (58, N, N-4) or yes/no/-, so none needs quoting."""
+    return _lines([header, *(",".join("" if cell is None else str(cell) for cell in row)
+                             for row in rows)])
 
 
 def _yes_no(flag: Optional[bool]) -> str:
@@ -123,29 +118,25 @@ def oc_curve_to_csv(points: Sequence, lot: LotSize) -> str:
     denominator.  p_value is each point as the kernel reads it.
     """
     N = LotSize.of(lot).count
-
-    def row(p, pac) -> list:
-        if N is None:
-            return [0, 0, f"{_defect_count(p, None)[0]:.6f}", f"{pac:.6f}"]
-        k = round(p * N) if isinstance(p, float) and 0.0 <= p <= 1.0 else None
-        if k is None or k / N != p:  # the fast path is _realizable_count's rule for a float
-            k = _realizable_count(p, N)
-        return [k, N, f"{k / N:.6f}", f"{pac:.6f}"]
-
-    return _csv(
-        "p_numerator,p_denominator_or_0_for_infinite,p_value,acceptance_probability",
-        (row(p, pac) for p, pac in points),
-    )
+    lines = ["p_numerator,p_denominator_or_0_for_infinite,p_value,acceptance_probability"]
+    for p, pac in points:
+        k, value = _oc_point(p, N)
+        lines.append(f"{k},{N or 0},{value:.6f},{pac:.6f}")
+    return _lines(lines)
 
 
-def _oc_level(p, lot: LotSize) -> float:
-    """A level that is not a float, read as ``oc_curve_to_csv`` reads it."""
-    return _realizable_count(p, lot.count) / lot.count if lot.count else _defect_count(p, None)[0]
+def _oc_point(p, N: Optional[int]) -> tuple:
+    """(k, k / N) for an OC point p that a lot of N items realizes as count k,
+    and (0, p as a float) at an infinite lot (N None), as the kernel reads p."""
+    if N is None:
+        return 0, _defect_count(p, None)[0]
+    k = _realizable_count(p, N)
+    return k, k / N
 
 
 def _oc_json(points: Sequence, lot: LotSize) -> str:
     """JSON rendering of an OC curve: an array of {p, pac} objects."""
-    payload = [{"p": round(float(p if isinstance(p, float) else _oc_level(p, lot)), 6),
+    payload = [{"p": round(float(p if isinstance(p, float) else _oc_point(p, lot.count)[1]), 6),
                 "pac": round(float(pac), 6)} for p, pac in points]
     return json.dumps(payload) + "\n"
 
@@ -283,8 +274,8 @@ RENDERERS = {
     "table": {"csv": lambda table: _plans_csv(table.rows)},
     "oc": {
         "text": lambda points, lot: _lines(
-            f"{p if isinstance(p, float) else _oc_level(p, lot):.6f} {pac:.6f}" for p, pac in points
-        ),
+            f"{p if isinstance(p, float) else _oc_point(p, lot.count)[1]:.6f} {pac:.6f}"
+            for p, pac in points),
         "csv": oc_curve_to_csv,
         "json": _oc_json,
     },

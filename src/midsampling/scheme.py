@@ -20,10 +20,11 @@ Schemes can be read from and written to a one-row-per-line text format::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .kernel import LotSize, Plan, _check_count
+from .kernel import LotSize, Plan, _check_count, _read_count
 from .risks import QualitySpec, RiskBounds, _scheme_risks
 
 __all__ = [
@@ -128,9 +129,9 @@ class PlanRule:
         if token == "full":
             return cls.full_inspection(c)
         if token.startswith("n:"):
-            return cls.fixed(int(token[2:]), c)
+            return cls.fixed(_read_count("fixed sample size", token[2:], 1), c)
         if token.startswith("offset:"):
-            return cls.lot_offset(int(token[7:]), c)
+            return cls.lot_offset(_read_count("offset", token[7:]), c)
         raise ValueError(f"unknown rule token {token!r}")
 
 
@@ -299,9 +300,9 @@ def parse_scheme(text: str) -> Scheme:
         if len(parts) != 4:
             raise SchemeParseError(line_number, f"expected 'from,to,rule,c', got {raw!r}")
         try:
-            n_from = int(parts[0])
+            n_from = _read_count("interval start", parts[0], -math.inf)  # SchemeRow checks >= 1
             n_to = LotSize.of(parts[1]).count
-            c = int(parts[3])
+            c = _read_count("acceptance number", parts[3])
             rule = PlanRule.from_token(parts[2], c)
             rows.append(SchemeRow(n_from=n_from, n_to=n_to, rule=rule))
         except (ValueError, TypeError) as exc:

@@ -4,11 +4,21 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from midsampling import INFINITE_LOT, LotSize, Plan, QualitySpec, is_admissible
+from midsampling import (
+    INFINITE_LOT,
+    LotSize,
+    Plan,
+    QualitySpec,
+    is_admissible,
+    oc_curve,
+    oc_curve_to_csv,
+    plan_table,
+)
 from midsampling.cli import main
 
 
@@ -106,6 +116,13 @@ class TestPlanCommand:
         code, _, err = run(capsys, "plan", "--lot-size", "many")
         assert code == 2
         assert "lot size" in err
+
+    def test_lot_size_that_is_no_integer_is_named(self, capsys):
+        code, out, err = run(capsys, "plan", "--lot-size", "1.5")
+        assert code == 2
+        assert out == "" and (
+            "invalid lot size '1.5': lot size must be an integer, got '1.5'" in err
+        )
 
     def test_negative_lot_size(self, capsys):
         code, out, err = run(capsys, "plan", "--lot-size", "-3")
@@ -286,8 +303,10 @@ class TestOcCommand:
             (["table", "--from", "1.5", "--to", "3"], "--from", "lot size", "1.5"),
             (["simulate", "--n", "5", "--c", "0", "--lot-size", "10", "--p", "0.1",
               "--trials", "ten"], "--trials", "trials", "ten"),
+            (["simulate", "--n", "57", "--c", "1", "--lot-size", "258", "--p", "13/258",
+              "--trials", "1000.5", "--seed", "1"], "--trials", "trials", "1000.5"),
         ],
-        ids=["oc-c", "oc-n", "table-from", "simulate-trials"],
+        ids=["oc-c", "oc-n", "table-from", "simulate-trials", "simulate-fractional-trials"],
     )
     def test_count_that_is_no_integer_is_named(self, capsys, argv, flag, what, token):
         with pytest.raises(SystemExit) as exit_info:
@@ -557,11 +576,13 @@ class TestSimulateCommand:
         assert code == 0
         assert "empirical=1.000000" in out
 
-    def test_non_integral_count_is_usage_error(self, capsys):
+    def test_unrealizable_level_is_usage_error(self, capsys):
+        # 0.05 is no multiple of 1/258
         code, _, err = run(capsys, "simulate", "--n", "57", "--c", "1",
                            "--lot-size", "258", "--p", "0.05",
                            "--trials", "1000", "--seed", "1")
         assert code == 2
+        assert "quality level 1/20 is not a multiple of 1/258" in err
 
     def test_fraction_level(self, capsys):
         code, out, _ = run(capsys, "simulate", "--n", "22", "--c", "0",
@@ -753,6 +774,50 @@ class TestOutputFile:
         assert proc.returncode == 2
         assert proc.stdout == "" and "cannot write output file" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestCsvNeedsNoQuoting:
+    """Every CSV the package writes is its cells joined by commas: no cell
+    needs quoting, so csv.reader reads each line as the line split at ','."""
+
+    @staticmethod
+    def assert_unquoted(text):
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows == [line.split(",") for line in text.splitlines()]
+        assert len({len(row) for row in rows}) == 1  # every row has the header's cells
+
+    @pytest.mark.parametrize("spec", [QualitySpec(), QualitySpec("0.015", "0.08")],
+                             ids=["default", "custom"])
+    def test_plan_table(self, spec):
+        self.assert_unquoted(plan_table(1, 300, spec).to_csv())
+
+    @pytest.mark.parametrize("lot", ["258", "inf"])
+    def test_plan(self, capsys, lot):
+        code, out, _ = run(capsys, "plan", "--lot-size", lot, "--format", "csv")
+        assert code == 0
+        self.assert_unquoted(out)
+        if lot == "inf":
+            assert out.endswith(",,\n")  # the numerators are empty cells
+
+    @pytest.mark.parametrize("source", ["builtin", "failing"])
+    def test_scheme_validate(self, capsys, tmp_path, source):
+        if source == "builtin":
+            argv = ["--builtin"]
+        else:
+            path = tmp_path / "failing.scheme"
+            path.write_text("1,14,full,0\n15,inf,n:5,0\n")
+            argv = ["--file", str(path)]
+        code, out, _ = run(capsys, "scheme", "validate", *argv, "--n-cap", "2000",
+                           "--format", "csv")
+        assert code == (0 if source == "builtin" else 4)
+        self.assert_unquoted(out)
+
+    @pytest.mark.parametrize("lot", [LotSize(40), INFINITE_LOT], ids=["40", "inf"])
+    def test_oc_curve(self, lot):
+        # exact points, as oc_curve_to_csv takes them, with the curve's acceptance
+        grid = ["3/40", Fraction(1, 8), 0.5]
+        points = [(p, pac) for p, (_, pac) in zip(grid, oc_curve(Plan(20, 2), lot, grid))]
+        self.assert_unquoted(oc_curve_to_csv(points, lot))
 
 
 class TestEntryPoint:

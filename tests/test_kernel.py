@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midsampling import (
+    LotSize,
     Plan,
     binomial_cdf,
     hypergeometric_cdf,
     interpolated_acceptance,
     interpolated_acceptance_curve,
+    plan_table,
 )
 from midsampling.kernel import (
     _BULK_BLOCK,
@@ -597,6 +599,8 @@ class TestPlanAndLotTypes:
         assert LotSize.of(3.0).count == 3
         with pytest.raises(ValueError):
             LotSize.of(2.5)
+        with pytest.raises(ValueError, match="^lot size must be an integer, got '1.5'$"):
+            LotSize.of("1.5")
 
     def test_counts_of_planner_and_scheme_accept_whole_floats_only(self):
         from midsampling import (
@@ -633,6 +637,20 @@ class TestPlanAndLotTypes:
             monte_carlo_acceptance(Plan(5, 0), INFINITE_LOT, 0.01, 2.5, 1)
         with pytest.raises(ValueError):
             validate_scheme(default_mid_scheme(), n_cap=20000.5)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: plan_table(1, float("inf")), "n_max must be an integer, got inf"),
+            (lambda: Plan(float("nan"), 0), "sample size n must be an integer, got nan"),
+            (lambda: LotSize(float("inf")), "lot size must be an integer, got inf"),
+        ],
+        ids=["plan_table-inf", "Plan-nan", "LotSize-inf"],
+    )
+    def test_a_count_that_is_no_finite_number_is_named(self, call, message):
+        # int() of an infinity raises OverflowError, of a NaN its own ValueError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
     def test_counts_report_their_least_valid_value(self):
         from midsampling import (

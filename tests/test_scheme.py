@@ -464,7 +464,14 @@ class TestSchemeTextFormat:
             ("1,inf,offset:-1,0", "offset must be >= 0, got -1"),
             ("1,inf,n:5,-1", "acceptance number must be >= 0, got -1"),
             ("0,inf,n:5,0", "interval must start at a lot size >= 1"),
+            ("-1,inf,n:5,0", "interval must start at a lot size >= 1"),
             ("5,4,n:5,0", "empty interval [5, 4]"),
+            # a count that is no integer is named, not left to int()'s message
+            ("1.5,inf,n:5,0", "interval start must be an integer, got '1.5'"),
+            ("1,14.5,full,0", "lot size must be an integer, got '14.5'"),
+            ("1,14,full,0.5", "acceptance number must be an integer, got '0.5'"),
+            ("1,inf,n:14.0,0", "fixed sample size must be an integer, got '14.0'"),
+            ("1,inf,offset:0.5,0", "offset must be an integer, got '0.5'"),
         ],
     )
     def test_invalid_row_values(self, text, message):
