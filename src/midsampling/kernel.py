@@ -148,7 +148,8 @@ def as_exact_level(value: LevelLike) -> Fraction:
     representation, so the literal a user typed (0.07) becomes the rational
     they meant (7/100) rather than the nearest binary double; any other
     real that is not rational, such as ``np.float32``, is read as the float
-    it converts to.  Malformed strings, "1/0" included, raise ``ValueError``.
+    it converts to.  Malformed strings, "1/0" and any with '_' or a
+    non-ASCII character included, raise ``ValueError``.
     """
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -158,6 +159,8 @@ def as_exact_level(value: LevelLike) -> Fraction:
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
         return as_exact_level(float(value))
+    if isinstance(value, str) and not (value.isascii() and "_" not in value):
+        raise ValueError(f"level {value!r} is not written in ASCII digits without '_'")
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:
@@ -178,12 +181,21 @@ def _check_count(name: str, value, least: int = 0) -> int:
 
 
 def _read_count(name: str, token: str, least: int = 0) -> int:
-    """A count written as text, read as ``_check_count`` reads a value."""
+    """A count written as text in ASCII digits (``int`` also takes '_' and
+    other scripts' digits), read as ``_check_count`` reads a value."""
     try:
-        value = int(token)
+        value = int(token) if token.isascii() and "_" not in token else token
     except ValueError:
         value = token  # _check_count refuses a str by name
     return _check_count(name, value, least)
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from ``fields``, all of
+    them, without its checks, which the caller has proved."""
+    result = object.__new__(cls)
+    result.__dict__.update(fields)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ inside a run of lots with one realized LQ count K = ceil(p_lq*N): for fixed
 producers' risk at m is refused has no plan, as that risk does not fall as
 n grows.  Where K steps up, n_beta(c) may fall.  The floors skip only probes
 whose exact decision is known: they change no plan.
+
+A refusal also carries down the lots.  A sample of n from N + 1 items misses
+the added item, good or defective, with probability 1 - n/(N + 1), and is
+then a sample of the N items, so alpha(n, c) at N + 1 is at least that share
+of alpha(n, c) at N; over lots N0 < N the shares multiply to at least
+1 - m(N - N0)/(N0 + 1).  So a c refused at m at N0 stays refused at every
+n >= m up to the lot N_until of ``_refused_until``, and a row up to N_until
+refuses c without a producers' tail once n_beta(c) >= m: a floor in a run,
+and where K steps the consumers' refusal of (m - 1, c), decided exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .kernel import LotSize, Plan, _check_count
+from .kernel import LotSize, Plan, _built, _check_count
 from .render import render
 from .risks import (
     QualitySpec,
@@ -145,27 +154,39 @@ def _poisson_ratio(ln_beta: float) -> float:
     return m / m0
 
 
-def _search(rule: _LotRule, hints: Sequence[int] = (), floors: bool = False) -> tuple:
-    """The optimal plan for the lot of ``rule``, with n <= rule.n_max, and
-    for each c searched n_beta(c) or a floor of it.  The search for n_beta(c)
+def _search(
+    rule: _LotRule, hints: Sequence[int] = (), untils: Optional[list] = None, floors: bool = False
+) -> tuple:
+    """The optimal plan for the lot of ``rule``, with n <= rule.n_max, for
+    each c searched n_beta(c) or a floor of it and, given ``untils``, for
+    each c below c* its N_until (0 for none).  The search for n_beta(c)
     starts at ``hints[c]``, or else at a closed-form estimate for c = 0, at
     the Poisson ratio from n_beta(0) for c = 1 and where the previous two
     point for c >= 2; a start never changes the answer.  Given ``floors``, no
     n below ``hints[c]`` admits c at this lot: a c below the last hint that
-    the producers' bound refuses there has no plan."""
+    the producers' bound refuses there has no plan.  Up to lot ``untils[c]``
+    such a c has none either once n_beta(c) >= ``hints[c]``."""
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
         beta_num, beta_den = rule.bounds.beta_max.as_integer_ratio()
         ln_beta = math.log(beta_num) - math.log(beta_den)  # finite for any bound
-    n_betas = []
+    n_betas, kept = [], None if untils is None else []
     n = 1
     for c in itertools.count():
         if c < len(hints):
             hint = hints[c]
             if floors:
                 n = max(n, hint)
-                if c + 1 < len(hints) and not rule.admits_alpha(n, c):
+            if c + 1 < len(hints):  # the previous lot refused c
+                if rule.N <= untils[c] and (hint <= n or _beta_refuses(rule, hint - 1, c)):
+                    n = max(n, hint)
+                    n_betas.append(n)
+                    kept.append(untils[c])
+                    continue
+                if floors and not rule.admits_alpha(n, c):
                     n_betas.append(n)  # alpha(n, c) does not fall as n grows
+                    if kept is not None:
+                        kept.append(_refused_until(rule, n, c))
                     continue
         elif c >= 2:  # n_beta(c) grows about linearly in c
             hint = 2 * n - n_betas[-2]
@@ -179,7 +200,9 @@ def _search(rule: _LotRule, hints: Sequence[int] = (), floors: bool = False) -> 
         n_betas.append(n)
         if rule.admits_alpha(n, c):
             realized = _realized_levels(rule.levels, rule.N)
-            return _result(n, c, rule.risks(n, c), realized), n_betas
+            return _result(n, c, rule.risks(n, c), realized), n_betas, kept
+        if kept is not None:
+            kept.append(_refused_until(rule, n, c))
     spec, bounds = rule.spec, rule.bounds
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {rule.n_max} "
@@ -191,10 +214,26 @@ def _search(rule: _LotRule, hints: Sequence[int] = (), floors: bool = False) -> 
 def _result(n: int, c: int, risks: RiskPair, realized: RealizedLevels) -> PlanResult:
     """PlanResult of plan (n, c) without the public checks, which the
     search has proved: 1 <= n and 0 <= c <= n <= N."""
-    plan, result = object.__new__(Plan), object.__new__(PlanResult)
-    plan.__dict__.update(n=n, c=c)
-    result.__dict__.update(plan=plan, risks=risks, realized=realized)
-    return result
+    return _built(PlanResult, plan=_built(Plan, n=n, c=c), risks=risks, realized=realized)
+
+
+def _beta_refuses(rule: _LotRule, n: int, c: int) -> bool:
+    """Whether the consumers' bound refuses (n, c), and so every smaller n."""
+    return n <= c or not rule.beta_bound.admits(
+        rule.beta_tails[c, n], lambda: rule.exact_beta(n, c)
+    )
+
+
+def _refused_until(rule: _LotRule, m: int, c: int) -> int:
+    """N_until of c, refused at m at the rule's lot N0 by its float risk
+    alpha: the last N at which (alpha - tol)(1 - m(N - N0)/(N0 + 1)), below
+    alpha(n, c) at N for each n >= m, stays above the band's upper edge hi;
+    N0 or less if none.  1 - hi/(alpha - tol) is computed within 2**-51, so
+    2**-48 less, times (N0 + 1)/m and rounded down, stays below the exact N."""
+    N0, hi, low = rule.N, rule.alpha_bound.hi, 1.0 - rule.alpha_tails[c, m] - rule.alpha_tol
+    if low <= hi:  # also each refusal decided inside the band
+        return 0
+    return N0 + int(((low - hi) / low - 2.0**-48) * (N0 + 1) / m)
 
 
 def plan_table(
@@ -207,18 +246,19 @@ def plan_table(
 
     One lot rule moves from lot to lot, and each search starts at the previous
     lot's n_beta(c) or a floor of it: still a floor while the LQ count holds,
-    where a refused c below the previous c* costs one tail.  No decision
-    changes: every row equals ``optimal_plan`` of its lot.
+    where a refused c below the previous c* costs one tail, and none up to
+    its N_until; where the count steps, such a c costs one consumers' tail.
+    No decision changes: every row equals ``optimal_plan`` of its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
     rule = _LotRule(LotSize(n_min), spec, n_min, bounds)
-    result, hints = _search(rule)
+    result, hints, untils = _search(rule, untils=[])
     rows = [(n_min, result)]
     for N in range(n_min + 1, n_max + 1):
         lq_count = rule.levels[1]
         rule.move_to(N)
-        result, hints = _search(rule, hints, floors=rule.levels[1] == lq_count)
+        result, hints, untils = _search(rule, hints, untils, rule.levels[1] == lq_count)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

@@ -30,6 +30,7 @@ from .kernel import (
     LotSize,
     Plan,
     as_exact_level,
+    _built,
     _check_count,
     _binomial_curve,
     _binomial_logs,
@@ -128,10 +129,10 @@ def realized_quality_levels(lot: LotSize, spec: QualitySpec = QualitySpec()) -> 
 def _realized_levels(levels: tuple, N: Optional[int]) -> RealizedLevels:
     """RealizedLevels from the two realized defect counts of a lot of N
     items, or from the two nominal levels when N is None."""
-    if N is None:
-        return RealizedLevels(*levels)
-    k_alpha, k_beta = levels
-    return RealizedLevels(Fraction(k_alpha, N), Fraction(k_beta, N), k_alpha, k_beta, N)
+    k_alpha, k_beta = (None, None) if N is None else levels
+    p_alpha, p_beta = levels if N is None else (Fraction(k_alpha, N), Fraction(k_beta, N))
+    return _built(RealizedLevels, p_alpha=p_alpha, p_beta=p_beta, k_alpha=k_alpha,
+                  k_beta=k_beta, denominator=N)
 
 
 def _count(level: Fraction, N: int, ceil: bool) -> int:
@@ -235,6 +236,7 @@ class _LotRule:
         self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds()
     ):
         self.spec, self.bounds = spec, bounds
+        self.ratios = (spec.p_aql.as_integer_ratio(), spec.p_lq.as_integer_ratio())
         alpha_max, beta_max = bounds.alpha_max, bounds.beta_max
         self.nearest = (
             alpha_max.numerator / alpha_max.denominator, beta_max.numerator / beta_max.denominator
@@ -248,7 +250,8 @@ class _LotRule:
         spec, bounds = self.spec, self.bounds
         self.N, self.n_max, self._tails_by_level = N, n_max if N is None else N, None
         if N is not None:  # the core takes defect counts, or proportions as floats
-            self.levels = (_count(spec.p_aql, N, False), _count(spec.p_lq, N, True))
+            (a, b), (c, d) = self.ratios  # _count of each level, ratios read once
+            self.levels = (a * N // b, -(-c * N // d))
             self.core_levels = self.levels
             self.alpha_tol = self.beta_tol = _tail_tolerance(N)
         else:
@@ -297,7 +300,8 @@ class _LotRule:
         its own tails, so that they do not depend on n_max."""
         alpha_tol, beta_tol = self._tolerances(n)
         alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
-        return RiskPair(
+        return _built(
+            RiskPair,
             alpha=_reported(alpha, alpha_tol, self.exact_alpha, n, c),
             beta=_reported(beta, beta_tol, self.exact_beta, n, c),
         )

@@ -305,8 +305,13 @@ class TestOcCommand:
               "--trials", "ten"], "--trials", "trials", "ten"),
             (["simulate", "--n", "57", "--c", "1", "--lot-size", "258", "--p", "13/258",
               "--trials", "1000.5", "--seed", "1"], "--trials", "trials", "1000.5"),
+            # int() reads '_' separators and other scripts' digits; a count does not
+            (["oc", "--n", "1_0", "--c", "0", "--lot-size", "20"], "--n", "sample size n", "1_0"),
+            (["oc", "--n", "10", "--c", "\uff10", "--lot-size", "20"], "--c",
+             "acceptance number c", "\uff10"),
         ],
-        ids=["oc-c", "oc-n", "table-from", "simulate-trials", "simulate-fractional-trials"],
+        ids=["oc-c", "oc-n", "table-from", "simulate-trials", "simulate-fractional-trials",
+             "oc-n-underscore", "oc-c-full-width"],
     )
     def test_count_that_is_no_integer_is_named(self, capsys, argv, flag, what, token):
         with pytest.raises(SystemExit) as exit_info:
@@ -316,6 +321,39 @@ class TestOcCommand:
         assert captured.out == ""
         assert (f"argument {flag}: invalid {what} {token!r}: "
                 f"{what} must be an integer, got {token!r}") in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["plan", "--lot-size", "1_000"], "1_000"),
+            (["plan", "--lot-size", "\uff12\uff15\uff18"], "\uff12\uff15\uff18"),  # full-width 258
+            (["plan", "--lot-size", "258", "--aql", "\uff11/100"], "\uff11/100"),
+            (["plan", "--lot-size", "258", "--aql", "0.0_1"], "0.0_1"),  # Fraction takes it on 3.11
+        ],
+        ids=["lot-underscore", "lot-full-width", "aql-full-width", "aql-underscore"],
+    )
+    def test_lot_and_level_tokens_take_ascii_digits_only(self, capsys, argv, token):
+        # int() and Fraction() read '_' separators and other scripts' digits;
+        # a lot size or level token is ASCII digits, and any other is named,
+        # whether argparse reads the flag or the command does
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and repr(token) in captured.err
+
+    @pytest.mark.parametrize("key, token, what", [
+        ("aql", "0.0_1", "quality level"), ("beta_max", "0.\uff10\uff15", "risk bound"),
+        ("n_cap", "10_000", "cap"),
+    ])
+    def test_config_tokens_take_ascii_digits_only(self, capsys, tmp_path, key, token, what):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {token}\n", encoding="utf-8")
+        code, out, err = run(capsys, "plan", "--lot-size", "258", "--config", str(config))
+        assert code == 2
+        assert out == "" and f"config key {key!r}: invalid {what} {token!r}" in err
 
     def test_invalid_plan(self, capsys):
         code, _, _ = run(capsys, "oc", "--n", "2", "--c", "3", "--lot-size", "inf")

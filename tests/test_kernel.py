@@ -601,6 +601,9 @@ class TestPlanAndLotTypes:
             LotSize.of(2.5)
         with pytest.raises(ValueError, match="^lot size must be an integer, got '1.5'$"):
             LotSize.of("1.5")
+        for token in ("1_000", "\uff12\uff15\uff18"):  # int() takes both
+            with pytest.raises(ValueError, match=f"^lot size must be an integer, got {token!r}$"):
+                LotSize.of(token)
 
     def test_counts_of_planner_and_scheme_accept_whole_floats_only(self):
         from midsampling import (

@@ -26,7 +26,7 @@ from midsampling import (
     risk_pair,
     welmec_admissible_pointwise,
 )
-from midsampling import risks
+from midsampling import planner, risks
 
 from exact_oracle import (
     exact_binomial_tail,
@@ -315,11 +315,10 @@ class TestPlanTable:
             parts = [plan_table(lo, hi - 1, spec, bounds).to_csv() for lo, hi in zip(cuts, cuts[1:])]
             assert parts[0] + "".join(part.split("\n", 1)[1] for part in parts[1:]) == text
 
-    def test_acceptance_does_not_fall_as_the_lot_grows(self):
-        # the fact behind the table's n_beta floor: for fixed (n, c, K) the
-        # exact acceptance at N + 1 is at least the one at N, so a sample
-        # size the consumers' bound refuses at N it refuses at N + 1 while
-        # the LQ count stays
+    @staticmethod
+    def lot_growth_cases():
+        """(n, c, K, N): every case with N <= 12 and 400 seeded ones up to
+        N = 400."""
         rng = random.Random(1707)
         cases = [(n, c, K, N) for N in range(1, 13) for n in range(1, N + 1)
                  for c in range(n + 1) for K in range(N + 1)]
@@ -327,9 +326,50 @@ class TestPlanTable:
             N = rng.randint(1, 400)
             n = rng.randint(1, N)
             cases.append((n, rng.randint(0, min(n, 12)), rng.randint(0, N), N))
-        for n, c, K, N in cases:
+        return cases
+
+    def test_acceptance_does_not_fall_as_the_lot_grows(self):
+        # the fact behind the table's n_beta floor: for fixed (n, c, K) the
+        # exact acceptance at N + 1 is at least the one at N, so a sample
+        # size the consumers' bound refuses at N it refuses at N + 1 while
+        # the LQ count stays
+        for n, c, K, N in self.lot_growth_cases():
             grown = exact_hypergeometric_tail(c, n, K, N + 1)
             assert grown >= exact_hypergeometric_tail(c, n, K, N), (n, c, K, N)
+
+    def test_one_item_more_keeps_most_of_the_producers_risk(self):
+        # the fact behind a table's carried refusals: a sample of n from N + 1
+        # items misses the added item, good or defective, with probability
+        # 1 - n/(N + 1), and is then a sample of the N items, so alpha at
+        # N + 1 is at least that share of alpha at N, whether the AQL count
+        # stays at K or steps to K + 1
+        for n, c, K, N in self.lot_growth_cases():
+            share = 1 - Fraction(n, N + 1)
+            alpha = 1 - exact_hypergeometric_tail(c, n, K, N)
+            for grown_count in (K, K + 1):
+                grown = 1 - exact_hypergeometric_tail(c, n, grown_count, N + 1)
+                assert grown >= share * alpha, (n, c, K, grown_count, N)
+
+    def test_a_carried_refusal_needs_a_floor_where_the_lq_count_steps(self):
+        # where the LQ count steps up, n_beta(c) may fall below the floor m
+        # that a refusal carried from earlier lots holds for: c is refused at
+        # every n >= m, but (n_beta(c), c) may still be admissible.  So such
+        # a row refuses c only once the consumers' bound refuses (m - 1, c).
+        # Here c* is carried, with alpha(m, c*) above alpha_max at an
+        # m > n_beta(c*), and the row still finds (n_beta(c*), c*)
+        N = 2001
+        assert realized_counts(N, 0.01, 0.07)[1] > realized_counts(N - 1, 0.01, 0.07)[1]
+        expected = optimal_plan(LotSize(N))
+        n_star, c_star = expected.plan.n, expected.plan.c
+        k_alpha = realized_counts(N, 0.01, 0.07)[0]
+        m = n_star + 1
+        while 1 - exact_hypergeometric_tail(c_star, m, k_alpha, N) <= Fraction(1, 20):
+            m += 1
+        rule = risks._LotRule(LotSize(N), QualitySpec(), N, RiskBounds())
+        _, n_betas, _ = planner._search(rule)
+        hints = [*n_betas[:c_star], m, m + 50]  # each c <= c* refused at every n >= hints[c]
+        result, *_ = planner._search(rule, hints, [N] * (c_star + 1))
+        assert result == expected
 
     @staticmethod
     def one_item_more_cases():
@@ -417,11 +457,14 @@ class TestWorkPins:
 
     def test_warm_row_tails_by_lq_count(self, count_core_evaluations):
         # c* = 3 at these lots.  Inside a run of constant LQ count the
-        # previous row's n_beta(c) is a floor m: a c below c* is refused by
-        # one producers' tail at m, and c* is admitted again at m, one tail
-        # for each bound.  Where the count steps, n_beta(c) may fall, so each
-        # c takes two consumers' tails, at m and below it, and one producers'
-        # tail.  No tail past c* is needed: beta(n, c+1) >= beta(n-1, c)
+        # previous row's n_beta(c) is a floor m, and c* is admitted again at
+        # m, one tail for each bound.  A c below c* stays refused at every
+        # n >= m, with no tail, through the lot its last producers' tail
+        # carries it to; past that lot one producers' tail at m refuses it
+        # again.  Where the count steps, n_beta(c) may fall: a carried c takes
+        # one consumers' tail below its floor, and c* two consumers' tails
+        # and one producers' tail.  No tail past c* is needed: beta(n, c+1)
+        # >= beta(n-1, c)
         evaluations = count_core_evaluations()
         table = plan_table(30_000, 30_400)
         assert {result.plan.c for _, result in table} == {3}
@@ -430,13 +473,13 @@ class TestWorkPins:
         steps = [N for N in range(30_001, 30_401) if lq_count[N] > lq_count[N - 1]]
         runs = [N for N in range(30_001, 30_401) if lq_count[N] == lq_count[N - 1]]
         assert (len(steps), len(runs)) == (28, 372)
-        assert {per_row[N] for N in runs} == {5}
-        assert {per_row[N] for N in steps} == {12}
+        assert Counter(per_row[N] for N in runs) == {2: 363, 3: 9}
+        assert {per_row[N] for N in steps} == {6}
 
     def test_table_tails_from_one(self, count_core_evaluations):
         evaluations = count_core_evaluations()
         plan_table(1, 2000)
-        assert len(evaluations) == 9_099
+        assert len(evaluations) == 5_629
 
     def test_a_table_takes_one_scalar_tol_per_row(self, count_tolerances):
         calls = count_tolerances()

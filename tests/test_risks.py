@@ -72,6 +72,16 @@ class TestQualitySpecAndBounds:
             with pytest.raises(ValueError):
                 RiskBounds(bound, "1/20")
 
+    def test_level_strings_take_ascii_digits_only(self):
+        # Fraction() takes '_' separators from Python 3.11 on, and other
+        # scripts' digits; a level string does not, on any version
+        for token in ("0.0_1", "\uff11/100", "0.\uff10\uff11"):
+            with pytest.raises(ValueError, match=f"level {token!r}"):
+                QualitySpec(token, "0.07")
+            with pytest.raises(ValueError, match=f"level {token!r}"):
+                RiskBounds("0.05", token)
+        assert QualitySpec(" 1/100 ", "7e-2") == QualitySpec()
+
     def test_non_finite_floats_are_rejected(self):
         # Fraction(Decimal("Infinity")) raises OverflowError, not ValueError
         for value in (math.inf, -math.inf, math.nan):

@@ -472,6 +472,10 @@ class TestSchemeTextFormat:
             ("1,14,full,0.5", "acceptance number must be an integer, got '0.5'"),
             ("1,inf,n:14.0,0", "fixed sample size must be an integer, got '14.0'"),
             ("1,inf,offset:0.5,0", "offset must be an integer, got '0.5'"),
+            # int() reads '_' separators and other scripts' digits; a count does not
+            ("1,1_8,n:14,0", "lot size must be an integer, got '1_8'"),
+            ("1,inf,n:1_4,0", "fixed sample size must be an integer, got '1_4'"),
+            ("1,inf,n:14,\uff10", "acceptance number must be an integer, got '\uff10'"),
         ],
     )
     def test_invalid_row_values(self, text, message):
