@@ -10,9 +10,11 @@ Every log-factorial comes from ``math.lgamma``, whether read from the table
 built at import, from its numpy copy (which the array paths extend on
 demand) or computed past the table's end, so no value depends on the path
 or on earlier calls.  Public functions check their arguments, then call
-unchecked cores: ``_lot_tails`` (scalar tails, resolved once per lot and
-then evaluated per plan; at an infinite lot ``_binomial_tail``, one
-proportion summed term by term), ``_binomial_curve`` (the binomial tails of
+unchecked cores: ``_lot_tails`` (the scalar tails of one level, evaluated
+per plan: the coefficients of its terms are resolved once per defect count,
+and ln N! and ln (N-K)! once per lot, so a core moved to the next lot of a
+run of one count updates only those; at an infinite lot ``_binomial_tail``,
+one proportion summed term by term), ``_binomial_curve`` (the binomial tails of
 one plan over a grid of proportions, evaluated x-major: each x resolves its
 coefficient once and adds one term per proportion, equal to the scalar tail
 bit for bit), ``_hypergeometric_cdf_bulk`` (tails over arrays, with an
@@ -190,14 +192,6 @@ def _read_count(name: str, token: str, least: int = 0) -> int:
     return _check_count(name, value, least)
 
 
-def _built(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` from ``fields``, all of
-    them, without its checks, which the caller has proved."""
-    result = object.__new__(cls)
-    result.__dict__.update(fields)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -266,23 +260,26 @@ class Plan:
 # ---------------------------------------------------------------------------
 
 def _lot_tails(level, N: Optional[int]):
-    """The scalar core for one lot, unchecked: a function tail(c, n) that
+    """The scalar core of one level, unchecked: a function tail(c, n) that
     returns P(X <= c) for a sample of n items.
 
     X is hypergeometric over a lot of N items holding ``level`` defectives,
     or binomial with defective proportion ``level`` when N is None, where
-    the tail is ``_binomial_tail`` at that one proportion.  For a finite
-    lot, what does not depend on (c, n), the log-factorial view and the
-    lot's own log terms, is resolved here, once per lot.  Terms are
-    evaluated in log space and compensated-summed in ascending order of x;
-    callers guarantee 0 <= c <= n (<= N) and 0 <= level (<= N, or <= 1.0
-    for a proportion).
+    the tail is ``_binomial_tail`` at that one proportion.  A finite core
+    resolves what does not depend on (c, n) once: per defect count K the
+    coefficients (ln K! - ln x!) - ln (K-x)! of its terms, each x as a tail
+    first reads it, and per lot the log-factorial view, ln N! and ln (N-K)!.
+    ``tail.move(M)`` takes it to a lot of M items with the same K by
+    updating only the latter, so a run of lots of one count shares the
+    coefficients.  Terms are evaluated in log space and compensated-summed
+    in ascending order of x; callers guarantee 0 <= c <= n (<= N) and
+    0 <= level (<= N, or <= 1.0 for a proportion).
     """
     if N is None:
         return lambda c, n: _binomial_tail(c, n, level)
-    K, good = level, N - level
-    t = _log_factorials(N)
-    ln_k, ln_good, ln_N = t[K], t[good], t[N]
+    K = level
+    coeffs = []  # by x; every view of the table holds the same floats
+    t = good = ln_good = ln_N = None
 
     def hypergeometric_tail(c, n):
         if c >= K or c >= n:
@@ -291,14 +288,22 @@ def _lot_tails(level, N: Optional[int]):
         if c < x_lo:
             return 0.0
         ln_denom = ln_N - t[n] - t[N - n]
+        if c >= len(coeffs):
+            for x in range(len(coeffs), c + 1):
+                coeffs.append(t[K] - t[x] - t[K - x])
         terms = []  # a plain loop: a comprehension's call costs more than 1-4 terms
         for x in range(x_lo if x_lo > 0 else 0, c + 1):
-            terms.append(
-                _exp(ln_k - t[x] - t[K - x] + (ln_good - t[n - x] - t[x - x_lo]) - ln_denom)
-            )
+            terms.append(_exp(coeffs[x] + (ln_good - t[n - x] - t[x - x_lo]) - ln_denom))
         total = _fsum(terms)
         return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
 
+    def move(lot: int) -> None:
+        nonlocal N, t, good, ln_good, ln_N
+        N, t, good = lot, _log_factorials(lot), lot - K
+        ln_good, ln_N = t[good], t[lot]
+
+    move(N)
+    hypergeometric_tail.move = move
     return hypergeometric_tail
 
 

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .kernel import LotSize, Plan, _built, _check_count
+from .kernel import LotSize, Plan, _check_count
 from .render import render
 from .risks import (
     QualitySpec,
@@ -165,7 +165,15 @@ def _search(
     point for c >= 2; a start never changes the answer.  Given ``floors``, no
     n below ``hints[c]`` admits c at this lot: a c below the last hint that
     the producers' bound refuses there has no plan.  Up to lot ``untils[c]``
-    such a c has none either once n_beta(c) >= ``hints[c]``."""
+    such a c has none either once n_beta(c) >= ``hints[c]``.  So where both
+    hold for every c below the last hint, the previous row's plan is this
+    row's if both bounds admit it; if not, the search reads its two tails back."""
+    if floors and rule.N <= min(untils, default=rule.N):  # each c below the last hint carried
+        c, n = len(hints) - 1, hints[-1]  # n_beta(c) >= n: the previous row's plan, if admitted
+        beta, (lo, hi, exact) = rule.beta_tails[c, n], rule.beta_bound
+        admitted = beta <= lo or (beta <= hi and rule.exact_beta(n, c) <= exact)
+        if admitted and rule.admits_alpha(n, c):
+            return _result(rule, n, c), hints, untils
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
         beta_num, beta_den = rule.bounds.beta_max.as_integer_ratio()
@@ -199,8 +207,7 @@ def _search(
             break
         n_betas.append(n)
         if rule.admits_alpha(n, c):
-            realized = _realized_levels(rule.levels, rule.N)
-            return _result(n, c, rule.risks(n, c), realized), n_betas, kept
+            return _result(rule, n, c), n_betas, kept
         if kept is not None:
             kept.append(_refused_until(rule, n, c))
     spec, bounds = rule.spec, rule.bounds
@@ -211,10 +218,16 @@ def _search(
     )
 
 
-def _result(n: int, c: int, risks: RiskPair, realized: RealizedLevels) -> PlanResult:
-    """PlanResult of plan (n, c) without the public checks, which the
+def _result(rule: _LotRule, n: int, c: int) -> PlanResult:
+    """PlanResult of plan (n, c) at the lot of ``rule``, its plan, risks and
+    realized levels built in one step, without the public checks, which the
     search has proved: 1 <= n and 0 <= c <= n <= N."""
-    return _built(PlanResult, plan=_built(Plan, n=n, c=c), risks=risks, realized=realized)
+    plan, result = object.__new__(Plan), object.__new__(PlanResult)
+    plan.__dict__.update(n=n, c=c)
+    result.__dict__.update(
+        plan=plan, risks=rule.risks(n, c), realized=_realized_levels(rule.levels, rule.N)
+    )
+    return result
 
 
 def _beta_refuses(rule: _LotRule, n: int, c: int) -> bool:

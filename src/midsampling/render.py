@@ -135,10 +135,14 @@ def _oc_point(p, N: Optional[int]) -> tuple:
 
 
 def _oc_json(points: Sequence, lot: LotSize) -> str:
-    """JSON rendering of an OC curve: an array of {p, pac} objects."""
-    payload = [{"p": round(float(p if isinstance(p, float) else _oc_point(p, lot.count)[1]), 6),
-                "pac": round(float(pac), 6)} for p, pac in points]
-    return json.dumps(payload) + "\n"
+    """JSON rendering of an OC curve: an array of {p, pac} objects, each
+    written as one string, its floats by ``repr`` as ``json.dumps`` writes them."""
+    objects = ", ".join(
+        f'{{"p": {round(float(p if isinstance(p, float) else _oc_point(p, lot.count)[1]), 6)!r}, '
+        f'"pac": {round(float(pac), 6)!r}}}'
+        for p, pac in points
+    )
+    return f"[{objects}]\n"
 
 
 def _validation_cells(res) -> list:

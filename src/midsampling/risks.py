@@ -30,7 +30,6 @@ from .kernel import (
     LotSize,
     Plan,
     as_exact_level,
-    _built,
     _check_count,
     _binomial_curve,
     _binomial_logs,
@@ -110,6 +109,15 @@ class RealizedLevels:
     k_beta: Optional[int] = None
     denominator: Optional[int] = None
 
+    def __getattr__(self, name: str):
+        """p_alpha or p_beta of a lot's levels built from their counts alone
+        (a table row's): k/N, normalized on first read."""
+        fields = self.__dict__
+        if name not in ("p_alpha", "p_beta") or fields.get("denominator") is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        level = fields[name] = Fraction(fields["k" + name[1:]], fields["denominator"])
+        return level
+
 
 @dataclass(frozen=True)
 class RiskPair:
@@ -128,11 +136,13 @@ def realized_quality_levels(lot: LotSize, spec: QualitySpec = QualitySpec()) -> 
 
 def _realized_levels(levels: tuple, N: Optional[int]) -> RealizedLevels:
     """RealizedLevels from the two realized defect counts of a lot of N
-    items, or from the two nominal levels when N is None."""
-    k_alpha, k_beta = (None, None) if N is None else levels
-    p_alpha, p_beta = levels if N is None else (Fraction(k_alpha, N), Fraction(k_beta, N))
-    return _built(RealizedLevels, p_alpha=p_alpha, p_beta=p_beta, k_alpha=k_alpha,
-                  k_beta=k_beta, denominator=N)
+    items, its proportions left to their first read, or from the two
+    nominal levels when N is None."""
+    if N is None:
+        return RealizedLevels(*levels)
+    realized = object.__new__(RealizedLevels)  # unchecked: counts of the lot
+    realized.__dict__.update(k_alpha=levels[0], k_beta=levels[1], denominator=N)
+    return realized
 
 
 def _count(level: Fraction, N: int, ceil: bool) -> int:
@@ -210,16 +220,25 @@ class _Bound(NamedTuple):
 
 
 class _Tails(dict):
-    """The tails of a lot at one level by (c, n), evaluated by ``core`` on first
-    use.  Search loops, which never repeat a pair, call ``core`` and store the
-    tail."""
+    """The tails of a lot at one level by (c, n), evaluated by ``core``, the
+    level's scalar core, on first use; a hot loop reads the memo with
+    ``get`` and stores what ``core`` evaluates."""
 
-    def __init__(self, core):
-        self.core = core
+    level = core = None  # until the first move
 
     def __missing__(self, key: tuple) -> float:
         tail = self[key] = self.core(*key)
         return tail
+
+    def move(self, level, N: Optional[int]) -> None:
+        """Empty the memo for a lot of N items holding ``level`` defectives
+        (a float proportion at N None): from a finite lot the core moves to
+        N where the count holds, and is resolved again where it steps."""
+        self.clear()
+        if level == self.level and N is not None:
+            self.core.move(N)
+        else:
+            self.level, self.core = level, _lot_tails(level, N)
 
 
 class _LotRule:
@@ -230,12 +249,15 @@ class _LotRule:
     Each tail is evaluated once while the rule is at its lot, so the
     reported risks of a search's plan reuse the tails it computed, and so
     does the pointwise decision.  A table moves one rule from lot to lot:
-    the spec, the bounds and their nearest floats stay."""
+    the spec, the bounds and their nearest floats stay, and so do the two
+    levels' memos and cores, which each move resolves only as far as the
+    lot changes them."""
 
     def __init__(
         self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds()
     ):
         self.spec, self.bounds = spec, bounds
+        self.alpha_tails, self.beta_tails = _Tails(), _Tails()
         self.ratios = (spec.p_aql.as_integer_ratio(), spec.p_lq.as_integer_ratio())
         alpha_max, beta_max = bounds.alpha_max, bounds.beta_max
         self.nearest = (
@@ -246,36 +268,38 @@ class _LotRule:
     def move_to(self, N: Optional[int], n_max: Optional[int] = None) -> None:
         """Make this the rule of a lot of N items (None, with n_max, for an
         infinite lot): the one way to set the fields of a lot, its realized
-        levels, its tolerances, its tails and its two tie bands."""
+        levels, its tolerances, its tails and its two tie bands.  From a
+        finite lot to another, per level, the memo is emptied in place and
+        the core moves to N, which updates ln N! and ln (N-K)!; only where
+        the level's count K steps is a core resolved again."""
         spec, bounds = self.spec, self.bounds
         self.N, self.n_max, self._tails_by_level = N, n_max if N is None else N, None
-        if N is not None:  # the core takes defect counts, or proportions as floats
-            (a, b), (c, d) = self.ratios  # _count of each level, ratios read once
-            self.levels = (a * N // b, -(-c * N // d))
-            self.core_levels = self.levels
-            self.alpha_tol = self.beta_tol = _tail_tolerance(N)
-        else:
+        if N is None:  # the core takes proportions as floats
             self.levels = (spec.p_aql, spec.p_lq)
-            self.core_levels = (float(spec.p_aql), float(spec.p_lq))
             self._binomial_tols = {}
-            self.alpha_tol, self.beta_tol = self._tolerances(n_max)
-        self.alpha_tails = _Tails(_lot_tails(self.core_levels[0], N))
-        self.beta_tails = _Tails(_lot_tails(self.core_levels[1], N))
-        (alpha, beta), alpha_tol, beta_tol = self.nearest, self.alpha_tol, self.beta_tol
-        self.alpha_bound = _Bound(alpha - alpha_tol, alpha + alpha_tol, bounds.alpha_max)
-        self.beta_bound = _Bound(beta - beta_tol, beta + beta_tol, bounds.beta_max)
+            self.alpha_tol, self.beta_tol = alpha_tol, beta_tol = self._tolerances(n_max)
+            core_levels = (float(spec.p_aql), float(spec.p_lq))
+        else:  # defect counts, the _count of each level, ratios read once
+            (a, b), (c, d) = self.ratios
+            self.levels = core_levels = (a * N // b, -(-c * N // d))
+            self.alpha_tol = self.beta_tol = alpha_tol = beta_tol = _tail_tolerance(N)
+        self.alpha_tails.move(core_levels[0], N)
+        self.beta_tails.move(core_levels[1], N)
+        (alpha, beta), band = self.nearest, tuple.__new__  # _Bound without its constructor
+        self.alpha_bound = band(_Bound, (alpha - alpha_tol, alpha + alpha_tol, bounds.alpha_max))
+        self.beta_bound = band(_Bound, (beta - beta_tol, beta + beta_tol, bounds.beta_max))
 
     def tails(self, level) -> _Tails:
-        """The tails at ``level``, a level as the core takes it, kept for the
-        rule's lifetime."""
+        """The tails at ``level``, a level as the core takes it, kept while
+        the rule is at its lot."""
         by_level = self._tails_by_level
         if by_level is None:
-            by_level = self._tails_by_level = dict(
-                zip(self.core_levels, (self.alpha_tails, self.beta_tails))
-            )
+            memos = (self.alpha_tails, self.beta_tails)
+            by_level = self._tails_by_level = {memo.level: memo for memo in memos}
         tails = by_level.get(level)
         if tails is None:
-            tails = by_level[level] = _Tails(_lot_tails(level, self.N))
+            tails = by_level[level] = _Tails()
+            tails.move(level, self.N)
         return tails
 
     def _tolerances(self, n: int) -> tuple:
@@ -300,11 +324,10 @@ class _LotRule:
         its own tails, so that they do not depend on n_max."""
         alpha_tol, beta_tol = self._tolerances(n)
         alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
-        return _built(
-            RiskPair,
-            alpha=_reported(alpha, alpha_tol, self.exact_alpha, n, c),
-            beta=_reported(beta, beta_tol, self.exact_beta, n, c),
-        )
+        pair = object.__new__(RiskPair)  # unchecked: two floats
+        pair.__dict__.update(alpha=_reported(alpha, alpha_tol, self.exact_alpha, n, c),
+                             beta=_reported(beta, beta_tol, self.exact_beta, n, c))
+        return pair
 
     def admits(self, n: int, c: int) -> bool:
         """Whether both bounds admit (n, c), from the tails the rule keeps."""
@@ -318,11 +341,12 @@ class _LotRule:
         below n_from does.  Beta(n, c) does not increase with n, so a gallop
         from ``hint`` (or n_from) brackets the answer and a bisection closes
         the bracket; the hint moves only where the search starts.  One loop
-        evaluates each probe and compares with the tie band inline, like
-        ``largest_beta_c``: a hint that is the answer costs two tails (one at n_from)."""
+        reads each probe from the memo, or evaluates it, and compares with
+        the tie band inline, like ``largest_beta_c``: a hint that is the
+        answer costs two tails (one at n_from)."""
         tails, core = self.beta_tails, self.beta_tails.core
         lo, hi, exact = self.beta_bound
-        n_max = self.n_max
+        n_max, read = self.n_max, tails.get
         # no n <= c admits c: such a sample accepts every lot
         failing, admitted = max(n_from, c + 1) - 1, None
         if failing >= n_max:
@@ -330,7 +354,10 @@ class _LotRule:
         n = failing + 1 if hint is None else min(max(hint, failing + 1), n_max)
         step, failed = 1, False
         while True:
-            beta = tails[c, n] = core(c, n)
+            key = c, n
+            beta = read(key)
+            if beta is None:
+                beta = tails[key] = core(c, n)
             if beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact):
                 admitted = n
             else:
@@ -352,10 +379,9 @@ class _LotRule:
         admits (-1 if none), searched upward from 0, one tail per step.
         The loop compares with the tie band inline and settles a risk
         inside it through its exact value."""
-        tails, core = self.beta_tails, self.beta_tails.core
-        lo, hi, exact = self.beta_bound
+        tails, (lo, hi, exact) = self.beta_tails, self.beta_bound
         for c in range(n + 1):
-            beta = tails[c, n] = core(c, n)
+            beta = tails[c, n]
             if beta > hi or (beta > lo and self.exact_beta(n, c) > exact):
                 return c - 1
         return n

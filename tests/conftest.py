@@ -16,8 +16,8 @@ def count_core_evaluations(monkeypatch):
     """Call it to start counting: it returns a list that receives (level, c,
     n, N) of every tail the scalar core evaluates from then on, in every
     module of the package that calls it, N the lot size (None for an
-    infinite lot).  A tail read back from a lot rule's memory is not an
-    evaluation."""
+    infinite lot), whether the core was resolved at N or moved there.  A
+    tail read back from a lot rule's memory is not an evaluation."""
     from midsampling import kernel
 
     core = kernel._lot_tails
@@ -36,6 +36,12 @@ def count_core_evaluations(monkeypatch):
                 evaluations.append((level, c, n, N))
                 return tail(c, n)
 
+            def move(lot):  # a finite core moves from lot to lot
+                nonlocal N
+                N = lot
+                tail.move(lot)
+
+            counted.move = move
             return counted
 
         for module in callers:

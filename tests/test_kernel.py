@@ -449,6 +449,32 @@ class TestScalarCore:
         digest = hashlib.sha256("\n".join(map(float.hex, tails)).encode()).hexdigest()
         assert digest == "fec3dc49107ee494c808c956505574f266b792522c3c92ed750bd117311b8dc2"
 
+    def test_a_moved_core_equals_a_fresh_one(self):
+        # a core keeps its coefficients for its defect count and moves from
+        # lot to lot: each tail is the float of a core resolved at its lot
+        # and of the public tail, on walks across both edges of the
+        # log-factorial views (2**14 and 100 002) and past the table
+        rng = random.Random(1413)
+        for lo in (1, 2**14 - 30, 100_002 - 30, 2 * 10**6 - 100):
+            for _ in range(20):
+                N0 = lo + rng.randrange(30)
+                K = rng.randint(0, N0) if lo == 1 else round(N0 * rng.uniform(0.0, 0.12))
+                core = _lot_tails(K, N0)
+                for N in range(N0, N0 + 60, rng.randint(1, 3)):
+                    core.move(N)
+                    for _ in range(3):
+                        n = rng.randint(1, min(N, 4000))
+                        c = rng.randint(0, min(n, 40))
+                        tail = core(c, n)
+                        assert tail == _lot_tails(K, N)(c, n) == hypergeometric_cdf(c, n, K, N), (
+                            K, N0, N, c, n)
+        # at an infinite lot the core is the binomial tail at one proportion
+        for _ in range(300):
+            p = rng.choice((rng.uniform(0.0, 1e-6), rng.uniform(0.0, 1.0)))
+            n = rng.choice((rng.randint(1, 2**14 + 50), rng.randint(100_002 - 50, 10**6)))
+            c = rng.randint(0, min(n, 40))
+            assert _lot_tails(p, None)(c, n) == binomial_cdf(c, n, p), (p, c, n)
+
     def test_clamp_of_summation_noise(self):
         # noise just past [0, 1] is clipped; a value far past it is a fault
         assert _clamp_probability(0.25) == 0.25

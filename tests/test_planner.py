@@ -479,7 +479,16 @@ class TestWorkPins:
     def test_table_tails_from_one(self, count_core_evaluations):
         evaluations = count_core_evaluations()
         plan_table(1, 2000)
-        assert len(evaluations) == 5_629
+        assert len(evaluations) == 5_624
+
+    @pytest.mark.parametrize("spec", [QualitySpec(), QualitySpec("1/50", "1/10"),
+                                      QualitySpec("1/200", "1/20")], ids=["1-7", "2-10", "0.5-5"])
+    def test_no_tail_twice_at_a_lot(self, count_core_evaluations, spec):
+        # the gallop for n_beta(c) reads a tail that a count step's refusal
+        # of (m - 1, c) has evaluated from the rule's memory
+        evaluations = count_core_evaluations()
+        plan_table(1, 5000, spec)
+        assert len(set(evaluations)) == len(evaluations)
 
     def test_a_table_takes_one_scalar_tol_per_row(self, count_tolerances):
         calls = count_tolerances()

@@ -1,9 +1,11 @@
+import copy
 import csv
 import hashlib
 import io
 import itertools
 import json
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from midsampling import (
     LotSize,
     Plan,
     QualitySpec,
+    RealizedLevels,
     RiskBounds,
     binomial_cdf,
     hypergeometric_cdf,
@@ -25,6 +28,7 @@ from midsampling import (
     monte_carlo_acceptance,
     oc_curve,
     oc_curve_to_csv,
+    plan_table,
     realized_quality_levels,
     risk_pair,
 )
@@ -118,6 +122,22 @@ class TestRealizedLevels:
         assert levels.p_alpha == Fraction(1, 100)
         assert levels.p_beta == Fraction(7, 100)
         assert levels.k_alpha is None and levels.k_beta is None
+
+    def test_proportions_read_on_demand_equal_built_ones(self):
+        # a finite lot's levels hold the counts and normalize p_alpha and
+        # p_beta on their first read: equal, hashed, printed and copied as
+        # the levels built with both proportions
+        for N, result in plan_table(2998, 3002):
+            for lazy in (result.realized, realized_quality_levels(LotSize(N))):
+                copies = [pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)]  # before a read
+                k_alpha, k_beta = lazy.k_alpha, lazy.k_beta
+                built = RealizedLevels(Fraction(k_alpha, N), Fraction(k_beta, N), k_alpha, k_beta, N)
+                assert (lazy == built, hash(lazy) == hash(built), repr(lazy)) == (
+                    True, True, repr(built))
+                assert copies == [built, built]
+                assert type(lazy.p_alpha) is Fraction and lazy.p_beta.denominator <= N
+        with pytest.raises(AttributeError, match="no attribute 'p_gamma'"):
+            realized_quality_levels(LotSize(258)).p_gamma
 
     def test_floating_point_floor_traps(self):
         # 0.01*2900 and 0.07*300 both misround in binary floating point
@@ -273,6 +293,30 @@ class TestSmallestBetaN:
         # N = 10 holds one defective at the LQ, so no n admits c >= 1; and
         # n_beta(2) at infinity is above 60
         assert found_none == (lot == LotSize(10) or n_max == 60)
+
+
+class TestMovedRule:
+    def test_a_moved_rule_keeps_every_float(self):
+        # a table moves one rule from lot to lot: each level's core moves
+        # where the realized count holds and is resolved again where it
+        # steps, and every tail and band is the one of a rule built at the lot
+        rng = random.Random(2602)
+        spec = QualitySpec("3/100", "1/7")
+        for lo in (1, 2**14 - 40, 100_002 - 40):
+            rule = _LotRule(LotSize(lo), spec, lo)
+            first = rule.levels
+            for N in range(lo, lo + 90):
+                rule.move_to(N)
+                fresh = _LotRule(LotSize(N), spec, N)
+                assert (rule.levels, rule.alpha_bound, rule.beta_bound) == (
+                    fresh.levels, fresh.alpha_bound, fresh.beta_bound)
+                for _ in range(3):
+                    n = rng.randint(1, min(N, 300))
+                    c = rng.randint(0, min(n, 12))
+                    for K, moved, built in zip(rule.levels, (rule.alpha_tails, rule.beta_tails),
+                                               (fresh.alpha_tails, fresh.beta_tails)):
+                        assert moved[c, n] == built.core(c, n) == hypergeometric_cdf(c, n, K, N)
+            assert all(last > start for start, last in zip(first, rule.levels))  # both stepped
 
 
 class TestOcCurve:
