@@ -10,8 +10,10 @@ whose producers' risk at n* = n_beta(c*) is admitted: no smaller n is
 admissible.  A sample of n holds at most one defect more than its first
 n - 1 items, so beta(n, c + 1) >= beta(n - 1, c): as (n* - 1, c*) is
 refused, c* is the largest c the consumers' bound admits at n*, the one with
-the smallest producers' risk.  The lot rule in ``risks`` decides exactly and
-evaluates each tail once: the reported risks are tails the search computed.
+the smallest producers' risk.  Every loop of the search is here; each probe
+asks the lot rule in ``risks`` whether a bound admits (n, c), which it
+decides exactly from tails it evaluates once: the reported risks are tails
+the search computed.
 
 A table starts each search for n_beta(c) at the previous lot's, a floor m
 inside a run of lots with one realized LQ count K = ceil(p_lq*N): for fixed
@@ -21,14 +23,11 @@ producers' risk at m is refused has no plan, as that risk does not fall as
 n grows.  Where K steps up, n_beta(c) may fall.  The floors skip only probes
 whose exact decision is known: they change no plan.
 
-A refusal also carries down the lots.  A sample of n from N + 1 items misses
-the added item, good or defective, with probability 1 - n/(N + 1), and is
-then a sample of the N items, so alpha(n, c) at N + 1 is at least that share
-of alpha(n, c) at N; over lots N0 < N the shares multiply to at least
-1 - m(N - N0)/(N0 + 1).  So a c refused at m at N0 stays refused at every
-n >= m up to the lot N_until of ``_refused_until``, and a row up to N_until
-refuses c without a producers' tail once n_beta(c) >= m: a floor in a run,
-and where K steps the consumers' refusal of (m - 1, c), decided exactly.
+A refusal also carries down the lots: a c refused at m stays refused at
+every n >= m up to the lot N_until of ``_LotRule.refused_until``, which
+states why.  So a row up to N_until refuses c without a producers' tail
+once n_beta(c) >= m: a floor in a run, and where K steps the consumers'
+refusal of (m - 1, c), decided exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .kernel import LotSize, Plan, _check_count
 from .render import render
@@ -100,11 +99,20 @@ def max_acceptance_number(
     """Largest c with consumers' risk within bounds, or None.
 
     Only the consumers' bound is checked here; the acceptance probability
-    grows with c, so the feasible acceptance numbers are exactly 0..c_n.
+    grows with c, so the feasible acceptance numbers are exactly 0..c_n, with
+    c_n < n (a sample with c = n accepts every lot), found by a gallop up
+    from c = 0 and a bisection.
     """
     lot, plan = LotSize.of(lot), Plan(n, 0)
-    c = _LotRule(_check_plan(plan, lot), spec, plan.n, bounds).largest_beta_c(plan.n)
-    return None if c < 0 else c
+    rule, n = _LotRule(_check_plan(plan, lot), spec, plan.n, bounds), plan.n
+    admitted, refused, step = -1, n, 1
+    while refused - admitted > 1:
+        c = min(admitted + step, refused - 1) if refused == n else (admitted + refused) // 2
+        if rule.admits_beta(n, c):
+            admitted, step = c, 2 * step
+        else:
+            refused = c
+    return None if admitted < 0 else admitted
 
 
 def optimal_plan(
@@ -124,6 +132,37 @@ def optimal_plan(
     :class:`NoPlanWithinCapError` when n* would exceed ``scan_cap``.
     """
     return _search(_LotRule(LotSize.of(lot), spec, _check_count("scan_cap", scan_cap), bounds))[0]
+
+
+def _smallest_beta_n(rule: _LotRule, c: int, n_from: int, hint: Optional[int] = None):
+    """The smallest sample size n <= rule.n_max at which the consumers' bound
+    admits acceptance number c (None if none does), given that no n below
+    n_from does.  Beta(n, c) does not increase with n, so a gallop from
+    ``hint`` (or n_from) brackets the answer and a bisection closes the
+    bracket; the hint moves only where the search starts.  A hint that is
+    the answer costs two tails (one at n_from)."""
+    n_max, admits_beta = rule.n_max, rule.admits_beta
+    # no n <= c admits c: such a sample accepts every lot
+    failing, admitted, step, failed = max(n_from, c + 1) - 1, None, 1, False
+    if failing >= n_max:
+        return None
+    n = failing + 1 if hint is None else min(max(hint, failing + 1), n_max)
+    while True:
+        if admits_beta(n, c):
+            admitted = n
+        else:
+            failing, failed = n, True
+        if admitted is None:  # gallop up to an admitted n, or to a failing n_max
+            if n == n_max:
+                return None
+            n = min(failing + step, n_max)
+        elif not failed and admitted - step > failing:  # gallop down to a failing n
+            n = admitted - step
+        elif admitted - failing > 1:  # bisect the bracket
+            n = (failing + admitted) // 2
+        else:
+            return admitted
+        step *= 2
 
 
 def _zero_c_start(rule: _LotRule, ln_beta: float) -> int:
@@ -154,26 +193,26 @@ def _poisson_ratio(ln_beta: float) -> float:
     return m / m0
 
 
-def _search(
-    rule: _LotRule, hints: Sequence[int] = (), untils: Optional[list] = None, floors: bool = False
-) -> tuple:
-    """The optimal plan for the lot of ``rule``, with n <= rule.n_max, for
-    each c searched n_beta(c) or a floor of it and, given ``untils``, for
-    each c below c* its N_until (0 for none).  The search for n_beta(c)
-    starts at ``hints[c]``, or else at a closed-form estimate for c = 0, at
-    the Poisson ratio from n_beta(0) for c = 1 and where the previous two
-    point for c >= 2; a start never changes the answer.  Given ``floors``, no
-    n below ``hints[c]`` admits c at this lot: a c below the last hint that
-    the producers' bound refuses there has no plan.  Up to lot ``untils[c]``
-    such a c has none either once n_beta(c) >= ``hints[c]``.  So where both
-    hold for every c below the last hint, the previous row's plan is this
-    row's if both bounds admit it; if not, the search reads its two tails back."""
+def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
+    """The optimal plan for the lot of ``rule``, with n <= rule.n_max, and
+    the state (count, hints, untils) that warms the next lot's search: the
+    LQ count, for each c searched n_beta(c) or a floor of it and, unless
+    ``warm`` is None, for each c below c* its N_until (0 for none).  The
+    search for n_beta(c) starts at ``hints[c]``, or else at a closed-form
+    estimate for c = 0, at the Poisson ratio from n_beta(0) for c = 1 and
+    where the previous two point for c >= 2; a start never changes the
+    answer.  Where the count is this lot's, no n below ``hints[c]`` admits
+    c: a c below the last hint that the producers' bound refuses there has
+    no plan.  Up to lot ``untils[c]`` such a c has none either once
+    n_beta(c) >= ``hints[c]``.  So where both hold for every c below the
+    last hint, the previous row's plan is this row's if both bounds admit
+    it; if not, the search reads its two tails back."""
+    count, hints, untils = (None, (), None) if warm is None else warm
+    floors = count == rule.levels[1]
     if floors and rule.N <= min(untils, default=rule.N):  # each c below the last hint carried
         c, n = len(hints) - 1, hints[-1]  # n_beta(c) >= n: the previous row's plan, if admitted
-        beta, (lo, hi, exact) = rule.beta_tails[c, n], rule.beta_bound
-        admitted = beta <= lo or (beta <= hi and rule.exact_beta(n, c) <= exact)
-        if admitted and rule.admits_alpha(n, c):
-            return _result(rule, n, c), hints, untils
+        if rule.admits_beta(n, c) and rule.admits_alpha(n, c):
+            return _result(rule, n, c), warm
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
         beta_num, beta_den = rule.bounds.beta_max.as_integer_ratio()
@@ -186,30 +225,32 @@ def _search(
             if floors:
                 n = max(n, hint)
             if c + 1 < len(hints):  # the previous lot refused c
-                if rule.N <= untils[c] and (hint <= n or _beta_refuses(rule, hint - 1, c)):
+                # no n <= c admits c: a hint - 1 <= c is refused without a tail
+                if rule.N <= untils[c] and (
+                    hint <= max(n, c + 1) or not rule.admits_beta(hint - 1, c)
+                ):
                     n = max(n, hint)
                     n_betas.append(n)
                     kept.append(untils[c])
                     continue
                 if floors and not rule.admits_alpha(n, c):
                     n_betas.append(n)  # alpha(n, c) does not fall as n grows
-                    if kept is not None:
-                        kept.append(_refused_until(rule, n, c))
+                    kept.append(rule.refused_until(n, c))
                     continue
         elif c >= 2:  # n_beta(c) grows about linearly in c
             hint = 2 * n - n_betas[-2]
         elif c == 0:
             hint = _zero_c_start(rule, ln_beta)
         else:
-            hint = round(n * _poisson_ratio(ln_beta)) if ln_beta < 0.0 else None
-        n = rule.smallest_beta_n(c, n, hint)
+            hint = round(n * _poisson_ratio(ln_beta))
+        n = _smallest_beta_n(rule, c, n, hint)
         if n is None:
             break
         n_betas.append(n)
         if rule.admits_alpha(n, c):
-            return _result(rule, n, c), n_betas, kept
+            return _result(rule, n, c), (rule.levels[1], n_betas, kept)
         if kept is not None:
-            kept.append(_refused_until(rule, n, c))
+            kept.append(rule.refused_until(n, c))
     spec, bounds = rule.spec, rule.bounds
     raise NoPlanWithinCapError(
         f"no admissible plan with sample size <= {rule.n_max} "
@@ -230,25 +271,6 @@ def _result(rule: _LotRule, n: int, c: int) -> PlanResult:
     return result
 
 
-def _beta_refuses(rule: _LotRule, n: int, c: int) -> bool:
-    """Whether the consumers' bound refuses (n, c), and so every smaller n."""
-    return n <= c or not rule.beta_bound.admits(
-        rule.beta_tails[c, n], lambda: rule.exact_beta(n, c)
-    )
-
-
-def _refused_until(rule: _LotRule, m: int, c: int) -> int:
-    """N_until of c, refused at m at the rule's lot N0 by its float risk
-    alpha: the last N at which (alpha - tol)(1 - m(N - N0)/(N0 + 1)), below
-    alpha(n, c) at N for each n >= m, stays above the band's upper edge hi;
-    N0 or less if none.  1 - hi/(alpha - tol) is computed within 2**-51, so
-    2**-48 less, times (N0 + 1)/m and rounded down, stays below the exact N."""
-    N0, hi, low = rule.N, rule.alpha_bound.hi, 1.0 - rule.alpha_tails[c, m] - rule.alpha_tol
-    if low <= hi:  # also each refusal decided inside the band
-        return 0
-    return N0 + int(((low - hi) / low - 2.0**-48) * (N0 + 1) / m)
-
-
 def plan_table(
     n_min: int,
     n_max: int,
@@ -267,11 +289,10 @@ def plan_table(
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
     rule = _LotRule(LotSize(n_min), spec, n_min, bounds)
-    result, hints, untils = _search(rule, untils=[])
+    result, warm = _search(rule, (None, (), []))  # warm from an empty state: refusals recorded
     rows = [(n_min, result)]
     for N in range(n_min + 1, n_max + 1):
-        lq_count = rule.levels[1]
         rule.move_to(N)
-        result, hints, untils = _search(rule, hints, untils, rule.levels[1] == lq_count)
+        result, warm = _search(rule, warm)
         rows.append((N, result))
     return PlanTable(rows=tuple(rows))

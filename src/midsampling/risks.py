@@ -12,7 +12,7 @@ just under 29), which would silently corrupt entire plan tables.
 
 Every admissibility decision of the package is made here, by one exact
 tie rule (``_Bound``): the planner's, a scheme row's over its lot range
-and the pointwise WELMEC reading's.
+and the pointwise WELMEC reading's.  The planner's search loops only ask.
 """
 
 from __future__ import annotations
@@ -243,8 +243,9 @@ class _Tails(dict):
 
 class _LotRule:
     """Both risks of plans (n, c) against one lot and their bounds, resolved
-    once for many plans, with the planner's two search steps, the largest c
-    admitted at an n and the pointwise WELMEC decision.  Sample sizes run up
+    once for many plans: each bound's decision, with its tie band compared
+    inline, the lot up to which a producers' refusal carries and the
+    pointwise WELMEC decision.  Sample sizes run up
     to N, or to n_max at an infinite lot, where n_max widens binomial bands.
     Each tail is evaluated once while the rule is at its lot, so the
     reported risks of a search's plan reuse the tails it computed, and so
@@ -258,6 +259,7 @@ class _LotRule:
     ):
         self.spec, self.bounds = spec, bounds
         self.alpha_tails, self.beta_tails = _Tails(), _Tails()
+        self._memos = (self.alpha_tails, self.beta_tails)
         self.ratios = (spec.p_aql.as_integer_ratio(), spec.p_lq.as_integer_ratio())
         alpha_max, beta_max = bounds.alpha_max, bounds.beta_max
         self.nearest = (
@@ -294,8 +296,7 @@ class _LotRule:
         the rule is at its lot."""
         by_level = self._tails_by_level
         if by_level is None:
-            memos = (self.alpha_tails, self.beta_tails)
-            by_level = self._tails_by_level = {memo.level: memo for memo in memos}
+            by_level = self._tails_by_level = {memo.level: memo for memo in self._memos}
         tails = by_level.get(level)
         if tails is None:
             tails = by_level[level] = _Tails()
@@ -323,68 +324,19 @@ class _LotRule:
         """The reported risks of (n, c), snapped within the error bounds of
         its own tails, so that they do not depend on n_max."""
         alpha_tol, beta_tol = self._tolerances(n)
-        alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
+        alpha, beta = 1.0 - self.acceptance(0, n, c), self.acceptance(1, n, c)
         pair = object.__new__(RiskPair)  # unchecked: two floats
         pair.__dict__.update(alpha=_reported(alpha, alpha_tol, self.exact_alpha, n, c),
                              beta=_reported(beta, beta_tol, self.exact_beta, n, c))
         return pair
 
+    def acceptance(self, side: int, n: int, c: int) -> float:
+        """The kept tail P(X <= c) of (n, c) at the producers' (0) or consumers' (1) level."""
+        return self._memos[side][c, n]
+
     def admits(self, n: int, c: int) -> bool:
         """Whether both bounds admit (n, c), from the tails the rule keeps."""
-        return self.admits_alpha(n, c) and self.beta_bound.admits(
-            self.beta_tails[c, n], lambda: self.exact_beta(n, c)
-        )
-
-    def smallest_beta_n(self, c: int, n_from: int, hint: Optional[int] = None) -> Optional[int]:
-        """The smallest sample size n <= n_max at which the consumers' bound
-        admits acceptance number c (None if none does), given that no n
-        below n_from does.  Beta(n, c) does not increase with n, so a gallop
-        from ``hint`` (or n_from) brackets the answer and a bisection closes
-        the bracket; the hint moves only where the search starts.  One loop
-        reads each probe from the memo, or evaluates it, and compares with
-        the tie band inline, like ``largest_beta_c``: a hint that is the
-        answer costs two tails (one at n_from)."""
-        tails, core = self.beta_tails, self.beta_tails.core
-        lo, hi, exact = self.beta_bound
-        n_max, read = self.n_max, tails.get
-        # no n <= c admits c: such a sample accepts every lot
-        failing, admitted = max(n_from, c + 1) - 1, None
-        if failing >= n_max:
-            return None
-        n = failing + 1 if hint is None else min(max(hint, failing + 1), n_max)
-        step, failed = 1, False
-        while True:
-            key = c, n
-            beta = read(key)
-            if beta is None:
-                beta = tails[key] = core(c, n)
-            if beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact):
-                admitted = n
-            else:
-                failing, failed = n, True
-            if admitted is None:  # gallop up to an admitted n, or to a failing n_max
-                if n == n_max:
-                    return None
-                n = min(failing + step, n_max)
-            elif not failed and admitted - step > failing:  # gallop down to a failing n
-                n = admitted - step
-            elif admitted - failing > 1:  # bisect the bracket
-                n = (failing + admitted) // 2
-            else:
-                return admitted
-            step *= 2
-
-    def largest_beta_c(self, n: int) -> int:
-        """The largest acceptance number at n that the consumers' bound
-        admits (-1 if none), searched upward from 0, one tail per step.
-        The loop compares with the tie band inline and settles a risk
-        inside it through its exact value."""
-        tails, (lo, hi, exact) = self.beta_tails, self.beta_bound
-        for c in range(n + 1):
-            beta = tails[c, n]
-            if beta > hi or (beta > lo and self.exact_beta(n, c) > exact):
-                return c - 1
-        return n
+        return self.admits_alpha(n, c) and self.admits_beta(n, c)
 
     def admits_alpha(self, n: int, c: int) -> bool:
         """Whether the producers' bound admits (n, c), compared with the tie
@@ -396,6 +348,32 @@ class _LotRule:
         alpha = 1.0 - accept
         lo, hi, exact = self.alpha_bound
         return alpha <= lo or (alpha <= hi and self.exact_alpha(n, c) <= exact)
+
+    def admits_beta(self, n: int, c: int) -> bool:
+        """Whether the consumers' bound admits (n, c), compared with the tie
+        band inline."""
+        tails = self.beta_tails
+        beta = tails.get((c, n))
+        if beta is None:
+            beta = tails[c, n] = tails.core(c, n)
+        lo, hi, exact = self.beta_bound
+        return beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact)
+
+    def refused_until(self, m: int, c: int) -> int:
+        """N_until of c, refused at m at this finite lot N0 by its float risk
+        alpha: the last lot up to which c stays refused at every n >= m, N0 or
+        less if none.  A sample of n from N + 1 items misses the added item,
+        good or defective, with probability 1 - n/(N + 1), and is then a
+        sample of the N items, so alpha(n, c) at N + 1 is at least that share
+        of alpha(n, c) at N, and at N > N0 at least the product
+        (alpha - tol)(1 - m(N - N0)/(N0 + 1)), kept above the band's upper
+        edge hi up to N_until.  1 - hi/(alpha - tol) is computed within
+        2**-51, so 2**-48 less, times (N0 + 1)/m and rounded down, stays
+        below the exact N."""
+        N0, hi, low = self.N, self.alpha_bound.hi, 1.0 - self.alpha_tails[c, m] - self.alpha_tol
+        if low <= hi:  # also each refusal decided inside the band
+            return 0
+        return N0 + int(((low - hi) / low - 2.0**-48) * (N0 + 1) / m)
 
     def admits_pointwise(self, n: int, c: int, at_aql: Fraction, at_lq: Fraction) -> bool:
         """Whether (n, c) accepts a finite lot with probability at most

@@ -68,9 +68,9 @@ def _nominal_acceptance(rule: _LotRule, plan: Plan) -> list:
     n, c, N = plan.n, plan.c, rule.N
     levels = (rule.spec.p_aql, rule.spec.p_lq)
     return [
-        tails[c, n] if N is None or K * p.denominator == p.numerator * N
+        rule.acceptance(side, n, c) if N is None or K * p.denominator == p.numerator * N
         else interpolated_acceptance(plan, N, p)
-        for p, K, tails in zip(levels, rule.levels, (rule.alpha_tails, rule.beta_tails))
+        for side, (p, K) in enumerate(zip(levels, rule.levels))
     ]
 
 

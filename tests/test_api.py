@@ -106,6 +106,32 @@ def test_internal_import_graph_is_pinned():
     assert numpy_users == NUMPY_USERS
 
 
+# The split between judge and search, pinned: the planner and the WELMEC
+# module ask a lot rule for decisions and acceptances and read none of its
+# tie bands, tolerances, memos, scalar cores or exact fallbacks, and no
+# module but risks names the tie rule.
+RULE_INTERNALS = {
+    "alpha_bound", "beta_bound", "alpha_tails", "beta_tails", "alpha_tol", "beta_tol",
+    "exact_alpha", "exact_beta", "tails", "core",
+}
+
+
+def test_only_the_lot_rule_judges():
+    source = Path(midsampling.__file__).parent
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        if path.stem in ("planner", "welmec"):
+            assert not names & RULE_INTERNALS, (path.stem, names & RULE_INTERNALS)
+        if path.stem != "risks":
+            assert "_Bound" not in names, path.stem
+
+
 class _NoNumpy:
     """A stand-in for the numpy module that fails on any use."""
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -75,6 +76,35 @@ class TestMaxAcceptanceNumber:
             assert exact_consumers_risk(Plan(n, c), N) <= beta_max
             if c + 1 <= n:
                 assert exact_consumers_risk(Plan(n, c + 1), N) > beta_max
+
+
+    @pytest.mark.parametrize(
+        "spec", [QualitySpec(), QualitySpec("1/50", "1/10"), QualitySpec("1/200", "1/20")],
+        ids=["1-7", "2-10", "0.5-5"],
+    )
+    def test_equals_a_linear_scan(self, spec):
+        # beta(n, c) does not fall as c grows, so the consumers' bound admits
+        # a prefix of c: the gallop and bisection over c find the end of the
+        # prefix that a scan of exact risks from c = 0 finds
+        rng = random.Random(2028)
+        for _ in range(30):
+            n = rng.randint(1, 400)
+            lot = INFINITE_LOT if rng.random() < 0.3 else LotSize(rng.randint(n, 3000))
+            if lot.is_finite:
+                K, N = realized_counts(lot.count, spec.p_aql, spec.p_lq)[1], lot.count
+                tails = (exact_hypergeometric_tail(c, n, K, N) for c in range(n + 1))
+            else:
+                tails = (exact_binomial_tail(c, n, spec.p_lq) for c in range(n + 1))
+            expected = len(list(itertools.takewhile(lambda t: t <= Fraction(1, 20), tails))) - 1
+            assert max_acceptance_number(n, lot, spec) == (None if expected < 0 else expected)
+
+    def test_a_large_sample_takes_few_tails(self, count_core_evaluations):
+        # c_n = 4373 at n = 64 000: one tail per c, each summing c + 1 terms,
+        # waited quadratically in n; a gallop and a bisection take about
+        # 2 log2(c_n) tails
+        evaluations = count_core_evaluations()
+        assert max_acceptance_number(64_000, INFINITE_LOT) == 4373
+        assert len(evaluations) <= 40
 
 
 class TestOptimalPlan:
@@ -366,9 +396,10 @@ class TestPlanTable:
         while 1 - exact_hypergeometric_tail(c_star, m, k_alpha, N) <= Fraction(1, 20):
             m += 1
         rule = risks._LotRule(LotSize(N), QualitySpec(), N, RiskBounds())
-        _, n_betas, _ = planner._search(rule)
+        _, (_, n_betas, _) = planner._search(rule)
         hints = [*n_betas[:c_star], m, m + 50]  # each c <= c* refused at every n >= hints[c]
-        result, *_ = planner._search(rule, hints, [N] * (c_star + 1))
+        lq_count_before = realized_counts(N - 1, 0.01, 0.07)[1]
+        result, _ = planner._search(rule, (lq_count_before, hints, [N] * (c_star + 1)))
         assert result == expected
 
     @staticmethod

@@ -33,6 +33,7 @@ from midsampling import (
     risk_pair,
 )
 from midsampling.kernel import as_exact_level
+from midsampling.planner import _smallest_beta_n
 from midsampling.render import render
 from midsampling.risks import _LotRule, _run_ends
 
@@ -255,7 +256,7 @@ class TestRisks:
 
 
 class TestSmallestBetaN:
-    """The lot rule's gallop and bisection for n_beta(c), the smallest n at
+    """The planner's gallop and bisection for n_beta(c), the smallest n at
     which the consumers' bound admits c, against a linear scan of exact risks."""
 
     @staticmethod
@@ -288,8 +289,8 @@ class TestSmallestBetaN:
             for n_from in n_froms:
                 for hint in hints:
                     rule = _LotRule(lot, QualitySpec(), n_max)
-                    assert rule.smallest_beta_n(c, n_from, hint) == expected, (c, n_from, hint)
-            assert _LotRule(lot, QualitySpec(), n_max).smallest_beta_n(c, n_max + 1) is None
+                    assert _smallest_beta_n(rule, c, n_from, hint) == expected, (c, n_from, hint)
+            assert _smallest_beta_n(_LotRule(lot, QualitySpec(), n_max), c, n_max + 1) is None
         # N = 10 holds one defective at the LQ, so no n admits c >= 1; and
         # n_beta(2) at infinity is above 60
         assert found_none == (lot == LotSize(10) or n_max == 60)
