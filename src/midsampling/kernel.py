@@ -393,13 +393,11 @@ def hypergeometric_cdf(c: int, n: int, K: int, N: int) -> float:
     return _lot_tails(K, N)(plan.c, plan.n)
 
 
-def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom, c=None) -> np.ndarray:
-    """P(X == x) over broadcast integer arrays, zero outside the support and,
-    given acceptance numbers c, where x > c; ``lf`` covers 0..max(N) and
+def _hypergeometric_terms(x, n, K, N, lf: np.ndarray, ln_denom, c) -> np.ndarray:
+    """P(X == x) over broadcast integer arrays, zero outside the support and
+    where x > c, the acceptance numbers; ``lf`` covers 0..max(N) and
     ``ln_denom`` is ln C(N, n)."""
-    valid = (x <= K) & (x <= n) & (n - x <= N - K)
-    if c is not None:
-        valid &= x <= c
+    valid = (x <= K) & (x <= n) & (n - x <= N - K) & (x <= c)
     x = np.where(valid, x, 0)  # keep table indices in range on dead lanes
     rest = n - x
     log_terms = (
@@ -578,7 +576,7 @@ def interpolated_acceptance_curve(n: int, N: int, p) -> np.ndarray:
     if integer_count is not None:
         lf = _log_factorial_array(N)
         terms = _hypergeometric_terms(
-            np.arange(n + 1), n, integer_count, N, lf, lf[N] - lf[n] - lf[N - n]
+            np.arange(n + 1), n, integer_count, N, lf, lf[N] - lf[n] - lf[N - n], n
         )
         return np.minimum(np.cumsum(terms), 1.0)
     return np.clip(np.cumsum(_interpolated_terms(n, n, N, pN)), 0.0, 1.0)

@@ -4,16 +4,16 @@ For a fixed acceptance number c the consumers' risk does not increase with
 the sample size n and the producers' risk does not decrease, so the
 consumers' bound admits c exactly from some smallest n_beta(c) on, and
 n_beta(c) does not decrease with c.  The search walks c = 0, 1, ...,
-finds each n_beta(c) by galloping and bisecting upward from the previous
-one (from a closed-form estimate for c = 0 and 1), and stops at the first c*
-whose producers' risk at n* = n_beta(c*) is admitted: no smaller n is
-admissible.  A sample of n holds at most one defect more than its first
-n - 1 items, so beta(n, c + 1) >= beta(n - 1, c): as (n* - 1, c*) is
-refused, c* is the largest c the consumers' bound admits at n*, the one with
-the smallest producers' risk.  Every loop of the search is here; each probe
-asks the lot rule in ``risks`` whether a bound admits (n, c), which it
-decides exactly from tails it evaluates once: the reported risks are tails
-the search computed.
+finds each n_beta(c) with ``_first``, the one gallop and bisection of the
+package, up from the previous one (from a closed-form estimate for c = 0
+and 1), and stops at the first c* whose producers' risk at n* = n_beta(c*)
+is admitted: no smaller n is admissible.  A sample of n holds at most one
+defect more than its first n - 1 items, so beta(n, c + 1) >= beta(n - 1, c):
+as (n* - 1, c*) is refused, c* is the largest c the consumers' bound admits
+at n*, the one with the smallest producers' risk.  Every loop of the
+search is here; each probe asks the lot rule in ``risks`` whether a bound
+admits (n, c), which it decides exactly from tails it evaluates once: the
+reported risks are tails the search computed.
 
 A table starts each search for n_beta(c) at the previous lot's, a floor m
 inside a run of lots with one realized LQ count K = ceil(p_lq*N): for fixed
@@ -99,20 +99,14 @@ def max_acceptance_number(
     """Largest c with consumers' risk within bounds, or None.
 
     Only the consumers' bound is checked here; the acceptance probability
-    grows with c, so the feasible acceptance numbers are exactly 0..c_n, with
-    c_n < n (a sample with c = n accepts every lot), found by a gallop up
-    from c = 0 and a bisection.
+    grows with c, so the bound refuses exactly the c from some c_n + 1 on,
+    with c_n < n (a sample with c = n accepts every lot): c_n is one less
+    than the first refused c, found by ``_first`` from c = 0.
     """
     lot, plan = LotSize.of(lot), Plan(n, 0)
     rule, n = _LotRule(_check_plan(plan, lot), spec, plan.n, bounds), plan.n
-    admitted, refused, step = -1, n, 1
-    while refused - admitted > 1:
-        c = min(admitted + step, refused - 1) if refused == n else (admitted + refused) // 2
-        if rule.admits_beta(n, c):
-            admitted, step = c, 2 * step
-        else:
-            refused = c
-    return None if admitted < 0 else admitted
+    refused = _first(lambda c, n: not rule.admits_beta(n, c), n, -1, n, 0)
+    return refused - 1 if refused else None
 
 
 def optimal_plan(
@@ -134,34 +128,31 @@ def optimal_plan(
     return _search(_LotRule(LotSize.of(lot), spec, _check_count("scan_cap", scan_cap), bounds))[0]
 
 
-def _smallest_beta_n(rule: _LotRule, c: int, n_from: int, hint: Optional[int] = None):
-    """The smallest sample size n <= rule.n_max at which the consumers' bound
-    admits acceptance number c (None if none does), given that no n below
-    n_from does.  Beta(n, c) does not increase with n, so a gallop from
-    ``hint`` (or n_from) brackets the answer and a bisection closes the
-    bracket; the hint moves only where the search starts.  A hint that is
-    the answer costs two tails (one at n_from)."""
-    n_max, admits_beta = rule.n_max, rule.admits_beta
-    # no n <= c admits c: such a sample accepts every lot
-    failing, admitted, step, failed = max(n_from, c + 1) - 1, None, 1, False
-    if failing >= n_max:
+def _first(holds, arg, failing: int, last: int, start: int) -> Optional[int]:
+    """The smallest m in (failing, last] at which ``holds(m, arg)``, or None
+    if there is none, for a predicate that once true stays true as m grows:
+    the one search of the package.  A gallop from ``start`` (clamped into
+    the range), up to a true m or down to a false one, brackets the answer
+    and a bisection closes the bracket; the start moves only where the
+    search begins.  A start that is the answer costs two calls (one at m - 1)."""
+    if failing >= last:
         return None
-    n = failing + 1 if hint is None else min(max(hint, failing + 1), n_max)
+    m, held, step, failed = min(max(start, failing + 1), last), None, 1, False
     while True:
-        if admits_beta(n, c):
-            admitted = n
+        if holds(m, arg):
+            held = m
         else:
-            failing, failed = n, True
-        if admitted is None:  # gallop up to an admitted n, or to a failing n_max
-            if n == n_max:
+            failing, failed = m, True
+        if held is None:  # gallop up to a true m, or to a false last
+            if m == last:
                 return None
-            n = min(failing + step, n_max)
-        elif not failed and admitted - step > failing:  # gallop down to a failing n
-            n = admitted - step
-        elif admitted - failing > 1:  # bisect the bracket
-            n = (failing + admitted) // 2
+            m = min(failing + step, last)
+        elif not failed and held - step > failing:  # gallop down to a false m
+            m = held - step
+        elif held - failing > 1:  # bisect the bracket
+            m = (failing + held) // 2
         else:
-            return admitted
+            return held
         step *= 2
 
 
@@ -243,7 +234,9 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
             hint = _zero_c_start(rule, ln_beta)
         else:
             hint = round(n * _poisson_ratio(ln_beta))
-        n = _smallest_beta_n(rule, c, n, hint)
+        # beta(n, c) does not rise with n, and no n <= c admits c: such a
+        # sample accepts every lot
+        n = _first(rule.admits_beta, c, max(n, c + 1) - 1, rule.n_max, hint)
         if n is None:
             break
         n_betas.append(n)

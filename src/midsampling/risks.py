@@ -166,6 +166,12 @@ def _check_plan(plan: Plan, lot) -> LotSize:
 # Risks and the exact tie rule
 # ---------------------------------------------------------------------------
 
+# OC anchor probabilities of the MID conditions: acceptance of 95% at the
+# acceptable quality level and 5% at the limit quality.
+ACCEPT_LEVEL_AQL = Fraction(19, 20)
+ACCEPT_LEVEL_LQ = Fraction(1, 20)
+
+
 def _exact_acceptance(c: int, n: int, level, N: Optional[int]) -> Fraction:
     """The scalar core's P(X <= c) in exact rational arithmetic; ``level``
     is a defect count, or an exact proportion when N is None."""
@@ -375,14 +381,15 @@ class _LotRule:
             return 0
         return N0 + int(((low - hi) / low - 2.0**-48) * (N0 + 1) / m)
 
-    def admits_pointwise(self, n: int, c: int, at_aql: Fraction, at_lq: Fraction) -> bool:
+    def admits_pointwise(self, n: int, c: int) -> bool:
         """Whether (n, c) accepts a finite lot with probability at most
-        ``at_aql`` at ceil(p_aql*N) defects and at most ``at_lq`` at
-        ceil(p_lq*N), decided as exact arithmetic would decide it.
+        ACCEPT_LEVEL_AQL at ceil(p_aql*N) defects and at most ACCEPT_LEVEL_LQ
+        at ceil(p_lq*N), decided as exact arithmetic would decide it.
         Acceptance does not increase with the defect count, so these two
         counts decide for every count at or above each level."""
         N, lq_count = self.N, self.levels[1]
-        for K, most in ((_count(self.spec.p_aql, N, True), at_aql), (lq_count, at_lq)):
+        aql_count = _count(self.spec.p_aql, N, True)
+        for K, most in ((aql_count, ACCEPT_LEVEL_AQL), (lq_count, ACCEPT_LEVEL_LQ)):
             accept = self.tails(K)[c, n]
             bound = _Bound.around(most, self.beta_tol)  # tol(N), as for every tail of the lot
             if not bound.admits(accept, lambda: _exact_acceptance(c, n, K, N)):

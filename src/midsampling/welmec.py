@@ -13,12 +13,19 @@ hypothesis-test risks, to make the interpretations directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .kernel import LotSize, Plan, interpolated_acceptance
 from .planner import DEFAULT_SCAN_CAP, PlanResult, _search
-from .risks import QualitySpec, RiskBounds, RiskPair, _check_plan, _LotRule
+from .risks import (
+    ACCEPT_LEVEL_AQL,
+    ACCEPT_LEVEL_LQ,
+    QualitySpec,
+    RiskBounds,
+    RiskPair,
+    _check_plan,
+    _LotRule,
+)
 
 __all__ = [
     "WelmecRisks",
@@ -29,11 +36,6 @@ __all__ = [
     "welmec_admissible_pointwise",
     "compare_interpretations",
 ]
-
-# OC anchor probabilities of the MID conditions: acceptance of 95% at the
-# acceptable quality level and 5% at the limit quality.
-ACCEPT_LEVEL_AQL = Fraction(19, 20)
-ACCEPT_LEVEL_LQ = Fraction(1, 20)
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def welmec_admissible_pointwise(
     if not lot.is_finite:
         raise ValueError("the pointwise criterion is defined for finite lots only")
     rule = _LotRule(_check_plan(plan, lot), spec, plan.n)
-    return rule.admits_pointwise(plan.n, plan.c, ACCEPT_LEVEL_AQL, ACCEPT_LEVEL_LQ)
+    return rule.admits_pointwise(plan.n, plan.c)
 
 
 def compare_interpretations(
@@ -153,8 +155,7 @@ def compare_interpretations(
                 welmec=WelmecRisks(alpha_cont=1.0 - at_aql, beta_cont=at_lq),
                 continuous_admissible=_continuous_admissible(at_aql, at_lq),
                 pointwise_admissible=(
-                    rule.admits_pointwise(plan.n, plan.c, ACCEPT_LEVEL_AQL, ACCEPT_LEVEL_LQ)
-                    if lot.is_finite else None
+                    rule.admits_pointwise(plan.n, plan.c) if lot.is_finite else None
                 ),
             )
         )

@@ -402,6 +402,24 @@ class TestPlanTable:
         result, _ = planner._search(rule, (lq_count_before, hints, [N] * (c_star + 1)))
         assert result == expected
 
+    def test_a_refusal_inside_the_alpha_band_carries_to_no_lot(self):
+        # a producers' refusal decided by the exact risk, inside the tie band,
+        # leaves no margin above the band to carry down the lots: N_until is
+        # 0, and the next rows search that c again.  alpha_max just below the
+        # exact alpha(n_beta(0), 0) puts the float risk in the band
+        N, k_alpha = 2000, realized_counts(2000, 0.01, 0.07)[0]
+        m = planner._first(risks._LotRule(LotSize(N), QualitySpec(), N).admits_beta, 0, 0, N, 1)
+        alpha = 1 - exact_hypergeometric_tail(0, m, k_alpha, N)
+        bounds = RiskBounds(alpha_max=alpha - Fraction(1, 10**30))
+        rule = risks._LotRule(LotSize(N), QualitySpec(), N, bounds)
+        lo, hi, _ = rule.alpha_bound
+        assert lo < 1 - rule.acceptance(0, m, 0) <= hi and not rule.admits_alpha(m, 0)
+        assert rule.refused_until(m, 0) == 0
+        _, (_, n_betas, untils) = planner._search(rule, (None, (), []))
+        assert n_betas[0] == m and untils[0] == 0
+        for N, result in plan_table(N, N + 100, QualitySpec(), bounds):
+            assert result == optimal_plan(LotSize(N), QualitySpec(), bounds), N
+
     @staticmethod
     def one_item_more_cases():
         """(n, tail), tail(c, m) the exact P(X <= c) for a sample of m items:

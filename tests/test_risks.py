@@ -33,7 +33,7 @@ from midsampling import (
     risk_pair,
 )
 from midsampling.kernel import as_exact_level
-from midsampling.planner import _smallest_beta_n
+from midsampling.planner import _first
 from midsampling.render import render
 from midsampling.risks import _LotRule, _run_ends
 
@@ -288,9 +288,12 @@ class TestSmallestBetaN:
                 n_froms.add(expected)
             for n_from in n_froms:
                 for hint in hints:
-                    rule = _LotRule(lot, QualitySpec(), n_max)
-                    assert _smallest_beta_n(rule, c, n_from, hint) == expected, (c, n_from, hint)
-            assert _smallest_beta_n(_LotRule(lot, QualitySpec(), n_max), c, n_max + 1) is None
+                    admits_beta = _LotRule(lot, QualitySpec(), n_max).admits_beta
+                    failing, start = max(n_from, c + 1) - 1, n_from if hint is None else hint
+                    found = _first(admits_beta, c, failing, n_max, start)
+                    assert found == expected, (c, n_from, hint)
+            admits_beta = _LotRule(lot, QualitySpec(), n_max).admits_beta
+            assert _first(admits_beta, c, max(n_max + 1, c + 1) - 1, n_max, n_max + 1) is None
         # N = 10 holds one defective at the LQ, so no n admits c >= 1; and
         # n_beta(2) at infinity is above 60
         assert found_none == (lot == LotSize(10) or n_max == 60)
