@@ -189,21 +189,18 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
     the state (count, hints, untils) that warms the next lot's search: the
     LQ count, for each c searched n_beta(c) or a floor of it and, unless
     ``warm`` is None, for each c below c* its N_until (0 for none).  The
-    search for n_beta(c) starts at ``hints[c]``, or else at a closed-form
-    estimate for c = 0, at the Poisson ratio from n_beta(0) for c = 1 and
-    where the previous two point for c >= 2; a start never changes the
-    answer.  Where the count is this lot's, no n below ``hints[c]`` admits
+    search for n_beta(c) starts at ``hints[c]``, or else one below a
+    closed-form estimate for c = 0 and one below the Poisson ratio from
+    n_beta(0) for c = 1, and two below where the previous two point for
+    c >= 2: these estimates mostly land on n_beta(c) or a little above it,
+    and a start at n_beta(c) or one below costs two tails, one above it
+    four.  A start never changes the answer.  Where the count is this lot's, no n below ``hints[c]`` admits
     c: a c below the last hint that the producers' bound refuses there has
     no plan.  Up to lot ``untils[c]`` such a c has none either once
-    n_beta(c) >= ``hints[c]``.  So where both hold for every c below the
-    last hint, the previous row's plan is this row's if both bounds admit
-    it; if not, the search reads its two tails back."""
+    n_beta(c) >= ``hints[c]``.  At a lot where a table's walk stopped, the
+    search reads back the tails that the walk evaluated."""
     count, hints, untils = (None, (), None) if warm is None else warm
     floors = count == rule.levels[1]
-    if floors and rule.N <= min(untils, default=rule.N):  # each c below the last hint carried
-        c, n = len(hints) - 1, hints[-1]  # n_beta(c) >= n: the previous row's plan, if admitted
-        if rule.admits_beta(n, c) and rule.admits_alpha(n, c):
-            return _result(rule, n, c), warm
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
         beta_num, beta_den = rule.bounds.beta_max.as_integer_ratio()
@@ -229,11 +226,11 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
                     kept.append(rule.refused_until(n, c))
                     continue
         elif c >= 2:  # n_beta(c) grows about linearly in c
-            hint = 2 * n - n_betas[-2]
+            hint = 2 * n - n_betas[-2] - 2
         elif c == 0:
-            hint = _zero_c_start(rule, ln_beta)
+            hint = _zero_c_start(rule, ln_beta) - 1
         else:
-            hint = round(n * _poisson_ratio(ln_beta))
+            hint = round(n * _poisson_ratio(ln_beta)) - 1
         # beta(n, c) does not rise with n, and no n <= c admits c: such a
         # sample accepts every lot
         n = _first(rule.admits_beta, c, max(n, c + 1) - 1, rule.n_max, hint)
@@ -241,7 +238,10 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
             break
         n_betas.append(n)
         if rule.admits_alpha(n, c):
-            return _result(rule, n, c), (rule.levels[1], n_betas, kept)
+            plan, risks = object.__new__(Plan), rule.risks(n, c)
+            plan.__dict__.update(n=n, c=c)  # unchecked: 1 <= n and 0 <= c <= n <= N
+            result = _result(plan, risks.alpha, risks.beta, rule.levels, rule.N)
+            return result, (rule.levels[1], n_betas, kept)
         if kept is not None:
             kept.append(rule.refused_until(n, c))
     spec, bounds = rule.spec, rule.bounds
@@ -252,15 +252,13 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
     )
 
 
-def _result(rule: _LotRule, n: int, c: int) -> PlanResult:
-    """PlanResult of plan (n, c) at the lot of ``rule``, its plan, risks and
-    realized levels built in one step, without the public checks, which the
-    search has proved: 1 <= n and 0 <= c <= n <= N."""
-    plan, result = object.__new__(Plan), object.__new__(PlanResult)
-    plan.__dict__.update(n=n, c=c)
-    result.__dict__.update(
-        plan=plan, risks=rule.risks(n, c), realized=_realized_levels(rule.levels, rule.N)
-    )
+def _result(plan: Plan, alpha: float, beta: float, levels: tuple, N: Optional[int]) -> PlanResult:
+    """PlanResult of ``plan`` with reported risks (alpha, beta) at a lot of
+    N items with realized ``levels``, its objects built in one step without
+    their checks: the risks are two floats of the lot rule."""
+    risks, result = object.__new__(RiskPair), object.__new__(PlanResult)
+    risks.__dict__.update(alpha=alpha, beta=beta)
+    result.__dict__.update(plan=plan, risks=risks, realized=_realized_levels(levels, N))
     return result
 
 
@@ -272,11 +270,13 @@ def plan_table(
 ) -> PlanTable:
     """Optimal plans for every lot size N in [n_min, n_max].
 
-    One lot rule moves from lot to lot, and each search starts at the previous
-    lot's n_beta(c) or a floor of it: still a floor while the LQ count holds,
-    where a refused c below the previous c* costs one tail, and none up to
-    its N_until; where the count steps, such a c costs one consumers' tail.
-    No decision changes: every row equals ``optimal_plan`` of its lot.
+    One lot rule moves from lot to lot.  It walks the run of each plan found
+    (``_LotRule.walk``), two tails a lot, and the first lot it does not settle
+    is searched from the previous lot's n_beta(c) or a floor of it: still a
+    floor while the LQ count holds, where a refused c below the previous c*
+    costs one tail, and none up to its N_until; where the count steps, such
+    a c costs one consumers' tail.  No decision changes: every row equals
+    ``optimal_plan`` of its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)
     if not 1 <= n_min <= n_max:
@@ -284,8 +284,13 @@ def plan_table(
     rule = _LotRule(LotSize(n_min), spec, n_min, bounds)
     result, warm = _search(rule, (None, (), []))  # warm from an empty state: refusals recorded
     rows = [(n_min, result)]
-    for N in range(n_min + 1, n_max + 1):
-        rule.move_to(N)
+    while True:  # walk each run of the found plan, and search where it ends
+        plan, (count, _, untils) = result.plan, warm
+        for N, k_alpha, alpha, beta in rule.walk(plan.n, plan.c, min([n_max, *untils])):
+            rows.append((N, _result(plan, alpha, beta, (k_alpha, count), N)))
+        if rows[-1][0] == rule.N:  # the walk settled every lot it reached
+            if rule.N == n_max:
+                return PlanTable(rows=tuple(rows))
+            rule.move_to(rule.N + 1)
         result, warm = _search(rule, warm)
-        rows.append((N, result))
-    return PlanTable(rows=tuple(rows))
+        rows.append((rule.N, result))

@@ -275,27 +275,81 @@ class _LotRule:
 
     def move_to(self, N: Optional[int], n_max: Optional[int] = None) -> None:
         """Make this the rule of a lot of N items (None, with n_max, for an
-        infinite lot): the one way to set the fields of a lot, its realized
-        levels, its tolerances, its tails and its two tie bands.  From a
+        infinite lot): set its realized levels, tolerances, tails and tie
+        bands, a finite lot's through ``_move`` as a walk sets them.  From a
         finite lot to another, per level, the memo is emptied in place and
         the core moves to N, which updates ln N! and ln (N-K)!; only where
         the level's count K steps is a core resolved again."""
-        spec, bounds = self.spec, self.bounds
-        self.N, self.n_max, self._tails_by_level = N, n_max if N is None else N, None
-        if N is None:  # the core takes proportions as floats
+        if N is not None:
+            self._move(N)
+        else:  # the core takes proportions as floats
+            spec = self.spec
+            self.N, self.n_max, self._tails_by_level = None, n_max, None
             self.levels = (spec.p_aql, spec.p_lq)
             self._binomial_tols = {}
-            self.alpha_tol, self.beta_tol = alpha_tol, beta_tol = self._tolerances(n_max)
-            core_levels = (float(spec.p_aql), float(spec.p_lq))
-        else:  # defect counts, the _count of each level, ratios read once
-            (a, b), (c, d) = self.ratios
-            self.levels = core_levels = (a * N // b, -(-c * N // d))
-            self.alpha_tol = self.beta_tol = alpha_tol = beta_tol = _tail_tolerance(N)
-        self.alpha_tails.move(core_levels[0], N)
-        self.beta_tails.move(core_levels[1], N)
-        (alpha, beta), band = self.nearest, tuple.__new__  # _Bound without its constructor
+            self.alpha_tol, self.beta_tol = self._tolerances(n_max)
+            self.alpha_tails.move(float(spec.p_aql), None)
+            self.beta_tails.move(float(spec.p_lq), None)
+        self._bands()
+
+    def _move(self, N: int) -> float:
+        """The one per-lot update of a finite lot, of ``move_to`` and the
+        walk: the levels' defect counts (the _count of each level, ratios
+        read once), the cores' moves and tol(N), which it returns."""
+        (a, b), (c, d) = self.ratios
+        self.N = self.n_max = N
+        self._tails_by_level = None
+        self.levels = levels = (a * N // b, -(-c * N // d))
+        self.alpha_tails.move(levels[0], N)
+        self.beta_tails.move(levels[1], N)
+        self.alpha_tol = self.beta_tol = tol = _tail_tolerance(N)
+        return tol
+
+    def _bands(self) -> None:
+        """Both tie bands, around the bounds' nearest floats by the rule's
+        tolerances, written without the _Bound constructor."""
+        (alpha, beta), band, bounds = self.nearest, tuple.__new__, self.bounds
+        alpha_tol, beta_tol = self.alpha_tol, self.beta_tol
         self.alpha_bound = band(_Bound, (alpha - alpha_tol, alpha + alpha_tol, bounds.alpha_max))
         self.beta_bound = band(_Bound, (beta - beta_tol, beta + beta_tol, bounds.beta_max))
+
+    def walk(self, n: int, c: int, last: int) -> list:
+        """Move this finite lot's rule lot by lot past its lot while the LQ
+        count holds and N <= last, and return (N, k_alpha, alpha, beta) of
+        each lot N at which both float risks of (n, c) lie at or below the
+        lower edges of their tie bands, as ``_reported`` gives them.  At the
+        first lot where one does not, or where the count steps, the walk
+        stops, moved there as ``move_to`` moves it, with the tails it
+        evaluated kept.  The producers' tail is evaluated only once the
+        consumers' risk is admitted.
+
+        In a table (n, c) is the plan the search found at this lot and
+        ``last`` the smallest N_until of its refusals, or the table's last
+        lot if that comes first; at each lot walked
+        (n, c) is the optimal plan.  For fixed (n, c, K) the exact acceptance
+        does not fall as N grows, so in the run no n below the search's
+        n_beta(c') admits any c': with the refusals carried, no c' < c has a
+        plan, (n - 1, c) stays refused, and so is (n, c + 1), as beta(n,
+        c + 1) >= beta(n - 1, c).  A risk inside its band is left to the
+        exact decision of ``admits_beta`` and ``admits_alpha``."""
+        rows, count, N = [], self.levels[1], self.N
+        alpha_tails, beta_tails = self._memos
+        alpha_near, beta_near = self.nearest
+        while N < last:
+            N += 1
+            tol = self._move(N)
+            if self.levels[1] != count:
+                break
+            beta = beta_tails[c, n] = beta_tails.core(c, n)
+            if beta > beta_near - tol:  # the band's lower edge
+                break
+            accept = alpha_tails[c, n] = alpha_tails.core(c, n)
+            if 1.0 - accept > alpha_near - tol:
+                break
+            rows.append((N, self.levels[0], _reported(1.0 - accept, tol, self.exact_alpha, n, c),
+                         _reported(beta, tol, self.exact_beta, n, c)))
+        self._bands()
+        return rows
 
     def tails(self, level) -> _Tails:
         """The tails at ``level``, a level as the core takes it, kept while

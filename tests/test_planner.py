@@ -420,6 +420,49 @@ class TestPlanTable:
         for N, result in plan_table(N, N + 100, QualitySpec(), bounds):
             assert result == optimal_plan(LotSize(N), QualitySpec(), bounds), N
 
+    def test_a_walk_ends_in_a_tie_band(self, count_core_evaluations):
+        # a table walks the run of a plan while both float risks lie at or
+        # below the lower edges of their tie bands.  beta_max a hair below
+        # the exact beta of (107, 3) at N = 3002, inside the run that the
+        # plan of N = 3001 starts, puts that float risk in its band: the walk
+        # stops there, the exact value refuses, and the row is searched from
+        # the tails the walk evaluated
+        N = 3002
+        K = realized_counts(N, 0.01, 0.07)[1]
+        assert K == realized_counts(N - 1, 0.01, 0.07)[1]
+        bounds = RiskBounds("1/20", exact_hypergeometric_tail(3, 107, K, N) - Fraction(1, 10**40))
+        rule = risks._LotRule(LotSize(N - 1), QualitySpec(), N - 1, bounds)
+        assert planner._search(rule, (None, (), []))[0].plan == Plan(107, 3)
+        assert rule.walk(107, 3, N + 10) == [] and rule.N == N
+        lo, hi, _ = rule.beta_bound
+        assert lo < rule.acceptance(1, 107, 3) <= hi and not rule.admits_beta(107, 3)
+        evaluations = count_core_evaluations()
+        table = plan_table(N - 1, N + 10, QualitySpec(), bounds)
+        at_stop = [e for e in evaluations if e[3] == N]
+        assert at_stop and len(set(at_stop)) == len(at_stop)
+        assert table.rows[1] == (N, optimal_plan(LotSize(N), QualitySpec(), bounds))
+        assert table.rows[1][1].plan != Plan(107, 3)
+        for M, result in table:
+            assert result == optimal_plan(LotSize(M), QualitySpec(), bounds), M
+
+    @pytest.mark.parametrize(
+        "spec, bounds",
+        [(QualitySpec(), RiskBounds()), (QualitySpec("1/50", "1/10"), RiskBounds("0.10", "0.05"))],
+        ids=["default", "2-10"],
+    )
+    def test_chunked_tables_equal_the_whole_table(self, spec, bounds):
+        # a range cut into seeded chunks of 1, 7 and 20 rows, each its own
+        # table, gives the whole range's rows field for field: at small
+        # lots, inside the log-factorial table and past its end at 100 002
+        rng = random.Random(3007)
+        for lo, hi in ((1, 3000), (30_000, 31_000), (99_990, 100_030)):
+            rows, N = [], lo
+            while N <= hi:
+                last = min(hi, N + rng.choice((1, 7, 20)) - 1)
+                rows.extend(plan_table(N, last, spec, bounds))
+                N = last + 1
+            assert rows == list(plan_table(lo, hi, spec, bounds)), (lo, hi)
+
     @staticmethod
     def one_item_more_cases():
         """(n, tail), tail(c, m) the exact P(X <= c) for a sample of m items:
@@ -528,7 +571,7 @@ class TestWorkPins:
     def test_table_tails_from_one(self, count_core_evaluations):
         evaluations = count_core_evaluations()
         plan_table(1, 2000)
-        assert len(evaluations) == 5_624
+        assert len(evaluations) == 5_598
 
     @pytest.mark.parametrize("spec", [QualitySpec(), QualitySpec("1/50", "1/10"),
                                       QualitySpec("1/200", "1/20")], ids=["1-7", "2-10", "0.5-5"])
