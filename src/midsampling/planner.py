@@ -75,15 +75,20 @@ class PlanResult:
 
 @dataclass(frozen=True)
 class PlanTable:
-    """Optimal plans for a contiguous range of lot sizes, sorted by N."""
+    """Optimal plans for a contiguous range of lot sizes, sorted by N: a
+    record per lot, read as (N, PlanResult) by ``rows`` and iteration."""
 
-    rows: Tuple[Tuple[int, PlanResult], ...]
+    records: Tuple[tuple, ...]
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, PlanResult], ...]:
+        return tuple(self)
 
     def __iter__(self):
-        return iter(self.rows)
+        return ((record[0], _result(record)) for record in self.records)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.records)
 
     def to_csv(self) -> str:
         """Deterministic CSV export, risks with six decimal digits."""
@@ -125,7 +130,8 @@ def optimal_plan(
     succeed (full inspection is admissible); infinite lots raise
     :class:`NoPlanWithinCapError` when n* would exceed ``scan_cap``.
     """
-    return _search(_LotRule(LotSize.of(lot), spec, _check_count("scan_cap", scan_cap), bounds))[0]
+    rule = _LotRule(LotSize.of(lot), spec, _check_count("scan_cap", scan_cap), bounds)
+    return _result(_search(rule)[0])
 
 
 def _first(holds, arg, failing: int, last: int, start: int) -> Optional[int]:
@@ -185,8 +191,9 @@ def _poisson_ratio(ln_beta: float) -> float:
 
 
 def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
-    """The optimal plan for the lot of ``rule``, with n <= rule.n_max, and
-    the state (count, hints, untils) that warms the next lot's search: the
+    """The record (N, n, c, alpha, beta, *levels) of the optimal plan for the
+    lot of ``rule``, with n <= rule.n_max, its risks and levels the rule's,
+    and the state (count, hints, untils) that warms the next lot's search: the
     LQ count, for each c searched n_beta(c) or a floor of it and, unless
     ``warm`` is None, for each c below c* its N_until (0 for none).  The
     search for n_beta(c) starts at ``hints[c]``, or else one below a
@@ -238,10 +245,8 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
             break
         n_betas.append(n)
         if rule.admits_alpha(n, c):
-            plan, risks = object.__new__(Plan), rule.risks(n, c)
-            plan.__dict__.update(n=n, c=c)  # unchecked: 1 <= n and 0 <= c <= n <= N
-            result = _result(plan, risks.alpha, risks.beta, rule.levels, rule.N)
-            return result, (rule.levels[1], n_betas, kept)
+            record = (rule.N, n, c, *rule.risks(n, c), *rule.levels)
+            return record, (rule.levels[1], n_betas, kept)
         if kept is not None:
             kept.append(rule.refused_until(n, c))
     spec, bounds = rule.spec, rule.bounds
@@ -252,11 +257,14 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
     )
 
 
-def _result(plan: Plan, alpha: float, beta: float, levels: tuple, N: Optional[int]) -> PlanResult:
-    """PlanResult of ``plan`` with reported risks (alpha, beta) at a lot of
-    N items with realized ``levels``, its objects built in one step without
-    their checks: the risks are two floats of the lot rule."""
-    risks, result = object.__new__(RiskPair), object.__new__(PlanResult)
+def _result(record: tuple) -> PlanResult:
+    """The PlanResult of a lot rule's record (N, n, c, alpha, beta, *levels),
+    N None at an infinite lot: its objects built in one step without their
+    checks, as the rule found 1 <= n, 0 <= c <= n (<= N) and two risks."""
+    N, n, c, alpha, beta, *levels = record
+    plan, risks = object.__new__(Plan), object.__new__(RiskPair)
+    result = object.__new__(PlanResult)
+    plan.__dict__.update(n=n, c=c)
     risks.__dict__.update(alpha=alpha, beta=beta)
     result.__dict__.update(plan=plan, risks=risks, realized=_realized_levels(levels, N))
     return result
@@ -282,15 +290,13 @@ def plan_table(
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid lot-size range [{n_min}, {n_max}]")
     rule = _LotRule(LotSize(n_min), spec, n_min, bounds)
-    result, warm = _search(rule, (None, (), []))  # warm from an empty state: refusals recorded
-    rows = [(n_min, result)]
+    record, warm = _search(rule, (None, (), []))  # warm from an empty state: refusals recorded
+    records = [record]
     while True:  # walk each run of the found plan, and search where it ends
-        plan, (count, _, untils) = result.plan, warm
-        for N, k_alpha, alpha, beta in rule.walk(plan.n, plan.c, min([n_max, *untils])):
-            rows.append((N, _result(plan, alpha, beta, (k_alpha, count), N)))
-        if rows[-1][0] == rule.N:  # the walk settled every lot it reached
+        records += rule.walk(record[1], record[2], min([n_max, *warm[2]]))
+        if records[-1][0] == rule.N:  # the walk settled every lot it reached
             if rule.N == n_max:
-                return PlanTable(rows=tuple(rows))
+                return PlanTable(records=tuple(records))
             rule.move_to(rule.N + 1)
-        result, warm = _search(rule, warm)
-        rows.append((rule.N, result))
+        record, warm = _search(rule, warm)
+        records.append(record)

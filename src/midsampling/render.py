@@ -57,16 +57,14 @@ def _yes_no(flag: Optional[bool]) -> str:
     return "-" if flag is None else "yes" if flag else "no"
 
 
-def _plans_csv(rows) -> str:
-    """(lot size, PlanResult) pairs as plan tables are exported; ``plan
-    --format csv`` writes the one pair of its lot the same way."""
+def _plans_csv(records) -> str:
+    """Plan records (N, n, c, alpha, beta, k_alpha, k_beta) as a plan table
+    holds them and exports them; ``plan --format csv`` writes the one record
+    of its lot the same way."""
     return _csv(
         "N,n,c,alpha,beta,p_alpha_num,p_beta_num",
-        (
-            [N, r.plan.n, r.plan.c, f"{r.risks.alpha:.6f}", f"{r.risks.beta:.6f}",
-             r.realized.k_alpha, r.realized.k_beta]
-            for N, r in rows
-        ),
+        ([N, n, c, f"{alpha:.6f}", f"{beta:.6f}", k_alpha, k_beta]
+         for N, n, c, alpha, beta, k_alpha, k_beta in records),
     )
 
 
@@ -272,10 +270,12 @@ def _simulation_json(estimate, analytic, sigma, deviation, trials, seed) -> str:
 RENDERERS = {
     "plan": {
         "text": _plan_text,
-        "csv": lambda lot, result: _plans_csv([(_count_token(lot.count), result)]),
+        "csv": lambda lot, r: _plans_csv([(  # the lot's record, no counts at infinity
+            _count_token(lot.count), r.plan.n, r.plan.c, r.risks.alpha, r.risks.beta,
+            r.realized.k_alpha, r.realized.k_beta)]),
         "json": _plan_json_report,
     },
-    "table": {"csv": lambda table: _plans_csv(table.rows)},
+    "table": {"csv": lambda table: _plans_csv(table.records)},
     "oc": {
         "text": lambda points, lot: _lines(
             f"{p if isinstance(p, float) else _oc_point(p, lot.count)[1]:.6f} {pac:.6f}"

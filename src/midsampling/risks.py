@@ -111,7 +111,7 @@ class RealizedLevels:
 
     def __getattr__(self, name: str):
         """p_alpha or p_beta of a lot's levels built from their counts alone
-        (a table row's): k/N, normalized on first read."""
+        (a result's, built from a plan record): k/N, normalized on first read."""
         fields = self.__dict__
         if name not in ("p_alpha", "p_beta") or fields.get("denominator") is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -315,9 +315,10 @@ class _LotRule:
 
     def walk(self, n: int, c: int, last: int) -> list:
         """Move this finite lot's rule lot by lot past its lot while the LQ
-        count holds and N <= last, and return (N, k_alpha, alpha, beta) of
-        each lot N at which both float risks of (n, c) lie at or below the
-        lower edges of their tie bands, as ``_reported`` gives them.  At the
+        count holds and N <= last, and return the record (N, n, c, alpha,
+        beta, k_alpha, k_beta) of each lot N at which both float risks of
+        (n, c) lie at or below the lower edges of their tie bands, the risks
+        as ``_reported`` gives them and the counts as ``levels``.  At the
         first lot where one does not, or where the count steps, the walk
         stops, moved there as ``move_to`` moves it, with the tails it
         evaluated kept.  The producers' tail is evaluated only once the
@@ -332,7 +333,7 @@ class _LotRule:
         plan, (n - 1, c) stays refused, and so is (n, c + 1), as beta(n,
         c + 1) >= beta(n - 1, c).  A risk inside its band is left to the
         exact decision of ``admits_beta`` and ``admits_alpha``."""
-        rows, count, N = [], self.levels[1], self.N
+        records, count, N = [], self.levels[1], self.N
         alpha_tails, beta_tails = self._memos
         alpha_near, beta_near = self.nearest
         while N < last:
@@ -346,10 +347,10 @@ class _LotRule:
             accept = alpha_tails[c, n] = alpha_tails.core(c, n)
             if 1.0 - accept > alpha_near - tol:
                 break
-            rows.append((N, self.levels[0], _reported(1.0 - accept, tol, self.exact_alpha, n, c),
-                         _reported(beta, tol, self.exact_beta, n, c)))
+            records.append((N, n, c, _reported(1.0 - accept, tol, self.exact_alpha, n, c),
+                            _reported(beta, tol, self.exact_beta, n, c), *self.levels))
         self._bands()
-        return rows
+        return records
 
     def tails(self, level) -> _Tails:
         """The tails at ``level``, a level as the core takes it, kept while
@@ -380,15 +381,13 @@ class _LotRule:
     def exact_beta(self, n: int, c: int) -> Fraction:
         return _exact_acceptance(c, n, self.levels[1], self.N)
 
-    def risks(self, n: int, c: int) -> RiskPair:
-        """The reported risks of (n, c), snapped within the error bounds of
-        its own tails, so that they do not depend on n_max."""
+    def risks(self, n: int, c: int) -> tuple:
+        """The reported risks (alpha, beta) of (n, c), snapped within the
+        error bounds of its own tails, so that they do not depend on n_max."""
         alpha_tol, beta_tol = self._tolerances(n)
         alpha, beta = 1.0 - self.acceptance(0, n, c), self.acceptance(1, n, c)
-        pair = object.__new__(RiskPair)  # unchecked: two floats
-        pair.__dict__.update(alpha=_reported(alpha, alpha_tol, self.exact_alpha, n, c),
-                             beta=_reported(beta, beta_tol, self.exact_beta, n, c))
-        return pair
+        return (_reported(alpha, alpha_tol, self.exact_alpha, n, c),
+                _reported(beta, beta_tol, self.exact_beta, n, c))
 
     def acceptance(self, side: int, n: int, c: int) -> float:
         """The kept tail P(X <= c) of (n, c) at the producers' (0) or consumers' (1) level."""
@@ -460,7 +459,7 @@ def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> Ri
     by monotonicity of the acceptance probability these bound the risks
     for every level below the AQL and above the LQ respectively.
     """
-    return _LotRule(_check_plan(plan, lot), spec, plan.n).risks(plan.n, plan.c)
+    return RiskPair(*_LotRule(_check_plan(plan, lot), spec, plan.n).risks(plan.n, plan.c))
 
 
 def is_admissible(
@@ -526,9 +525,9 @@ def _scheme_risks(rows: Sequence, n_cap: int, spec: QualitySpec, bounds: RiskBou
     limit = limit_rule.risks(last.value, last.c)
     verdicts = [{"admissible": True} for _ in rows]
     verdicts[-1]["admissible"] = limit_rule.admits(last.value, last.c)
-    for name, level, ceil, bound in (
+    for side, (name, level, ceil, bound) in enumerate((
         ("alpha", spec.p_aql, False, bounds.alpha_max), ("beta", spec.p_lq, True, bounds.beta_max)
-    ):
+    )):
         lots, k = _run_ends(level, starts[0], n_cap, ceil, starts[1:])
         edges = np.searchsorted(lots, [*starts, n_cap + 1]).tolist()  # row i: edges[i]:edges[i+1]
         sample, c = np.empty_like(lots), np.empty_like(lots)
@@ -543,7 +542,7 @@ def _scheme_risks(rows: Sequence, n_cap: int, spec: QualitySpec, bounds: RiskBou
         risks = accept if ceil else 1.0 - accept
         tol = np.repeat([_tail_tolerance(int(lots[j - 1])) for j in edges[1:]], np.diff(edges))
         admitted = _Bound.around(bound, tol).admits_each(risks, exact_risk)
-        risks = np.append(risks, getattr(limit, name))  # the binomial limit, one past the lots
+        risks = np.append(risks, limit[side])  # the binomial limit, one past the lots
         for verdict, i, j in zip(verdicts, edges, [*edges[1:-1], None]):  # the last row has it
             verdict["admissible"] = verdict["admissible"] and bool(admitted[i:j].all())
             row_risks = risks[i:j]

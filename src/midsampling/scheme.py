@@ -76,14 +76,18 @@ class PlanRule:
     c: int
     value: int = 0
 
-    _KINDS = ("n", "full", "offset")
+    #: Per kind, the sample-size label of scheme tables (58, N, N-4) and the
+    #: rule token of the text format, each with the value filled in.
+    _FORMATS = {"n": ("{}", "n:{}"), "full": ("N", "full"), "offset": ("N-{}", "offset:{}")}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._FORMATS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         what, least = ("fixed sample size", 1) if self.kind == "n" else ("offset", 0)
         object.__setattr__(self, "value", _check_count(what, self.value, least))
         object.__setattr__(self, "c", _check_count("acceptance number", self.c))
+        if self.kind == "full" and self.value:
+            raise ValueError(f"a full-inspection rule takes no value, got {self.value}")
 
     @classmethod
     def fixed(cls, n: int, c: int) -> "PlanRule":
@@ -98,30 +102,19 @@ class PlanRule:
         return cls(kind="offset", c=c, value=k)
 
     def sample_size(self, N):
-        """Sample size at lot size N, an int or an integer array."""
-        if self.kind == "n":
-            return self.value
-        if self.kind == "full":
-            return N
-        return N - self.value
+        """Sample size at lot size N, an int or an integer array: full
+        inspection is the offset 0."""
+        return self.value if self.kind == "n" else N - self.value
 
     def plan_for(self, N: int) -> Plan:
         return Plan(self.sample_size(N), self.c)
 
     def label(self) -> str:
         """Sample-size column as shown in scheme tables: 58, N, or N-4."""
-        if self.kind == "n":
-            return str(self.value)
-        if self.kind == "full":
-            return "N"
-        return f"N-{self.value}"
+        return self._FORMATS[self.kind][0].format(self.value)
 
     def token(self) -> str:
-        if self.kind == "n":
-            return f"n:{self.value}"
-        if self.kind == "full":
-            return "full"
-        return f"offset:{self.value}"
+        return self._FORMATS[self.kind][1].format(self.value)
 
     @classmethod
     def from_token(cls, token: str, c: int) -> "PlanRule":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .kernel import LotSize, Plan, interpolated_acceptance
-from .planner import DEFAULT_SCAN_CAP, PlanResult, _search
+from .planner import DEFAULT_SCAN_CAP, PlanResult, _result, _search
 from .risks import (
     ACCEPT_LEVEL_AQL,
     ACCEPT_LEVEL_LQ,
@@ -143,7 +143,7 @@ def compare_interpretations(
     """
     lot = LotSize.of(lot)
     rule = _LotRule(lot, spec, DEFAULT_SCAN_CAP, bounds)
-    reference = _search(rule)[0]
+    reference = _result(_search(rule)[0])
     evaluated = []
     for plan in candidate_plans:
         _check_plan(plan, lot)
@@ -151,7 +151,7 @@ def compare_interpretations(
         evaluated.append(
             CandidateEvaluation(
                 plan=plan,
-                risks=rule.risks(plan.n, plan.c),
+                risks=RiskPair(*rule.risks(plan.n, plan.c)),
                 welmec=WelmecRisks(alpha_cont=1.0 - at_aql, beta_cont=at_lq),
                 continuous_admissible=_continuous_admissible(at_aql, at_lq),
                 pointwise_admissible=(

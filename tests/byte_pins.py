@@ -9,11 +9,17 @@ Run from anywhere, with the package's dependencies installed:
     python tests/byte_pins.py
 
 It prints one line per pin and exits 1 if any output differs from its pin.
-The OC curve peaks near 0.5 GB of memory (its JSON render).
+After each table it also prints the peak resident memory of the table
+processes so far, and exits 1 if it exceeds 100 MB: a table holds one
+small record per lot.  The tables run first, while this process is small,
+as a child's peak also counts the memory it shares with its parent before
+it starts the program.  The OC curve, which peaks near 0.5 GB of memory
+(its JSON render), runs in this process and is not counted.
 """
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +43,8 @@ TABLE_PINS = {
     ("--from", "99000", "--to", "102000"):
         "17560153851eb2438e8a95b69580acd2b76b13e86f448539cb4062ad1425a662",
 }
+#: Peak resident memory allowed to a table process, in MB (2**20 bytes).
+TABLE_RSS_MB = 100
 
 
 def check(name: str, output: bytes, pin: str) -> bool:
@@ -46,14 +54,15 @@ def check(name: str, output: bytes, pin: str) -> bool:
     return held
 
 
+def children_peak_rss_mb() -> float:
+    """The largest resident set of the finished child processes, in MB:
+    getrusage gives KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def main() -> int:
     held = True
-    lot = LotSize(10**6)
-    points = oc_curve(Plan(109, 3), lot)
-    for fmt, pin in OC_PINS.items():
-        output = oc_curve_to_csv(points, lot) if fmt == "csv" else render("oc", fmt, points, lot)
-        held &= check(f"oc (109, 3) at N = 10^6, {fmt}", output.encode(), pin)
-    del points, output
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     for flags, pin in TABLE_PINS.items():
         argv = ["table", *flags]
@@ -61,6 +70,16 @@ def main() -> int:
             [sys.executable, "-m", "midsampling", *argv], env=env, capture_output=True, check=True
         ).stdout
         held &= check(" ".join(argv), table, pin)
+        rss = children_peak_rss_mb()
+        within = rss <= TABLE_RSS_MB
+        print(f"  peak RSS of the table processes: {rss:.1f} MB "
+              f"{'ok' if within else f'ABOVE {TABLE_RSS_MB} MB'}")
+        held &= within
+    lot = LotSize(10**6)
+    points = oc_curve(Plan(109, 3), lot)
+    for fmt, pin in OC_PINS.items():
+        output = oc_curve_to_csv(points, lot) if fmt == "csv" else render("oc", fmt, points, lot)
+        held &= check(f"oc (109, 3) at N = 10^6, {fmt}", output.encode(), pin)
     return 0 if held else 1
 
 

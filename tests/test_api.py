@@ -132,6 +132,40 @@ def test_only_the_lot_rule_judges():
             assert "_Bound" not in names, path.stem
 
 
+# Where objects are built without their checks, pinned: object.__new__ in
+# the one builder of a result from a plan record and in a lot's realized
+# levels, tuple.__new__ in the lot rule's tie bands.
+UNCHECKED_BUILDERS = {
+    ("planner", "_result", "object"),
+    ("risks", "_realized_levels", "object"),
+    ("risks", "_LotRule._bands", "tuple"),
+}
+
+
+def _new_reads(node: ast.AST, scope: str = "") -> set:
+    """(function, type) of each ``type.__new__`` read under ``node``, the
+    function by its qualified name in the module."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found |= _new_reads(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "__new__":
+            found.add((scope, ast.unparse(child.value)))
+        found |= _new_reads(child, scope)
+    return found
+
+
+def test_one_unchecked_builder():
+    source = Path(midsampling.__file__).parent
+    found = {
+        (path.stem, *read)
+        for path in sorted(source.glob("*.py"))
+        for read in _new_reads(ast.parse(path.read_text()))
+    }
+    assert found == UNCHECKED_BUILDERS
+
+
 class _NoNumpy:
     """A stand-in for the numpy module that fails on any use."""
 

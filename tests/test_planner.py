@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from midsampling import (
     welmec_admissible_pointwise,
 )
 from midsampling import planner, risks
+from midsampling.render import render
 
 from exact_oracle import (
     exact_binomial_tail,
@@ -313,6 +316,33 @@ class TestPlanTable:
         b = plan_table(1, 60).to_csv()
         assert a == b
 
+    def test_plan_csv_writes_the_tables_record(self):
+        # a table writes its records, ``plan --format csv`` a result of
+        # optimal_plan: first rows, walked rows, rows searched inside a run,
+        # count steps and the tie lot 25 read the same either way
+        for lo, hi in ((1, 30), (250, 260), (1990, 2010), (2995, 3010), (50_000, 50_030)):
+            header, *lines = plan_table(lo, hi).to_csv().splitlines()
+            assert len(lines) == hi - lo + 1
+            for N, line in zip(range(lo, hi + 1), lines):
+                plan = render("plan", "csv", LotSize(N), optimal_plan(LotSize(N)))
+                assert plan.splitlines() == [header, line], N
+
+    @pytest.mark.parametrize("lo, hi", [(1, 10_000), (50_000, 55_000)])
+    def test_a_table_holds_under_400_bytes_a_lot(self, lo, hi):
+        # one record per lot, (N, n, c, alpha, beta, k_alpha, k_beta): a
+        # PlanResult with its Plan, RiskPair and RealizedLevels per lot
+        # held about 920 bytes
+        plan_table(lo, lo + 10)  # state a first table may leave behind stays uncounted
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = plan_table(lo, hi)
+            per_lot = (tracemalloc.get_traced_memory()[0] - before) / (hi - lo + 1)
+        finally:
+            tracemalloc.stop()
+        assert len(table) == hi - lo + 1 and per_lot < 400, per_lot
+
     @pytest.mark.parametrize(
         "spec, bounds",
         [
@@ -399,8 +429,8 @@ class TestPlanTable:
         _, (_, n_betas, _) = planner._search(rule)
         hints = [*n_betas[:c_star], m, m + 50]  # each c <= c* refused at every n >= hints[c]
         lq_count_before = realized_counts(N - 1, 0.01, 0.07)[1]
-        result, _ = planner._search(rule, (lq_count_before, hints, [N] * (c_star + 1)))
-        assert result == expected
+        record, _ = planner._search(rule, (lq_count_before, hints, [N] * (c_star + 1)))
+        assert planner._result(record) == expected
 
     def test_a_refusal_inside_the_alpha_band_carries_to_no_lot(self):
         # a producers' refusal decided by the exact risk, inside the tie band,
@@ -432,7 +462,7 @@ class TestPlanTable:
         assert K == realized_counts(N - 1, 0.01, 0.07)[1]
         bounds = RiskBounds("1/20", exact_hypergeometric_tail(3, 107, K, N) - Fraction(1, 10**40))
         rule = risks._LotRule(LotSize(N - 1), QualitySpec(), N - 1, bounds)
-        assert planner._search(rule, (None, (), []))[0].plan == Plan(107, 3)
+        assert planner._result(planner._search(rule, (None, (), []))[0]).plan == Plan(107, 3)
         assert rule.walk(107, 3, N + 10) == [] and rule.N == N
         lo, hi, _ = rule.beta_bound
         assert lo < rule.acceptance(1, 107, 3) <= hi and not rule.admits_beta(107, 3)

@@ -390,6 +390,14 @@ class TestSchemeStructure:
         with pytest.raises(ValueError, match="unknown rule kind 'sample'"):
             PlanRule("sample", 0)
 
+    def test_a_full_inspection_rule_takes_no_value(self):
+        # a value would print as "full" and read N as its sample size, so
+        # the rule would not read back as itself; every built-in rule does
+        with pytest.raises(ValueError, match="a full-inspection rule takes no value, got 3"):
+            PlanRule("full", 0, value=3)
+        for row in default_mid_scheme().rows:
+            assert PlanRule.from_token(row.rule.token(), row.rule.c) == row.rule
+
     @pytest.mark.parametrize("value", [True, 1.5])
     def test_rule_numbers_are_whole(self, value):
         with pytest.raises(ValueError, match=f"must be an integer, got {value!r}"):
