@@ -10,18 +10,8 @@ Every log-factorial comes from ``math.lgamma``, whether read from the table
 built at import, from its numpy copy (which the array paths extend on
 demand) or computed past the table's end, so no value depends on the path
 or on earlier calls.  Public functions check their arguments, then call
-unchecked cores: ``_lot_tails`` (the scalar tails of one level, evaluated
-per plan: the coefficients of its terms are resolved once per defect count,
-and ln N! and ln (N-K)! once per lot, so a core moved to the next lot of a
-run of one count updates only those; at an infinite lot ``_binomial_tail``,
-one proportion summed term by term), ``_binomial_curve`` (the binomial tails of
-one plan over a grid of proportions, evaluated x-major: each x resolves its
-coefficient once and adds one term per proportion, equal to the scalar tail
-bit for bit), ``_hypergeometric_cdf_bulk`` (tails over arrays, with an
-acceptance number per lane), ``_hypergeometric_cdf_all_counts`` (the tails
-of one plan at every defect count of a lot, the finite OC curve, summed over
-contiguous slices of the log-factorial table, equal to the bulk tails bit for
-bit) and ``_interpolated_terms`` (terms at real defect counts).
+unchecked cores, each named with a leading underscore and documented where
+it is defined.
 
 A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
 (1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
@@ -111,8 +101,7 @@ def _log_factorial_array(N: int) -> np.ndarray:
 
 def _tail_tolerance(N: int) -> float:
     """A-priori bound on |computed - exact| for any tail of a lot of N items,
-    the one tol(N) of every path.  It does not decrease with N, so tol of a
-    range's largest lot covers every lot of the range."""
+    the one tol(N) of every path.  It does not decrease with N [F8]."""
     return _ERROR_PER_LOG_UNIT * (1.0 + N * math.log1p(N))  # N ln(N+1) >= ln N!
 
 

@@ -1,33 +1,24 @@
 """Search for admissible sampling plans with minimal sample size.
 
-For a fixed acceptance number c the consumers' risk does not increase with
-the sample size n and the producers' risk does not decrease, so the
-consumers' bound admits c exactly from some smallest n_beta(c) on, and
-n_beta(c) does not decrease with c.  The search walks c = 0, 1, ...,
+Facts cited by number are the ledger in the docstring of ``risks``.  The
+consumers' bound admits c from some smallest n_beta(c) on [F1], and
+n_beta(c) does not decrease with c [F3].  The search walks c = 0, 1, ...,
 finds each n_beta(c) with ``_first``, the one gallop and bisection of the
-package, up from the previous one (from a closed-form estimate for c = 0
-and 1), and stops at the first c* whose producers' risk at n* = n_beta(c*)
-is admitted: no smaller n is admissible.  A sample of n holds at most one
-defect more than its first n - 1 items, so beta(n, c + 1) >= beta(n - 1, c):
-as (n* - 1, c*) is refused, c* is the largest c the consumers' bound admits
-at n*, the one with the smallest producers' risk.  Every loop of the
-search is here; each probe asks the lot rule in ``risks`` whether a bound
-admits (n, c), which it decides exactly from tails it evaluates once: the
-reported risks are tails the search computed.
+package, up from the previous one, and stops at the first c* whose
+producers' risk at n* = n_beta(c*) is admitted: no smaller n is admissible
+[F2], and c* is the largest c the consumers' bound admits at n* [F4], the
+one with the smallest producers' risk.  Every loop of the search is here;
+each probe asks the lot rule in ``risks``, which decides exactly [T] from
+tails it evaluates once: the reported risks are tails the search computed.
 
 A table starts each search for n_beta(c) at the previous lot's, a floor m
-inside a run of lots with one realized LQ count K = ceil(p_lq*N): for fixed
-(n, c, K) the exact acceptance does not decrease with N (the ordering that
-``risks._scheme_risks`` relies on).  There a c below the previous c* whose
-producers' risk at m is refused has no plan, as that risk does not fall as
-n grows.  Where K steps up, n_beta(c) may fall.  The floors skip only probes
-whose exact decision is known: they change no plan.
-
-A refusal also carries down the lots: a c refused at m stays refused at
-every n >= m up to the lot N_until of ``_LotRule.refused_until``, which
-states why.  So a row up to N_until refuses c without a producers' tail
-once n_beta(c) >= m: a floor in a run, and where K steps the consumers'
-refusal of (m - 1, c), decided exactly.
+inside a run of lots with one realized LQ count [F5], where a c below the
+previous c* whose producers' risk at m is refused has no plan [F2].  A
+refusal also carries down the lots, up to the N_until of
+``_LotRule.refused_until`` [F6]: there a row refuses c without a producers'
+tail once n_beta(c) >= m, a floor in a run and, where the count steps and
+n_beta(c) may fall, the consumers' refusal of (m - 1, c).  Floors and
+refusals skip only probes whose exact decision is known.
 """
 
 from __future__ import annotations
@@ -103,10 +94,10 @@ def max_acceptance_number(
 ) -> Optional[int]:
     """Largest c with consumers' risk within bounds, or None.
 
-    Only the consumers' bound is checked here; the acceptance probability
-    grows with c, so the bound refuses exactly the c from some c_n + 1 on,
-    with c_n < n (a sample with c = n accepts every lot): c_n is one less
-    than the first refused c, found by ``_first`` from c = 0.
+    Only the consumers' bound is checked here.  It refuses exactly the c
+    from some c_n + 1 on [F3], with c_n < n (a sample with c = n accepts
+    every lot): c_n is one less than the first refused c, found by
+    ``_first`` from c = 0.
     """
     lot, plan = LotSize.of(lot), Plan(n, 0)
     rule, n = _LotRule(_check_plan(plan, lot), spec, plan.n, bounds), plan.n
@@ -120,15 +111,13 @@ def optimal_plan(
     bounds: RiskBounds = RiskBounds(),
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> PlanResult:
-    """Admissible plan with the smallest sample size for the given lot.
+    """Admissible plan with the smallest sample size n* for the given lot.
 
-    Searches over the acceptance number c: the first c admitted by both
-    bounds at n_beta(c), the smallest n the consumers' bound admits it at,
-    gives the smallest sample size n*.  Ties at n* resolve to the largest
-    acceptance number the consumers' bound admits, which minimizes the
-    producers' risk at no extra inspection cost.  Finite lots always
-    succeed (full inspection is admissible); infinite lots raise
-    :class:`NoPlanWithinCapError` when n* would exceed ``scan_cap``.
+    Ties at n* resolve to the largest acceptance number the consumers'
+    bound admits, which minimizes the producers' risk at no extra
+    inspection cost.  Finite lots always succeed (full inspection is
+    admissible); infinite lots raise :class:`NoPlanWithinCapError` when n*
+    would exceed ``scan_cap``.
     """
     rule = _LotRule(LotSize.of(lot), spec, _check_count("scan_cap", scan_cap), bounds)
     return _result(_search(rule)[0])
@@ -182,8 +171,11 @@ def _poisson_ratio(ln_beta: float) -> float:
     """m1 / m0 for the Poisson means at which P(X <= 0) and P(X <= 1) reach
     beta_max = exp(ln_beta): m0 = -ln_beta, and m1 solves m - ln(1 + m) = m0.
     n_beta(1) / n_beta(0) is about this ratio.  Newton's steps fall onto m1
-    from a start above it, where the function is convex and increasing."""
+    from a start above it, where the function is convex and increasing.
+    A bound within an ulp of 1 rounds ln_beta to 0; the start then takes 1."""
     m0 = -ln_beta
+    if m0 <= 0.0:
+        return 1.0
     m = m0 + math.sqrt(2.0 * m0)
     for _ in range(5):
         m -= (m - math.log1p(m) - m0) * (1.0 + m) / m
@@ -193,25 +185,20 @@ def _poisson_ratio(ln_beta: float) -> float:
 def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
     """The record (N, n, c, alpha, beta, *levels) of the optimal plan for the
     lot of ``rule``, with n <= rule.n_max, its risks and levels the rule's,
-    and the state (count, hints, untils) that warms the next lot's search: the
-    LQ count, for each c searched n_beta(c) or a floor of it and, unless
-    ``warm`` is None, for each c below c* its N_until (0 for none).  The
-    search for n_beta(c) starts at ``hints[c]``, or else one below a
-    closed-form estimate for c = 0 and one below the Poisson ratio from
-    n_beta(0) for c = 1, and two below where the previous two point for
-    c >= 2: these estimates mostly land on n_beta(c) or a little above it,
-    and a start at n_beta(c) or one below costs two tails, one above it
-    four.  A start never changes the answer.  Where the count is this lot's, no n below ``hints[c]`` admits
-    c: a c below the last hint that the producers' bound refuses there has
-    no plan.  Up to lot ``untils[c]`` such a c has none either once
-    n_beta(c) >= ``hints[c]``.  At a lot where a table's walk stopped, the
-    search reads back the tails that the walk evaluated."""
+    and the state (count, hints, untils) that warms the next lot's search,
+    as the module docstring states: the LQ count, for each c searched
+    n_beta(c) or a floor of it and, unless ``warm`` is None, for each c
+    below c* its N_until (0 for none).  The search for n_beta(c) starts at
+    ``hints[c]``, or else one below a closed-form estimate for c = 0, one
+    below the Poisson ratio from n_beta(0) for c = 1 and two below where the
+    previous two point for c >= 2: a start at n_beta(c) or one below costs
+    two tails, one above it four, and no start changes the answer."""
     count, hints, untils = (None, (), None) if warm is None else warm
     floors = count == rule.levels[1]
     ln_beta = None
     if len(hints) < 2:  # a closed-form start is needed
         beta_num, beta_den = rule.bounds.beta_max.as_integer_ratio()
-        ln_beta = math.log(beta_num) - math.log(beta_den)  # finite for any bound
+        ln_beta = math.log(beta_num) - math.log(beta_den)  # finite; 0 within an ulp of 1
     n_betas, kept = [], None if untils is None else []
     n = 1
     for c in itertools.count():
@@ -229,7 +216,7 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
                     kept.append(untils[c])
                     continue
                 if floors and not rule.admits_alpha(n, c):
-                    n_betas.append(n)  # alpha(n, c) does not fall as n grows
+                    n_betas.append(n)  # [F2]
                     kept.append(rule.refused_until(n, c))
                     continue
         elif c >= 2:  # n_beta(c) grows about linearly in c
@@ -238,8 +225,7 @@ def _search(rule: _LotRule, warm: Optional[tuple] = None) -> tuple:
             hint = _zero_c_start(rule, ln_beta) - 1
         else:
             hint = round(n * _poisson_ratio(ln_beta)) - 1
-        # beta(n, c) does not rise with n, and no n <= c admits c: such a
-        # sample accepts every lot
+        # [F1], and no n <= c admits c: such a sample accepts every lot
         n = _first(rule.admits_beta, c, max(n, c + 1) - 1, rule.n_max, hint)
         if n is None:
             break
@@ -280,10 +266,8 @@ def plan_table(
 
     One lot rule moves from lot to lot.  It walks the run of each plan found
     (``_LotRule.walk``), two tails a lot, and the first lot it does not settle
-    is searched from the previous lot's n_beta(c) or a floor of it: still a
-    floor while the LQ count holds, where a refused c below the previous c*
-    costs one tail, and none up to its N_until; where the count steps, such
-    a c costs one consumers' tail.  No decision changes: every row equals
+    is searched from the previous lot's n_beta(c) or a floor of it, as the
+    module docstring states.  No decision changes: every row equals
     ``optimal_plan`` of its lot.
     """
     n_min, n_max = _check_count("n_min", n_min), _check_count("n_max", n_max)

@@ -3,16 +3,62 @@
 A finite lot of size N can only realize defective proportions k/N, so the
 risks of a plan are evaluated at the worst realizable levels on each side
 of the nominal quality requirements: floor(p_aql*N)/N for the producers'
-side and ceil(p_lq*N)/N for the consumers' side.  Monotonicity of the
-acceptance probability makes these two levels sufficient.
+side and ceil(p_lq*N)/N for the consumers' side, which suffice by [F7].
 
 Quality levels are kept as exact rationals throughout.  Computing
 floor(0.01*N) in floating point misrounds for many N (0.01*2900 comes out
 just under 29), which would silently corrupt entire plan tables.
 
-Every admissibility decision of the package is made here, by one exact
-tie rule (``_Bound``): the planner's, a scheme row's over its lot range
-and the pointwise WELMEC reading's.  The planner's search loops only ask.
+Every admissibility decision of the package is made here, by the tie rule
+[T]: the planner's, a scheme row's over its lot range and the pointwise
+WELMEC reading's.  The planner's search loops only ask.
+
+The facts that the planner and the scheme check rely on, each proved once
+here, cited elsewhere by number and checked by the tests it names.  X_n is
+the defect count of the first n items drawn one at a time from N items, K
+defective (n draws at proportion p at an infinite lot), so X_{n-1} <= X_n
+<= X_{n-1} + 1.  Acceptance is P(X_n <= c), beta(n, c) at the LQ count and
+alpha(n, c) = 1 - acceptance at the AQL count.
+
+[F1] beta(n, c) does not rise with n, as X_{n-1} <= X_n.
+     Test: test_acceptance_does_not_rise_with_the_sample_size.
+[F2] alpha(n, c) does not fall with n, as X_{n-1} <= X_n.
+     Test: test_acceptance_does_not_rise_with_the_sample_size.
+[F3] Acceptance does not fall as c grows: X <= c implies X <= c + 1.
+     Tests: test_acceptance_does_not_fall_as_c_grows, test_monotone_in_c_and_K.
+[F4] beta(n, c + 1) >= beta(n - 1, c), as X_n <= X_{n-1} + 1.
+     Test: test_one_item_more_adds_at_most_one_defect.
+[F5] At fixed (n, c, K) acceptance does not fall as N grows.  Add a good
+     item, and swap it, where drawn, for an undrawn one of the N: a sample
+     of the N + 1 items becomes one of the N with no fewer defects.  Tests:
+     test_acceptance_does_not_fall_as_the_lot_grows,
+     test_acceptance_is_monotone_within_a_run.
+[F6] alpha(n, c; N + 1) >= (1 - n/(N + 1))*alpha(n, c; N), whether the
+     added item is good or defective: a sample misses it with probability
+     1 - n/(N + 1), and is then a sample of the N items.
+     Test: test_one_item_more_keeps_most_of_the_producers_risk.
+[F7] Acceptance does not rise with the defect count K (or with p): one
+     more defective item adds no fewer defects to any sample.  Tests:
+     test_acceptance_does_not_rise_with_the_defect_count,
+     test_monotone_in_c_and_K.
+[F8] tol(N) = ``kernel._tail_tolerance(N)`` does not decrease with N, as
+     N ln(N + 1) grows: tol of a range's largest lot covers every lot.
+     Test: test_tolerance_does_not_decrease_with_the_lot.
+[F9] Within a run of one count K, the acceptance of a sample of N - k does
+     not rise with N: X = K - Y, Y the defects among the k items left out,
+     and Y does not rise with N [F5].
+     Test: test_acceptance_is_monotone_within_a_run.
+[T]  The tie rule.  A float risk within tol of a bound's nearest float
+     ``near`` is too close to call: at or below near - tol it is admitted,
+     above near + tol it is not, and in between its exact value decides,
+     so that a risk of exactly 1/20 meets a bound of 0.05.  tol is the
+     kernel's error bound, tol(N) or the binomial bound at an infinite lot;
+     a wider tol only settles more risks exactly.  Each decision compares
+     inline.  The one exception is ``welmec._continuous_admissible``, which
+     compares floats.  Tests:
+     test_reported_tie_compares_like_the_decision,
+     test_lot_16_tie_is_pointwise_admissible,
+     test_matches_exact_values_at_every_lot.
 """
 
 from __future__ import annotations
@@ -20,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,36 +241,6 @@ def _reported(risk: float, tol: float, exact_risk, *args) -> float:
     return risk
 
 
-class _Bound(NamedTuple):
-    """A risk bound with the band, the kernel's tolerance wide on each side,
-    in which a float risk is too close to call.  The one rule behind every
-    admissibility decision: a float risk at or below ``lo`` is admitted,
-    one above ``hi`` is not, and one in between is settled by its exact
-    value, so that a risk of exactly 1/20 meets a bound of 0.05.  A band
-    wider than the kernel's error only settles more risks exactly.  Hot
-    loops unpack the fields and compare inline."""
-
-    lo: float
-    hi: float
-    exact: Fraction
-
-    @classmethod
-    def around(cls, bound: Fraction, tol: float) -> "_Bound":
-        nearest = bound.numerator / bound.denominator
-        return cls(nearest - tol, nearest + tol, bound)
-
-    def admits(self, risk: float, exact_risk) -> bool:
-        """The rule for one risk; ``exact_risk()`` is called inside the band only."""
-        return risk <= self.lo or (risk <= self.hi and exact_risk() <= self.exact)
-
-    def admits_each(self, risks: np.ndarray, exact_risk) -> np.ndarray:
-        """The rule elementwise; ``exact_risk(i)`` is called inside the band only."""
-        ok = risks <= self.lo
-        for i in np.flatnonzero(~ok & (risks <= self.hi)).tolist():
-            ok[i] = exact_risk(i) <= self.exact
-        return ok
-
-
 class _Tails(dict):
     """The tails of a lot at one level by (c, n), evaluated by ``core``, the
     level's scalar core, on first use; a hot loop reads the memo with
@@ -249,16 +265,15 @@ class _Tails(dict):
 
 class _LotRule:
     """Both risks of plans (n, c) against one lot and their bounds, resolved
-    once for many plans: each bound's decision, with its tie band compared
-    inline, the lot up to which a producers' refusal carries and the
-    pointwise WELMEC decision.  Sample sizes run up
-    to N, or to n_max at an infinite lot, where n_max widens binomial bands.
-    Each tail is evaluated once while the rule is at its lot, so the
-    reported risks of a search's plan reuse the tails it computed, and so
-    does the pointwise decision.  A table moves one rule from lot to lot:
-    the spec, the bounds and their nearest floats stay, and so do the two
-    levels' memos and cores, which each move resolves only as far as the
-    lot changes them."""
+    once for many plans: each bound's decision by [T], from the bound's
+    nearest float (``alpha_near``, ``beta_near``) and the tails' tolerance
+    (``alpha_tol``, ``beta_tol``), the lot up to which a producers' refusal
+    carries and the pointwise WELMEC decision.  Sample sizes run up to N,
+    or to n_max at an infinite lot, where n_max widens the binomial
+    tolerances.  Each tail is evaluated once while the rule is at its lot,
+    so the reported risks and the pointwise decision reuse a search's tails.
+    A table moves one rule from lot to lot, keeping the spec, the bounds'
+    floats and the two levels' memos and cores."""
 
     def __init__(
         self, lot: LotSize, spec: QualitySpec, n_max: int, bounds: RiskBounds = RiskBounds()
@@ -268,88 +283,62 @@ class _LotRule:
         self._memos = (self.alpha_tails, self.beta_tails)
         self.ratios = (spec.p_aql.as_integer_ratio(), spec.p_lq.as_integer_ratio())
         alpha_max, beta_max = bounds.alpha_max, bounds.beta_max
-        self.nearest = (
-            alpha_max.numerator / alpha_max.denominator, beta_max.numerator / beta_max.denominator
-        )
+        self.alpha_near = alpha_max.numerator / alpha_max.denominator
+        self.beta_near = beta_max.numerator / beta_max.denominator
         self.move_to(lot.count, n_max)
 
     def move_to(self, N: Optional[int], n_max: Optional[int] = None) -> None:
         """Make this the rule of a lot of N items (None, with n_max, for an
-        infinite lot): set its realized levels, tolerances, tails and tie
-        bands, a finite lot's through ``_move`` as a walk sets them.  From a
-        finite lot to another, per level, the memo is emptied in place and
-        the core moves to N, which updates ln N! and ln (N-K)!; only where
-        the level's count K steps is a core resolved again."""
-        if N is not None:
-            self._move(N)
-        else:  # the core takes proportions as floats
+        infinite lot): its realized levels (a finite lot's the _count of each
+        level, from ratios read once), tolerances and tails (``_Tails.move``)."""
+        self._tails_by_level = None
+        if N is None:  # the core takes proportions as floats
             spec = self.spec
-            self.N, self.n_max, self._tails_by_level = None, n_max, None
-            self.levels = (spec.p_aql, spec.p_lq)
+            self.N, self.n_max, self.levels = None, n_max, (spec.p_aql, spec.p_lq)
             self._binomial_tols = {}
             self.alpha_tol, self.beta_tol = self._tolerances(n_max)
             self.alpha_tails.move(float(spec.p_aql), None)
             self.beta_tails.move(float(spec.p_lq), None)
-        self._bands()
-
-    def _move(self, N: int) -> float:
-        """The one per-lot update of a finite lot, of ``move_to`` and the
-        walk: the levels' defect counts (the _count of each level, ratios
-        read once), the cores' moves and tol(N), which it returns."""
+            return
         (a, b), (c, d) = self.ratios
         self.N = self.n_max = N
-        self._tails_by_level = None
         self.levels = levels = (a * N // b, -(-c * N // d))
         self.alpha_tails.move(levels[0], N)
         self.beta_tails.move(levels[1], N)
-        self.alpha_tol = self.beta_tol = tol = _tail_tolerance(N)
-        return tol
-
-    def _bands(self) -> None:
-        """Both tie bands, around the bounds' nearest floats by the rule's
-        tolerances, written without the _Bound constructor."""
-        (alpha, beta), band, bounds = self.nearest, tuple.__new__, self.bounds
-        alpha_tol, beta_tol = self.alpha_tol, self.beta_tol
-        self.alpha_bound = band(_Bound, (alpha - alpha_tol, alpha + alpha_tol, bounds.alpha_max))
-        self.beta_bound = band(_Bound, (beta - beta_tol, beta + beta_tol, bounds.beta_max))
+        self.alpha_tol = self.beta_tol = _tail_tolerance(N)
 
     def walk(self, n: int, c: int, last: int) -> list:
         """Move this finite lot's rule lot by lot past its lot while the LQ
         count holds and N <= last, and return the record (N, n, c, alpha,
         beta, k_alpha, k_beta) of each lot N at which both float risks of
-        (n, c) lie at or below the lower edges of their tie bands, the risks
-        as ``_reported`` gives them and the counts as ``levels``.  At the
-        first lot where one does not, or where the count steps, the walk
-        stops, moved there as ``move_to`` moves it, with the tails it
-        evaluated kept.  The producers' tail is evaluated only once the
-        consumers' risk is admitted.
+        (n, c) lie at or below ``near - tol`` [T], the risks as ``_reported``
+        gives them and the counts as ``levels``.  At the first lot where one
+        does not, or where the count steps, the walk stops there, with the
+        tails it evaluated kept.  The producers' tail is evaluated only once
+        the consumers' risk is admitted.
 
         In a table (n, c) is the plan the search found at this lot and
         ``last`` the smallest N_until of its refusals, or the table's last
-        lot if that comes first; at each lot walked
-        (n, c) is the optimal plan.  For fixed (n, c, K) the exact acceptance
-        does not fall as N grows, so in the run no n below the search's
-        n_beta(c') admits any c': with the refusals carried, no c' < c has a
-        plan, (n - 1, c) stays refused, and so is (n, c + 1), as beta(n,
-        c + 1) >= beta(n - 1, c).  A risk inside its band is left to the
-        exact decision of ``admits_beta`` and ``admits_alpha``."""
+        lot: at each lot walked (n, c) is the optimal plan, as no n below
+        the search's n_beta(c') admits any c' [F5], no c' < c has a plan
+        [F2], [F6], and (n - 1, c) and (n, c + 1) stay refused [F4]."""
         records, count, N = [], self.levels[1], self.N
         alpha_tails, beta_tails = self._memos
-        alpha_near, beta_near = self.nearest
+        alpha_near, beta_near = self.alpha_near, self.beta_near
         while N < last:
             N += 1
-            tol = self._move(N)
+            self.move_to(N)
+            tol = self.beta_tol
             if self.levels[1] != count:
                 break
             beta = beta_tails[c, n] = beta_tails.core(c, n)
-            if beta > beta_near - tol:  # the band's lower edge
+            if beta > beta_near - tol:
                 break
             accept = alpha_tails[c, n] = alpha_tails.core(c, n)
             if 1.0 - accept > alpha_near - tol:
                 break
             records.append((N, n, c, _reported(1.0 - accept, tol, self.exact_alpha, n, c),
                             _reported(beta, tol, self.exact_beta, n, c), *self.levels))
-        self._bands()
         return records
 
     def tails(self, level) -> _Tails:
@@ -398,54 +387,50 @@ class _LotRule:
         return self.admits_alpha(n, c) and self.admits_beta(n, c)
 
     def admits_alpha(self, n: int, c: int) -> bool:
-        """Whether the producers' bound admits (n, c), compared with the tie
-        band inline."""
+        """Whether the producers' bound admits (n, c), by [T]."""
         tails = self.alpha_tails
         accept = tails.get((c, n))
         if accept is None:
             accept = tails[c, n] = tails.core(c, n)
-        alpha = 1.0 - accept
-        lo, hi, exact = self.alpha_bound
-        return alpha <= lo or (alpha <= hi and self.exact_alpha(n, c) <= exact)
+        alpha, near, tol = 1.0 - accept, self.alpha_near, self.alpha_tol
+        return alpha <= near - tol or (
+            alpha <= near + tol and self.exact_alpha(n, c) <= self.bounds.alpha_max)
 
     def admits_beta(self, n: int, c: int) -> bool:
-        """Whether the consumers' bound admits (n, c), compared with the tie
-        band inline."""
+        """Whether the consumers' bound admits (n, c), by [T]."""
         tails = self.beta_tails
         beta = tails.get((c, n))
         if beta is None:
             beta = tails[c, n] = tails.core(c, n)
-        lo, hi, exact = self.beta_bound
-        return beta <= lo or (beta <= hi and self.exact_beta(n, c) <= exact)
+        near, tol = self.beta_near, self.beta_tol
+        return beta <= near - tol or (
+            beta <= near + tol and self.exact_beta(n, c) <= self.bounds.beta_max)
 
     def refused_until(self, m: int, c: int) -> int:
         """N_until of c, refused at m at this finite lot N0 by its float risk
-        alpha: the last lot up to which c stays refused at every n >= m, N0 or
-        less if none.  A sample of n from N + 1 items misses the added item,
-        good or defective, with probability 1 - n/(N + 1), and is then a
-        sample of the N items, so alpha(n, c) at N + 1 is at least that share
-        of alpha(n, c) at N, and at N > N0 at least the product
-        (alpha - tol)(1 - m(N - N0)/(N0 + 1)), kept above the band's upper
-        edge hi up to N_until.  1 - hi/(alpha - tol) is computed within
-        2**-51, so 2**-48 less, times (N0 + 1)/m and rounded down, stays
-        below the exact N."""
-        N0, hi, low = self.N, self.alpha_bound.hi, 1.0 - self.alpha_tails[c, m] - self.alpha_tol
-        if low <= hi:  # also each refusal decided inside the band
+        alpha: the last lot up to which c stays refused at every n >= m [F2],
+        N0 or less if none.  By [F6], alpha(n, c) at N > N0 is at least
+        (alpha - tol)(1 - m(N - N0)/(N0 + 1)), kept above hi = near + tol
+        up to N_until.  1 - hi/(alpha - tol) is computed within 2**-51, so
+        2**-48 less, times (N0 + 1)/m and rounded down, stays below the
+        exact N."""
+        N0, hi = self.N, self.alpha_near + self.alpha_tol
+        low = 1.0 - self.alpha_tails[c, m] - self.alpha_tol
+        if low <= hi:  # also each refusal decided by its exact value [T]
             return 0
         return N0 + int(((low - hi) / low - 2.0**-48) * (N0 + 1) / m)
 
     def admits_pointwise(self, n: int, c: int) -> bool:
         """Whether (n, c) accepts a finite lot with probability at most
         ACCEPT_LEVEL_AQL at ceil(p_aql*N) defects and at most ACCEPT_LEVEL_LQ
-        at ceil(p_lq*N), decided as exact arithmetic would decide it.
-        Acceptance does not increase with the defect count, so these two
-        counts decide for every count at or above each level."""
-        N, lq_count = self.N, self.levels[1]
+        at ceil(p_lq*N), by [T] with tol(N), as for every tail of the lot.
+        These two counts decide for every count at or above each level [F7]."""
+        N, lq_count, tol = self.N, self.levels[1], self.beta_tol
         aql_count = _count(self.spec.p_aql, N, True)
         for K, most in ((aql_count, ACCEPT_LEVEL_AQL), (lq_count, ACCEPT_LEVEL_LQ)):
-            accept = self.tails(K)[c, n]
-            bound = _Bound.around(most, self.beta_tol)  # tol(N), as for every tail of the lot
-            if not bound.admits(accept, lambda: _exact_acceptance(c, n, K, N)):
+            accept, near = self.tails(K)[c, n], most.numerator / most.denominator
+            if not (accept <= near - tol or (
+                    accept <= near + tol and _exact_acceptance(c, n, K, N) <= most)):
                 return False
         return True
 
@@ -455,9 +440,9 @@ def risk_pair(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> Ri
     quality meets the AQL, and consumers' risk (beta), the probability of
     accepting a lot at or beyond the LQ.
 
-    Evaluated at the realized levels floor(p_aql*N)/N and ceil(p_lq*N)/N;
-    by monotonicity of the acceptance probability these bound the risks
-    for every level below the AQL and above the LQ respectively.
+    Evaluated at the realized levels floor(p_aql*N)/N and ceil(p_lq*N)/N,
+    which bound the risks for every level below the AQL and above the LQ
+    [F7].
     """
     return RiskPair(*_LotRule(_check_plan(plan, lot), spec, plan.n).risks(plan.n, plan.c))
 
@@ -506,16 +491,12 @@ def _scheme_risks(rows: Sequence, n_cap: int, spec: QualitySpec, bounds: RiskBou
     risks' extrema, evaluated only at the ends of each side's runs of
     constant realized count, and whether the plan is admissible at every lot.
 
-    Within such a run the acceptance probability is monotone in N: it does
-    not decrease for a fixed sample size (the hypergeometric is ordered by
-    likelihood ratio in N) and does not increase for a sample of N - k items
-    (X = K - Y, Y the defects among the k items left out).  So every lot's
-    exact risk is at most the larger exact risk at its run's two ends, the
-    decision over the ends alone is the exact decision over every lot, and
-    the cost grows with the number of runs, not of lots.  Per side, one
-    run-end array split at the row starts covers every row, and one bulk
-    call with a per-lane acceptance number evaluates it.  A row's tie band,
-    tol of its last lot wide, covers the error of each of its tails.
+    Within such a run the acceptance is monotone in N, [F5] for a fixed
+    sample size and [F9] for N - k, so the exact decision at the run's two
+    ends is the exact decision at every lot of it.  Per side, one run-end
+    array split at the row starts covers every row, and one bulk call with
+    a per-lane acceptance number evaluates it.  Each lane is decided by [T]
+    with tol of its row's last lot [F8].
 
     Returns per row the fields of ``scheme.RowValidation`` other than
     ``row``, each ``*_at`` the first lot, in N order, whose float risk is
@@ -534,14 +515,12 @@ def _scheme_risks(rows: Sequence, n_cap: int, spec: QualitySpec, bounds: RiskBou
         for row, i, j in zip(rows, edges, edges[1:]):
             sample[i:j], c[i:j] = row.rule.sample_size(lots[i:j]), row.rule.c
         accept = _hypergeometric_cdf_bulk(c, sample, k, lots)
-
-        def exact_risk(i):
-            exact = _exact_acceptance(int(c[i]), int(sample[i]), int(k[i]), int(lots[i]))
-            return exact if ceil else 1 - exact
-
-        risks = accept if ceil else 1.0 - accept
+        risks, near = accept if ceil else 1.0 - accept, bound.numerator / bound.denominator
         tol = np.repeat([_tail_tolerance(int(lots[j - 1])) for j in edges[1:]], np.diff(edges))
-        admitted = _Bound.around(bound, tol).admits_each(risks, exact_risk)
+        admitted = risks <= near - tol
+        for i in np.flatnonzero(~admitted & (risks <= near + tol)).tolist():
+            exact = _exact_acceptance(int(c[i]), int(sample[i]), int(k[i]), int(lots[i]))
+            admitted[i] = (exact if ceil else 1 - exact) <= bound
         risks = np.append(risks, limit[side])  # the binomial limit, one past the lots
         for verdict, i, j in zip(verdicts, edges, [*edges[1:-1], None]):  # the last row has it
             verdict["admissible"] = verdict["admissible"] and bool(admitted[i:j].all())

@@ -6,10 +6,9 @@ size, full inspection, or a lot-offset sample size).  The built-in scheme
 is the ten-row recommendation for MID modules F/F1 whose producers' and
 consumers' risks stay below 5% for every lot size.
 
-Validation proves "for every lot size" without visiting every lot.  Over a
-run of lots with a constant realized defect count, floor(p_aql*N) or
-ceil(p_lq*N), each rule's acceptance probability is monotone in N, so a
-row's risks are extreme at the ends of its runs.  One scheme check evaluates
+Validation proves "for every lot size" without visiting every lot: a
+row's risks are extreme at the ends of its runs of constant realized count
+([F5] and [F9] in the ledger of ``risks``).  One scheme check evaluates
 every row there, in one pass per side, at about 2*(p_aql + p_lq) lots per
 lot covered: O(runs), not O(lots).
 
@@ -177,8 +176,8 @@ class RowValidation:
     """Risk extrema of one scheme row over every lot size it covers.
 
     The extrema are taken over the lots that start or end a run of constant
-    realized count, where every lot's risk is bounded, and are within the
-    kernel's tolerance tol(N) of the exact extrema over all lots.  ``*_at``
+    realized count, which bound every lot's risk [F5], [F9], and are within
+    the kernel's tolerance tol(N) of the exact extrema over all lots.  ``*_at``
     fields give the lot size attaining each extremum: the first such lot, in
     N order, whose float risk is extreme, with None, the infinite-lot
     (binomial) limit, coming after every finite lot.
@@ -247,16 +246,11 @@ def validate_scheme(
 ) -> List[RowValidation]:
     """Compute each row's risk extrema over every covered lot size.
 
-    Every lot a row covers is decided exactly, but the risks are evaluated
-    only where a run of constant realized count floor(p_aql*N) or
-    ceil(p_lq*N) starts or ends: within such a run each rule's acceptance
-    probability is monotone in N, so its risks are extreme at the run's
-    ends.  The work therefore grows with the number of runs, about
-    2*(p_aql + p_lq)*n_cap, not with the number of lots.  The final
-    unbounded row is checked up to ``n_cap`` and additionally in the
-    binomial (infinite-lot) limit, which convergence makes a faithful
-    stand-in for the remaining tail.  A rule is checked at its row's first
-    lot, where n > N, n < 1 and c > n each first show.
+    Every lot a row covers is decided exactly [T], at the run ends that the
+    module docstring describes [F5], [F9].  The final unbounded row is
+    checked up to ``n_cap`` and in the binomial (infinite-lot) limit, which
+    convergence makes a faithful stand-in for the remaining tail.  A rule is
+    checked at its row's first lot, where n > N, n < 1 and c > n first show.
     """
     n_cap = _check_count("n_cap", n_cap)
     last_from = scheme.rows[-1].n_from

@@ -77,9 +77,8 @@ def _nominal_acceptance(rule: _LotRule, plan: Plan) -> list:
 
 
 def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
-    # Interpolated risks are compared as floats with the anchors' nearest
-    # doubles: float 0.05 lies above 1/20, so an exact comparison could
-    # turn a boundary decision.
+    # The one exception to [T]: interpolated risks are compared as floats
+    # with the anchors' nearest doubles (float 0.05 lies above 1/20).
     return at_aql <= float(ACCEPT_LEVEL_AQL) and at_lq <= float(ACCEPT_LEVEL_LQ)
 
 
@@ -113,9 +112,8 @@ def welmec_admissible_pointwise(
     Every realizable proportion k/N at or above the AQL must be accepted
     with probability <= 95%, and every k/N at or above the LQ with
     probability <= 5%, decided as exact rational arithmetic would decide
-    it.  Acceptance does not increase with the defect count, so the
-    smallest count at or above each level decides.  Raises ``ValueError``
-    for infinite lots, whose OC curve has no discrete points to constrain.
+    it [T].  The smallest count at or above each level decides [F7].  Raises
+    ``ValueError`` for infinite lots, whose OC curve has no discrete points.
     """
     lot = LotSize.of(lot)
     if not lot.is_finite:
@@ -135,11 +133,8 @@ def compare_interpretations(
     Besides the hypothesis-test optimal plan for the lot, every candidate
     is scored with its hypothesis-test risks (at realized levels), its
     continuous-interpretation risks (at nominal levels) and both WELMEC
-    admissibility flags.  The hypothesis-test risks and the pointwise flag
-    of every candidate come from the lot rule that the reference search
-    built, and so do its nominal-level acceptances wherever the lot
-    realizes a level (at infinity, and where p*N is whole), so no tail is
-    evaluated twice.
+    admissibility flags, each read through the lot rule that the reference
+    search built, so no tail is evaluated twice.
     """
     lot = LotSize.of(lot)
     rule = _LotRule(lot, spec, DEFAULT_SCAN_CAP, bounds)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import midsampling
@@ -108,11 +109,11 @@ def test_internal_import_graph_is_pinned():
 
 # The split between judge and search, pinned: the planner and the WELMEC
 # module ask a lot rule for decisions and acceptances and read none of its
-# tie bands, tolerances, memos, scalar cores or exact fallbacks, and no
-# module but risks names the tie rule.
-RULE_INTERNALS = {
-    "alpha_bound", "beta_bound", "alpha_tails", "beta_tails", "alpha_tol", "beta_tol",
-    "exact_alpha", "exact_beta", "tails", "core",
+# tolerances, memos, scalar cores or exact fallbacks, and no module but
+# risks reads the floats of the tie rule [T].
+TIE_FLOATS = {"alpha_near", "beta_near", "alpha_tol", "beta_tol"}
+RULE_INTERNALS = TIE_FLOATS | {
+    "alpha_tails", "beta_tails", "exact_alpha", "exact_beta", "tails", "core",
 }
 
 
@@ -129,16 +130,15 @@ def test_only_the_lot_rule_judges():
         if path.stem in ("planner", "welmec"):
             assert not names & RULE_INTERNALS, (path.stem, names & RULE_INTERNALS)
         if path.stem != "risks":
-            assert "_Bound" not in names, path.stem
+            assert not names & TIE_FLOATS, (path.stem, names & TIE_FLOATS)
 
 
 # Where objects are built without their checks, pinned: object.__new__ in
 # the one builder of a result from a plan record and in a lot's realized
-# levels, tuple.__new__ in the lot rule's tie bands.
+# levels.
 UNCHECKED_BUILDERS = {
     ("planner", "_result", "object"),
     ("risks", "_realized_levels", "object"),
-    ("risks", "_LotRule._bands", "tuple"),
 }
 
 
@@ -164,6 +164,55 @@ def test_one_unchecked_builder():
         for read in _new_reads(ast.parse(path.read_text()))
     }
     assert found == UNCHECKED_BUILDERS
+
+
+# The ledger of facts in the docstring of risks, pinned both ways: every
+# [F...] or [T] that the package cites is an entry, and every test that an
+# entry names is defined in tests/.
+LEDGER_ENTRY = re.compile(r"^\[(F\d+|T)\](.*?)(?=^\[|\Z)", re.M | re.S)
+CITATION = re.compile(r"\[(F\w*|T)\]")
+
+
+def test_every_cited_fact_is_a_ledger_entry():
+    ledger = dict(LEDGER_ENTRY.findall(risks.__doc__))
+    assert sorted(ledger) == [f"F{i}" for i in range(1, 10)] + ["T"]
+    source = Path(midsampling.__file__).parent
+    cited = {fact for path in source.glob("*.py") for fact in CITATION.findall(path.read_text())}
+    assert cited <= set(ledger), cited - set(ledger)
+    defined = {
+        node.name
+        for path in Path(__file__).parent.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    for fact, text in ledger.items():
+        named = set(re.findall(r"\btest_\w+", text))
+        assert named and named <= defined, (fact, named - defined)
+
+
+# The package's size, pinned like the API: a change that grows it is a
+# visible diff here.  Code lines leave out blank lines, comment lines and
+# docstrings (found with ast).
+SOURCE_LINES = 2639
+CODE_LINES = 1581
+
+
+def test_source_size_is_pinned():
+    total = code = 0
+    for path in sorted(Path(midsampling.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            owner = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            if owner and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = text.splitlines()
+        total += len(lines)
+        code += sum(
+            1 for number, line in enumerate(lines, 1)
+            if number not in docstrings and line.strip() and not line.lstrip().startswith("#")
+        )
+    assert total <= SOURCE_LINES and code <= CODE_LINES, (total, code)
 
 
 class _NoNumpy:

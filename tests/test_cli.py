@@ -160,6 +160,16 @@ class TestPlanCommand:
         plan = Plan(int(fields["n"]), int(fields["c"]))
         assert is_admissible(plan, INFINITE_LOT, QualitySpec("0.5", lq))
 
+    def test_consumers_bound_within_an_ulp_of_one(self, capsys):
+        # ln(beta_max) rounds to 0; the search still starts c = 1 and finds
+        # the exact plan
+        for lot, plan in (("100", Plan(2, 1)), ("inf", Plan(5, 4))):
+            code, out, err = run(capsys, "plan", "--lot-size", lot, "--alpha-max", "1e-9",
+                                 "--beta-max", "0.99999999999999999999")
+            assert code == 0, err
+            fields = dict(field.split("=") for field in out.split())
+            assert Plan(int(fields["n"]), int(fields["c"])) == plan
+
     def test_zero_denominator_level_is_usage_error(self):
         proc = run_module("plan", "--lot-size", "10", "--aql", "1/0")
         assert proc.returncode == 2

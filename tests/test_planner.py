@@ -40,6 +40,10 @@ from exact_oracle import (
 )
 
 
+# Binomial levels of the exact fact tests, in increasing order.
+EXACT_LEVELS = (Fraction(1, 100), Fraction(7, 100), Fraction(1, 7), Fraction(99, 100))
+
+
 def exact_consumers_risk(plan, N):
     # exact rational beta at the realized level ceil(0.07*N)
     return exact_hypergeometric_tail(plan.c, plan.n, realized_counts(N, 0.01, 0.07)[1], N)
@@ -218,6 +222,23 @@ class TestOptimalPlan:
                 optimal_plan(INFINITE_LOT, spec, bounds, scan_cap=10**5)
         else:
             assert optimal_plan(INFINITE_LOT, spec, bounds).plan == plan
+
+    @pytest.mark.parametrize("beta_max", [Fraction(10**20 - 1, 10**20),
+                                          Fraction(10**400 - 1, 10**400)], ids=["1e-20", "1e-400"])
+    def test_a_consumers_bound_within_an_ulp_of_one(self, beta_max):
+        # ln(beta_max) rounds to 0, so the Poisson start of c = 1 has m0 = 0;
+        # the plans are the exact ones, at infinity by a brute force
+        bounds = RiskBounds(Fraction(1, 10**9), beta_max)
+        plan = optimal_plan(LotSize(100), QualitySpec(), bounds).plan
+        assert plan == Plan(*exact_optimal_plan(100, alpha_max=bounds.alpha_max,
+                                                beta_max=beta_max)) == Plan(2, 1)
+        aql, lq = Fraction(1, 100), Fraction(7, 100)
+        exact = next(
+            (n, c) for n in itertools.count(1) for c in range(n, -1, -1)
+            if 1 - exact_binomial_tail(c, n, aql) <= bounds.alpha_max
+            and exact_binomial_tail(c, n, lq) <= beta_max
+        )
+        assert optimal_plan(INFINITE_LOT, QualitySpec(), bounds).plan == Plan(*exact) == Plan(5, 4)
 
     def test_custom_spec_and_bounds(self):
         spec = QualitySpec(p_aql=0.02, p_lq=0.1)
@@ -442,7 +463,7 @@ class TestPlanTable:
         alpha = 1 - exact_hypergeometric_tail(0, m, k_alpha, N)
         bounds = RiskBounds(alpha_max=alpha - Fraction(1, 10**30))
         rule = risks._LotRule(LotSize(N), QualitySpec(), N, bounds)
-        lo, hi, _ = rule.alpha_bound
+        lo, hi = rule.alpha_near - rule.alpha_tol, rule.alpha_near + rule.alpha_tol
         assert lo < 1 - rule.acceptance(0, m, 0) <= hi and not rule.admits_alpha(m, 0)
         assert rule.refused_until(m, 0) == 0
         _, (_, n_betas, untils) = planner._search(rule, (None, (), []))
@@ -464,7 +485,7 @@ class TestPlanTable:
         rule = risks._LotRule(LotSize(N - 1), QualitySpec(), N - 1, bounds)
         assert planner._result(planner._search(rule, (None, (), []))[0]).plan == Plan(107, 3)
         assert rule.walk(107, 3, N + 10) == [] and rule.N == N
-        lo, hi, _ = rule.beta_bound
+        lo, hi = rule.beta_near - rule.beta_tol, rule.beta_near + rule.beta_tol
         assert lo < rule.acceptance(1, 107, 3) <= hi and not rule.admits_beta(107, 3)
         evaluations = count_core_evaluations()
         table = plan_table(N - 1, N + 10, QualitySpec(), bounds)
@@ -507,6 +528,30 @@ class TestPlanTable:
         for p in (Fraction(1, 100), Fraction(7, 100), Fraction(1, 7), Fraction(99, 100)):
             for n in range(1, 41):
                 yield n, lambda c, m, p=p: exact_binomial_tail(c, m, p)
+
+    def test_acceptance_does_not_fall_as_c_grows(self):
+        # [F3]: X <= c implies X <= c + 1, so a bound that refuses c refuses
+        # every larger c at the same n, checked exactly
+        for n, c, K, N in self.lot_growth_cases():
+            if c < n:
+                grown = exact_hypergeometric_tail(c + 1, n, K, N)
+                assert grown >= exact_hypergeometric_tail(c, n, K, N), (n, c, K, N)
+        for p in EXACT_LEVELS:
+            for n in range(1, 41):
+                tails = [exact_binomial_tail(c, n, p) for c in range(n + 1)]
+                assert tails == sorted(tails), (n, p)
+
+    def test_acceptance_does_not_rise_with_the_defect_count(self):
+        # [F7]: one more defective item adds no fewer defects to any sample,
+        # so the realized counts bound the risks at every level beyond them
+        for n, c, K, N in self.lot_growth_cases():
+            if K < N:
+                grown = exact_hypergeometric_tail(c, n, K + 1, N)
+                assert grown <= exact_hypergeometric_tail(c, n, K, N), (n, c, K, N)
+        for n in range(1, 41):
+            for c in range(min(n, 12) + 1):
+                tails = [exact_binomial_tail(c, n, p) for p in EXACT_LEVELS]
+                assert tails == sorted(tails, reverse=True), (n, c)
 
     def test_one_item_more_adds_at_most_one_defect(self):
         # drawn one item at a time, X(n) <= X(n - 1) + 1, so beta(n, c + 1) >=

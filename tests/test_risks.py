@@ -303,7 +303,7 @@ class TestMovedRule:
     def test_a_moved_rule_keeps_every_float(self):
         # a table moves one rule from lot to lot: each level's core moves
         # where the realized count holds and is resolved again where it
-        # steps, and every tail and band is the one of a rule built at the lot
+        # steps, and every tail and tolerance is the one of a rule built at the lot
         rng = random.Random(2602)
         spec = QualitySpec("3/100", "1/7")
         for lo in (1, 2**14 - 40, 100_002 - 40):
@@ -312,8 +312,8 @@ class TestMovedRule:
             for N in range(lo, lo + 90):
                 rule.move_to(N)
                 fresh = _LotRule(LotSize(N), spec, N)
-                assert (rule.levels, rule.alpha_bound, rule.beta_bound) == (
-                    fresh.levels, fresh.alpha_bound, fresh.beta_bound)
+                assert (rule.levels, rule.alpha_tol, rule.beta_tol) == (
+                    fresh.levels, fresh.alpha_tol, fresh.beta_tol)
                 for _ in range(3):
                     n = rng.randint(1, min(N, 300))
                     c = rng.randint(0, min(n, 12))
