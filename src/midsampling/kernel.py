@@ -253,8 +253,8 @@ def _lot_tails(level, N: Optional[int]):
     returns P(X <= c) for a sample of n items.
 
     X is hypergeometric over a lot of N items holding ``level`` defectives,
-    or binomial with defective proportion ``level`` when N is None, where
-    the tail is ``_binomial_tail`` at that one proportion.  A finite core
+    or binomial with the exact proportion ``level`` when N is None, where
+    the tail is ``_binomial_tail`` at its float, taken once.  A finite core
     resolves what does not depend on (c, n) once: per defect count K the
     coefficients (ln K! - ln x!) - ln (K-x)! of its terms, each x as a tail
     first reads it, and per lot the log-factorial view, ln N! and ln (N-K)!.
@@ -262,10 +262,11 @@ def _lot_tails(level, N: Optional[int]):
     updating only the latter, so a run of lots of one count shares the
     coefficients.  Terms are evaluated in log space and compensated-summed
     in ascending order of x; callers guarantee 0 <= c <= n (<= N) and
-    0 <= level (<= N, or <= 1.0 for a proportion).
+    0 <= level (<= N, or <= 1 for a proportion).
     """
     if N is None:
-        return lambda c, n: _binomial_tail(c, n, level)
+        p = float(level)
+        return lambda c, n: _binomial_tail(c, n, p)
     K = level
     coeffs = []  # by x; every view of the table holds the same floats
     t = good = ln_good = ln_N = None

@@ -31,6 +31,7 @@ from typing import Optional, Tuple
 from .kernel import LotSize, Plan, _check_count
 from .render import render
 from .risks import (
+    DEFAULT_SCAN_CAP,
     QualitySpec,
     RealizedLevels,
     RiskBounds,
@@ -48,10 +49,6 @@ __all__ = [
     "optimal_plan",
     "plan_table",
 ]
-
-#: Largest sample size tried for infinite lots before giving up.
-DEFAULT_SCAN_CAP = 1_000_000
-
 
 class NoPlanWithinCapError(Exception):
     """No admissible plan exists below the sample-size scan cap."""
@@ -73,6 +70,8 @@ class PlanTable:
 
     @property
     def rows(self) -> Tuple[Tuple[int, PlanResult], ...]:
+        """Every (N, PlanResult) pair.  Each read builds every result again:
+        iterate once, or index ``records``, to read a few rows."""
         return tuple(self)
 
     def __iter__(self):

@@ -52,10 +52,10 @@ alpha(n, c) = 1 - acceptance at the AQL count.
      ``near`` is too close to call: at or below near - tol it is admitted,
      above near + tol it is not, and in between its exact value decides,
      so that a risk of exactly 1/20 meets a bound of 0.05.  tol is the
-     kernel's error bound, tol(N) or the binomial bound at an infinite lot;
-     a wider tol only settles more risks exactly.  Each decision compares
-     inline.  The one exception is ``welmec._continuous_admissible``, which
-     compares floats.  Tests:
+     kernel's error bound: tol(N), or at an infinite lot the binomial bound
+     of max(n_max, 10^6) draws; a wider tol only settles more risks
+     exactly.  Each decision compares inline.  The one exception is
+     ``welmec._continuous_admissible``, which compares floats.  Tests:
      test_reported_tie_compares_like_the_decision,
      test_lot_16_tie_is_pointwise_admissible,
      test_matches_exact_values_at_every_lot.
@@ -212,6 +212,10 @@ def _check_plan(plan: Plan, lot) -> LotSize:
 # Risks and the exact tie rule
 # ---------------------------------------------------------------------------
 
+#: Largest sample size tried for infinite lots before giving up, and the
+#: fewest draws whose binomial bound is an infinite lot's tol [T].
+DEFAULT_SCAN_CAP = 1_000_000
+
 # OC anchor probabilities of the MID conditions: acceptance of 95% at the
 # acceptable quality level and 5% at the limit quality.
 ACCEPT_LEVEL_AQL = Fraction(19, 20)
@@ -254,8 +258,8 @@ class _Tails(dict):
 
     def move(self, level, N: Optional[int]) -> None:
         """Empty the memo for a lot of N items holding ``level`` defectives
-        (a float proportion at N None): from a finite lot the core moves to
-        N where the count holds, and is resolved again where it steps."""
+        (the exact proportion at N None): from a finite lot the core moves
+        to N where the count holds, and is resolved again where it steps."""
         self.clear()
         if level == self.level and N is not None:
             self.core.move(N)
@@ -269,9 +273,11 @@ class _LotRule:
     nearest float (``alpha_near``, ``beta_near``) and the tails' tolerance
     (``alpha_tol``, ``beta_tol``), the lot up to which a producers' refusal
     carries and the pointwise WELMEC decision.  Sample sizes run up to N,
-    or to n_max at an infinite lot, where n_max widens the binomial
-    tolerances.  Each tail is evaluated once while the rule is at its lot,
-    so the reported risks and the pointwise decision reuse a search's tails.
+    or to n_max at an infinite lot, whose tolerances are fixed when the rule
+    is built: the binomial bounds of max(n_max, DEFAULT_SCAN_CAP) draws.
+    The levels are exact at every lot and key the two memos.  Each tail is
+    evaluated once while the rule is at its lot, so the reported risks and
+    the pointwise decision reuse a search's tails.
     A table moves one rule from lot to lot, keeping the spec, the bounds'
     floats and the two levels' memos and cores."""
 
@@ -289,23 +295,22 @@ class _LotRule:
 
     def move_to(self, N: Optional[int], n_max: Optional[int] = None) -> None:
         """Make this the rule of a lot of N items (None, with n_max, for an
-        infinite lot): its realized levels (a finite lot's the _count of each
-        level, from ratios read once), tolerances and tails (``_Tails.move``)."""
+        infinite lot): its exact realized levels (a finite lot's the _count of
+        each level, from ratios read once), tolerances and tails
+        (``_Tails.move``, each memo keyed by its level)."""
         self._tails_by_level = None
-        if N is None:  # the core takes proportions as floats
-            spec = self.spec
-            self.N, self.n_max, self.levels = None, n_max, (spec.p_aql, spec.p_lq)
-            self._binomial_tols = {}
-            self.alpha_tol, self.beta_tol = self._tolerances(n_max)
-            self.alpha_tails.move(float(spec.p_aql), None)
-            self.beta_tails.move(float(spec.p_lq), None)
-            return
-        (a, b), (c, d) = self.ratios
-        self.N = self.n_max = N
-        self.levels = levels = (a * N // b, -(-c * N // d))
+        if N is None:
+            self.N, self.n_max = None, n_max
+            self.levels = levels = (self.spec.p_aql, self.spec.p_lq)
+            tols = _binomial_tolerances(max(n_max, DEFAULT_SCAN_CAP), levels)
+            self.alpha_tol, self.beta_tol = tols
+        else:
+            (a, b), (c, d) = self.ratios
+            self.N = self.n_max = N
+            self.levels = levels = (a * N // b, -(-c * N // d))
+            self.alpha_tol = self.beta_tol = _tail_tolerance(N)
         self.alpha_tails.move(levels[0], N)
         self.beta_tails.move(levels[1], N)
-        self.alpha_tol = self.beta_tol = _tail_tolerance(N)
 
     def walk(self, n: int, c: int, last: int) -> list:
         """Move this finite lot's rule lot by lot past its lot while the LQ
@@ -353,17 +358,6 @@ class _LotRule:
             tails.move(level, self.N)
         return tails
 
-    def _tolerances(self, n: int) -> tuple:
-        """The kernel's error bounds on both tails of plans of at most n
-        items: tol(N) for a lot of N items, tol(n, p) for n binomial draws,
-        kept by n."""
-        if self.N is not None:
-            return self.alpha_tol, self.beta_tol
-        tols = self._binomial_tols.get(n)
-        if tols is None:
-            tols = self._binomial_tols[n] = _binomial_tolerances(n, self.levels)
-        return tols
-
     def exact_alpha(self, n: int, c: int) -> Fraction:
         return 1 - _exact_acceptance(c, n, self.levels[0], self.N)
 
@@ -372,8 +366,12 @@ class _LotRule:
 
     def risks(self, n: int, c: int) -> tuple:
         """The reported risks (alpha, beta) of (n, c), snapped within the
-        error bounds of its own tails, so that they do not depend on n_max."""
-        alpha_tol, beta_tol = self._tolerances(n)
+        rule's tolerances, at an infinite lot the binomial bounds of max(n,
+        DEFAULT_SCAN_CAP) draws, so that they depend on the plan and the
+        levels alone."""
+        alpha_tol, beta_tol = self.alpha_tol, self.beta_tol
+        if self.N is None and max(n, self.n_max) > DEFAULT_SCAN_CAP:
+            alpha_tol, beta_tol = _binomial_tolerances(max(n, DEFAULT_SCAN_CAP), self.levels)
         alpha, beta = 1.0 - self.acceptance(0, n, c), self.acceptance(1, n, c)
         return (_reported(alpha, alpha_tol, self.exact_alpha, n, c),
                 _reported(beta, beta_tol, self.exact_beta, n, c))

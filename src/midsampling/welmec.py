@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .kernel import LotSize, Plan, interpolated_acceptance
-from .planner import DEFAULT_SCAN_CAP, PlanResult, _result, _search
+from .planner import PlanResult, _result, _search
 from .risks import (
     ACCEPT_LEVEL_AQL,
     ACCEPT_LEVEL_LQ,
+    DEFAULT_SCAN_CAP,
     QualitySpec,
     RiskBounds,
     RiskPair,

@@ -17,7 +17,9 @@ def count_core_evaluations(monkeypatch):
     n, N) of every tail the scalar core evaluates from then on, in every
     module of the package that calls it, N the lot size (None for an
     infinite lot), whether the core was resolved at N or moved there.  A
-    tail read back from a lot rule's memory is not an evaluation."""
+    lot rule's level is exact at every lot: a defect count, or at an
+    infinite lot the proportion as a Fraction.  A tail read back from a lot
+    rule's memory is not an evaluation."""
     from midsampling import kernel
 
     core = kernel._lot_tails

@@ -40,6 +40,20 @@ def exact_binomial_tail(c, n, p: Fraction) -> Fraction:
     return Fraction(sum(math.comb(n, x) * a**x * (b - a) ** (n - x) for x in range(c + 1)), b**n)
 
 
+def exact_continued_acceptance(c, n, N, a, b) -> Fraction:
+    """P(X <= c) of the hypergeometric law continued by Gamma functions to
+    the defect count K = a*N/b, whole or not, unclipped.  C(K, x) is the
+    falling product K(K - 1)...(K - x + 1)/x!, so term x is C(n, x) times
+    the product of aN - ib over i < x and of (b - a)N - jb over j < n - x,
+    over b**n n! C(N, n): integers throughout."""
+    total = 0
+    for x in range(c + 1):
+        defective = math.prod(a * N - i * b for i in range(x))
+        good = math.prod((b - a) * N - j * b for j in range(n - x))
+        total += math.comb(n, x) * defective * good
+    return Fraction(total, b**n * math.factorial(n) * math.comb(N, n))
+
+
 def within(count, total, bound: Fraction) -> bool:
     """count/total <= bound, by cross-multiplication."""
     return count * bound.denominator <= bound.numerator * total

@@ -5,6 +5,7 @@ lines; the whole suite stays well under five minutes on a desktop.
 """
 
 import hashlib
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -102,11 +103,11 @@ def test_criterion_03_quoted_finite_lots():
 
 def test_criterion_04_full_inspection_and_zero_alpha(full_table):
     small_ok = all(
-        result.plan == Plan(N, 0) for N, result in full_table.rows[:14]
+        result.plan == Plan(N, 0) for N, result in itertools.islice(full_table, 14)
     )
     zero_alpha_ok = all(
         result.risks.alpha == 0.0
-        for N, result in full_table.rows
+        for N, result in full_table
         if N < 100 * (result.plan.c + 1)
     )
     report(
@@ -158,7 +159,7 @@ def test_criterion_05_scheme_validation_reproduces_published_table():
 
 
 def test_criterion_06_acceptance_number_structure(full_table):
-    cs = {N: result.plan.c for N, result in full_table.rows}
+    cs = {N: result.plan.c for N, result in full_table}
     low_band = {cs[N] for N in range(1500, 2900)}
     high_band = {cs[N] for N in range(2900, 10_001)}
     ok = low_band == {2, 3} and high_band == {3}
@@ -218,7 +219,7 @@ def test_exact_decision_pairs_to_10_000(full_table):
     # largest beta-feasible c (if any) fails the alpha bound.
     start = time.perf_counter()
     wrong = []
-    for N, result in full_table.rows:
+    for N, result in full_table:
         n, c = result.plan.n, result.plan.c
         c_below = largest_beta_feasible_c(n - 1, N) if n > 1 else None
         if not (

@@ -193,8 +193,8 @@ def test_every_cited_fact_is_a_ledger_entry():
 # The package's size, pinned like the API: a change that grows it is a
 # visible diff here.  Code lines leave out blank lines, comment lines and
 # docstrings (found with ast).
-SOURCE_LINES = 2639
-CODE_LINES = 1581
+SOURCE_LINES = 2638
+CODE_LINES = 1577
 
 
 def test_source_size_is_pinned():

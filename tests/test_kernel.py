@@ -30,7 +30,11 @@ from midsampling.kernel import (
     _tail_tolerance,
 )
 
-from exact_oracle import exact_binomial_tail, exact_hypergeometric_tail
+from exact_oracle import (
+    exact_binomial_tail,
+    exact_continued_acceptance,
+    exact_hypergeometric_tail,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +523,25 @@ class TestInterpolatedAcceptance:
                         assert interpolated_acceptance(plan, N, K / N) == pytest.approx(
                             want, abs=1e-9
                         )
+
+    def test_matches_the_exact_continuation(self):
+        # at 400 seeded non-whole counts p*N, p = a/1000, the float
+        # continuation stays within tol(N) of the exact one, clipped into
+        # [0, 1]; at a whole count the exact continuation is the tail
+        rng, cases = random.Random(2607), 0
+        while cases < 400:
+            N = rng.randint(2, rng.choice((200, 20_000)))
+            n = rng.randint(1, min(N, 300))
+            c, a = rng.randint(0, min(n, 6)), rng.randint(1, 999)
+            if a * N % 1000 == 0:
+                K = a * N // 1000
+                assert exact_continued_acceptance(c, n, N, a, 1000) == (
+                    exact_hypergeometric_tail(c, n, K, N))
+                continue
+            cases += 1
+            exact = min(max(exact_continued_acceptance(c, n, N, a, 1000), Fraction(0)), 1)
+            got = interpolated_acceptance(Plan(n, c), N, Fraction(a, 1000))
+            assert abs(got - exact) <= _tail_tolerance(N), (c, n, N, a)
 
     def test_float_near_a_count_is_not_snapped(self):
         # a float names count k only when it is the double nearest k/N

@@ -160,7 +160,7 @@ class TestOptimalPlan:
         # producers' tail per new c, and the plan's c is the one searched
         # for, so the reported risks add none
         levels = realized_quality_levels(lot)
-        alpha_level = levels.k_alpha if lot.is_finite else float(levels.p_alpha)
+        alpha_level = levels.k_alpha if lot.is_finite else levels.p_alpha
         evaluations = count_core_evaluations()
         result = optimal_plan(lot)
         assert result.plan == (Plan(107, 3) if lot.is_finite else Plan(109, 3))
@@ -266,6 +266,15 @@ class TestReportedRisksAtInfinity:
             INFINITE_LOT, spec, RiskBounds(Fraction(alpha_pct, 100), Fraction(beta_pct, 100))
         )
         assert result.risks == risk_pair(result.plan, INFINITE_LOT, spec)
+
+    def test_a_report_past_the_default_cap_equals_risk_pair(self):
+        # a scan cap or a compare candidate above 10^6 draws reports with the
+        # binomial bound of the plan's own draws, as risk_pair does
+        result = optimal_plan(INFINITE_LOT, scan_cap=2 * 10**6)
+        assert result.risks == risk_pair(result.plan, INFINITE_LOT)
+        plan = Plan(2_000_000, 20_500)
+        report = compare_interpretations(INFINITE_LOT, candidate_plans=[plan])
+        assert report.evaluated_plans[0].risks == risk_pair(plan, INFINITE_LOT)
 
 
 class TestExactTies:
@@ -663,16 +672,15 @@ class TestWorkPins:
         plan_table(99_990, 100_020, QualitySpec("1/50", "1/10"), RiskBounds("0.10", "0.05"))
         assert calls == ["scalar"] * (500 + 31)
 
-    def test_binomial_tolerances_once_per_sample_size(self, count_tolerances):
-        # the tie band at the scan cap and the reported risks at n*, each
-        # pair computed once; a compare at infinity adds only the candidate
-        # sample sizes its reference plan did not have
+    def test_binomial_tolerances_once_per_rule(self, count_tolerances):
+        # an infinite lot's rule fixes its pair when it is built, and the
+        # search, the reported risks and every compare candidate read it
         calls = count_tolerances()
         assert optimal_plan(INFINITE_LOT).plan == Plan(109, 3)
-        assert calls == ["binomial"] * 2
+        assert calls == ["binomial"]
         calls.clear()
         compare_interpretations(INFINITE_LOT, candidate_plans=[Plan(109, 3), Plan(108, 3)])
-        assert calls == ["binomial"] * 3
+        assert calls == ["binomial"]
 
 
 class TestBruteForceOracle:

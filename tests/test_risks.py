@@ -32,10 +32,10 @@ from midsampling import (
     realized_quality_levels,
     risk_pair,
 )
-from midsampling.kernel import as_exact_level
+from midsampling.kernel import _binomial_tolerances, as_exact_level
 from midsampling.planner import _first
 from midsampling.render import render
-from midsampling.risks import _LotRule, _run_ends
+from midsampling.risks import DEFAULT_SCAN_CAP, _LotRule, _run_ends
 
 from exact_oracle import exact_binomial_tail, exact_hypergeometric_tail, realized_counts
 
@@ -314,6 +314,7 @@ class TestMovedRule:
                 fresh = _LotRule(LotSize(N), spec, N)
                 assert (rule.levels, rule.alpha_tol, rule.beta_tol) == (
                     fresh.levels, fresh.alpha_tol, fresh.beta_tol)
+                assert (rule.alpha_tails.level, rule.beta_tails.level) == rule.levels
                 for _ in range(3):
                     n = rng.randint(1, min(N, 300))
                     c = rng.randint(0, min(n, 12))
@@ -321,6 +322,20 @@ class TestMovedRule:
                                                (fresh.alpha_tails, fresh.beta_tails)):
                         assert moved[c, n] == built.core(c, n) == hypergeometric_cdf(c, n, K, N)
             assert all(last > start for start, last in zip(first, rule.levels))  # both stepped
+
+    def test_an_infinite_rule_holds_one_tolerance_pair(self):
+        # the binomial bounds of max(n_max, DEFAULT_SCAN_CAP) draws, whatever
+        # the caller's n_max up to the default cap, and the exact levels key
+        # both memos
+        spec = QualitySpec()
+        rules = [_LotRule(INFINITE_LOT, spec, n_max) for n_max in (1, 109, 400, DEFAULT_SCAN_CAP)]
+        assert len({(rule.alpha_tol, rule.beta_tol) for rule in rules}) == 1
+        wide = _LotRule(INFINITE_LOT, spec, 2_000_000)
+        levels = (spec.p_aql, spec.p_lq)
+        assert (wide.alpha_tol, wide.beta_tol) == _binomial_tolerances(2_000_000, levels)
+        for rule in (*rules, wide):
+            assert rule.levels == levels
+            assert (rule.alpha_tails.level, rule.beta_tails.level) == levels
 
 
 class TestOcCurve:

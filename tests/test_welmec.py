@@ -67,7 +67,8 @@ class TestWelmecRisks:
 
     @pytest.mark.parametrize(
         "lot, counts",
-        [(INFINITE_LOT, (0.01, 0.07)), (LotSize(400), (4, 28)), (LotSize(258), ())],
+        [(INFINITE_LOT, (Fraction(1, 100), Fraction(7, 100))), (LotSize(400), (4, 28)),
+         (LotSize(258), ())],
         ids=["infinite", "whole-pN", "fractional-pN"],
     )
     def test_a_realized_nominal_level_is_one_scalar_tail(self, count_core_evaluations, lot, counts):
