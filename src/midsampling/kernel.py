@@ -14,11 +14,13 @@ unchecked cores, each named with a leading underscore and documented where
 it is defined.
 
 A computed tail is within tol(N) = ``_tail_tolerance(N)`` = 2**-46 *
-(1 + N ln(N+1)) of the exact one, an a-priori bound of order eps * ln N!:
-a log term sums at most nine log-factorials, each at most ln N! and within
-a few ulps, and exponentiation turns that error into a relative error of
-terms that sum to at most 1.  tol(N) and the binomial bounds are stdlib
-floats, so no scalar decision path uses numpy.
+(1 + N ln(N+1)) of the exact one while tol(N) is small, an a-priori bound
+of order eps * ln N!: a log term sums at most nine log-factorials, each at
+most ln N! and within a few ulps, and exponentiation turns that error err
+into a relative error exp(err) - 1 ~ err of terms that sum to at most 1;
+that fails once tol(N) is of order 1 (at 10**15 the finite core returned
+2 981 against a tol of 491, at 10**16 7.9e13 against 5 235).  tol(N) and
+the binomial bounds are stdlib floats, so no scalar decision path uses numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ __all__ = [
 ]
 
 # Summation noise this far past the unit interval is clipped silently;
-# anything beyond it indicates a logic error, not rounding.
+# beyond it lies a logic error or a lot too large for tol(N).  Widened to
+# tol(N), this limit let 10**14 report alpha 0.00 % and 10**18 both risks
+# 100.00 %: keep it until an exact path exists (ROADMAP items 10, 18).
 _PROB_GROSS_ERROR = 1e-6
 # Elements per block of the bulk tail: 64 KiB float64 temporaries.
 _BULK_BLOCK = 8192

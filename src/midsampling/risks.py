@@ -9,9 +9,9 @@ Quality levels are kept as exact rationals throughout.  Computing
 floor(0.01*N) in floating point misrounds for many N (0.01*2900 comes out
 just under 29), which would silently corrupt entire plan tables.
 
-Every admissibility decision of the package is made here, by the tie rule
-[T]: the planner's, a scheme row's over its lot range and the pointwise
-WELMEC reading's.  The planner's search loops only ask.
+Every admissibility decision of the package is made here: the planner's,
+a scheme row's over its lot range and both WELMEC readings', each by the
+tie rule [T] but the continuous one.  Search loops and reports only ask.
 
 The facts that the planner and the scheme check rely on, each proved once
 here, cited elsewhere by number and checked by the tests it names.  X_n is
@@ -55,10 +55,10 @@ alpha(n, c) = 1 - acceptance at the AQL count.
      kernel's error bound: tol(N), or at an infinite lot the binomial bound
      of max(n_max, 10^6) draws; a wider tol only settles more risks
      exactly.  Each decision compares inline.  The one exception is
-     ``welmec._continuous_admissible``, which compares floats.  Tests:
+     ``risks._continuous_admissible``, which compares floats.  Tests:
      test_reported_tie_compares_like_the_decision,
      test_lot_16_tie_is_pointwise_admissible,
-     test_matches_exact_values_at_every_lot.
+     test_matches_exact_values_at_every_lot, test_continuous_reading_compares_floats.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ from .kernel import (
     _lot_tails,
     _realizable_count,
     _tail_tolerance,
+    interpolated_acceptance,
 )
 
 __all__ = [
@@ -192,8 +193,8 @@ def _realized_levels(levels: tuple, N: Optional[int]) -> RealizedLevels:
 
 
 def _count(level: Fraction, N: int, ceil: bool) -> int:
-    """floor(level*N), or ceil(level*N) given ``ceil``, exactly: the one
-    conversion of a nominal level to the realized defect count of a lot."""
+    """floor(level*N), or ceil(level*N) given ``ceil``, exactly, as a lot
+    rule takes a level's count inline from its integer ``ratios``."""
     a, b = level.numerator, level.denominator
     return -(-a * N // b) if ceil else a * N // b
 
@@ -220,6 +221,12 @@ DEFAULT_SCAN_CAP = 1_000_000
 # acceptable quality level and 5% at the limit quality.
 ACCEPT_LEVEL_AQL = Fraction(19, 20)
 ACCEPT_LEVEL_LQ = Fraction(1, 20)
+
+
+def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
+    # The one exception to [T]: interpolated risks are compared as floats
+    # with the anchors' nearest doubles (float 0.05 lies above 1/20).
+    return at_aql <= float(ACCEPT_LEVEL_AQL) and at_lq <= float(ACCEPT_LEVEL_LQ)
 
 
 def _exact_acceptance(c: int, n: int, level, N: Optional[int]) -> Fraction:
@@ -272,12 +279,12 @@ class _LotRule:
     once for many plans: each bound's decision by [T], from the bound's
     nearest float (``alpha_near``, ``beta_near``) and the tails' tolerance
     (``alpha_tol``, ``beta_tol``), the lot up to which a producers' refusal
-    carries and the pointwise WELMEC decision.  Sample sizes run up to N,
+    carries and both WELMEC readings.  Sample sizes run up to N,
     or to n_max at an infinite lot, whose tolerances are fixed when the rule
     is built: the binomial bounds of max(n_max, DEFAULT_SCAN_CAP) draws.
     The levels are exact at every lot and key the two memos.  Each tail is
     evaluated once while the rule is at its lot, so the reported risks and
-    the pointwise decision reuse a search's tails.
+    both readings reuse a search's tails.
     A table moves one rule from lot to lot, keeping the spec, the bounds'
     floats and the two levels' memos and cores."""
 
@@ -286,7 +293,6 @@ class _LotRule:
     ):
         self.spec, self.bounds = spec, bounds
         self.alpha_tails, self.beta_tails = _Tails(), _Tails()
-        self._memos = (self.alpha_tails, self.beta_tails)
         self.ratios = (spec.p_aql.as_integer_ratio(), spec.p_lq.as_integer_ratio())
         alpha_max, beta_max = bounds.alpha_max, bounds.beta_max
         self.alpha_near = alpha_max.numerator / alpha_max.denominator
@@ -328,7 +334,7 @@ class _LotRule:
         the search's n_beta(c') admits any c' [F5], no c' < c has a plan
         [F2], [F6], and (n - 1, c) and (n, c + 1) stay refused [F4]."""
         records, count, N = [], self.levels[1], self.N
-        alpha_tails, beta_tails = self._memos
+        alpha_tails, beta_tails = self.alpha_tails, self.beta_tails
         alpha_near, beta_near = self.alpha_near, self.beta_near
         while N < last:
             N += 1
@@ -351,7 +357,8 @@ class _LotRule:
         the rule is at its lot."""
         by_level = self._tails_by_level
         if by_level is None:
-            by_level = self._tails_by_level = {memo.level: memo for memo in self._memos}
+            memos = (self.alpha_tails, self.beta_tails)
+            by_level = self._tails_by_level = {memo.level: memo for memo in memos}
         tails = by_level.get(level)
         if tails is None:
             tails = by_level[level] = _Tails()
@@ -372,13 +379,22 @@ class _LotRule:
         alpha_tol, beta_tol = self.alpha_tol, self.beta_tol
         if self.N is None and max(n, self.n_max) > DEFAULT_SCAN_CAP:
             alpha_tol, beta_tol = _binomial_tolerances(max(n, DEFAULT_SCAN_CAP), self.levels)
-        alpha, beta = 1.0 - self.acceptance(0, n, c), self.acceptance(1, n, c)
+        alpha, beta = 1.0 - self.alpha_tails[c, n], self.beta_tails[c, n]
         return (_reported(alpha, alpha_tol, self.exact_alpha, n, c),
                 _reported(beta, beta_tol, self.exact_beta, n, c))
 
-    def acceptance(self, side: int, n: int, c: int) -> float:
-        """The kept tail P(X <= c) of (n, c) at the producers' (0) or consumers' (1) level."""
-        return self._memos[side][c, n]
+    def nominal_acceptance(self, plan: Plan) -> list:
+        """The acceptance of ``plan`` at the nominal levels, as the WELMEC
+        readings take it: the rule's own kept tail at a level that its lot
+        realizes (every level of an infinite lot; a finite lot's where p*N
+        is whole, K * b == a * N for p = a/b, so that its floor and ceil
+        counts are p*N), else the Gamma-interpolated value."""
+        n, c, N = plan.n, plan.c, self.N
+        memos, nominal = (self.alpha_tails, self.beta_tails), (self.spec.p_aql, self.spec.p_lq)
+        return [
+            tails[c, n] if N is None or K * b == a * N else interpolated_acceptance(plan, N, p)
+            for tails, K, (a, b), p in zip(memos, self.levels, self.ratios, nominal)
+        ]
 
     def admits(self, n: int, c: int) -> bool:
         """Whether both bounds admit (n, c), from the tails the rule keeps."""
@@ -423,9 +439,8 @@ class _LotRule:
         ACCEPT_LEVEL_AQL at ceil(p_aql*N) defects and at most ACCEPT_LEVEL_LQ
         at ceil(p_lq*N), by [T] with tol(N), as for every tail of the lot.
         These two counts decide for every count at or above each level [F7]."""
-        N, lq_count, tol = self.N, self.levels[1], self.beta_tol
-        aql_count = _count(self.spec.p_aql, N, True)
-        for K, most in ((aql_count, ACCEPT_LEVEL_AQL), (lq_count, ACCEPT_LEVEL_LQ)):
+        (a, b), N, tol = self.ratios[0], self.N, self.beta_tol
+        for K, most in ((-(-a * N // b), ACCEPT_LEVEL_AQL), (self.levels[1], ACCEPT_LEVEL_LQ)):
             accept, near = self.tails(K)[c, n], most.numerator / most.denominator
             if not (accept <= near - tol or (
                     accept <= near + tol and _exact_acceptance(c, n, K, N) <= most)):

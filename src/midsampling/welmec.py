@@ -6,8 +6,8 @@ levels p_aql and p_lq are usually not realizable, so the guide's risks
 are evaluated on a Gamma-interpolated OC curve at the fictitious
 defective counts p_aql*N and p_lq*N ("continuous" variant); an
 alternative reading constrains every realizable OC point at or beyond
-each level ("pointwise" variant).  Both are provided here, next to the
-hypothesis-test risks, to make the interpretations directly comparable.
+each level ("pointwise" variant).  ``risks`` decides both; this module
+assembles their reports next to the hypothesis-test risks.
 """
 
 from __future__ import annotations
@@ -15,16 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .kernel import LotSize, Plan, interpolated_acceptance
+from .kernel import LotSize, Plan
 from .planner import PlanResult, _result, _search
 from .risks import (
-    ACCEPT_LEVEL_AQL,
-    ACCEPT_LEVEL_LQ,
     DEFAULT_SCAN_CAP,
     QualitySpec,
     RiskBounds,
     RiskPair,
     _check_plan,
+    _continuous_admissible,
     _LotRule,
 )
 
@@ -63,26 +62,6 @@ class ComparisonReport:
     evaluated_plans: Tuple[CandidateEvaluation, ...]
 
 
-def _nominal_acceptance(rule: _LotRule, plan: Plan) -> list:
-    """The acceptance of ``plan`` at the nominal levels of ``rule``: the
-    rule's own tail at a level that its lot realizes (every level of an
-    infinite lot; a finite lot's where p*N is whole, so that its floor and
-    ceil counts are p*N), else the Gamma-interpolated value."""
-    n, c, N = plan.n, plan.c, rule.N
-    levels = (rule.spec.p_aql, rule.spec.p_lq)
-    return [
-        rule.acceptance(side, n, c) if N is None or K * p.denominator == p.numerator * N
-        else interpolated_acceptance(plan, N, p)
-        for side, (p, K) in enumerate(zip(levels, rule.levels))
-    ]
-
-
-def _continuous_admissible(at_aql: float, at_lq: float) -> bool:
-    # The one exception to [T]: interpolated risks are compared as floats
-    # with the anchors' nearest doubles (float 0.05 lies above 1/20).
-    return at_aql <= float(ACCEPT_LEVEL_AQL) and at_lq <= float(ACCEPT_LEVEL_LQ)
-
-
 def welmec_risks(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) -> WelmecRisks:
     """Producers'/consumers' risks at the nominal quality levels.
 
@@ -91,7 +70,7 @@ def welmec_risks(plan: Plan, lot: LotSize, spec: QualitySpec = QualitySpec()) ->
     Gamma-interpolated OC curve; for infinite lots this coincides with
     the plain binomial risks.
     """
-    at_aql, at_lq = _nominal_acceptance(_LotRule(_check_plan(plan, lot), spec, plan.n), plan)
+    at_aql, at_lq = _LotRule(_check_plan(plan, lot), spec, plan.n).nominal_acceptance(plan)
     return WelmecRisks(alpha_cont=1.0 - at_aql, beta_cont=at_lq)
 
 
@@ -102,7 +81,7 @@ def welmec_admissible_continuous(
     or below both anchor points, i.e. acceptance <= 95% at the AQL and
     <= 5% at the LQ.  Boundary equality counts as admissible."""
     rule = _LotRule(_check_plan(plan, lot), spec, plan.n)
-    return _continuous_admissible(*_nominal_acceptance(rule, plan))
+    return _continuous_admissible(*rule.nominal_acceptance(plan))
 
 
 def welmec_admissible_pointwise(
@@ -143,7 +122,7 @@ def compare_interpretations(
     evaluated = []
     for plan in candidate_plans:
         _check_plan(plan, lot)
-        at_aql, at_lq = _nominal_acceptance(rule, plan)
+        at_aql, at_lq = rule.nominal_acceptance(plan)
         evaluated.append(
             CandidateEvaluation(
                 plan=plan,

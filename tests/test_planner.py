@@ -277,6 +277,37 @@ class TestReportedRisksAtInfinity:
         assert report.evaluated_plans[0].risks == risk_pair(plan, INFINITE_LOT)
 
 
+class TestHugeLots:
+    """Past the lots that tol(N) serves, a plan is right or refused, never
+    wrong.  At 10^12 and 10^13 tol(N) is 0.39 and 4.25, so the decisions
+    near a bound and the reported risks come from the exact fallback.  From
+    about 10^14 the finite core's error outgrows tol(N): a tail leaves
+    [0, 1] by more than ``kernel._PROB_GROSS_ERROR`` or the core's exp
+    overflows, and the call raises an ArithmeticError (ROADMAP item 8).
+    Each oracle tail here takes well under a millisecond."""
+
+    @staticmethod
+    def assert_plans_right(result, N):
+        k_alpha, k_beta = realized_counts(N, 0.01, 0.07)
+        alpha = 1 - exact_hypergeometric_tail(3, 109, k_alpha, N)
+        beta = exact_hypergeometric_tail(3, 109, k_beta, N)
+        digits = f"{result.risks.alpha:.6f} / {result.risks.beta:.6f}"
+        assert result.plan == Plan(109, 3)
+        assert digits == f"{float(alpha):.6f} / {float(beta):.6f}" == "0.024315 / 0.048468"
+
+    @pytest.mark.parametrize("N", [10**12, 10**13])
+    def test_a_huge_lot_plans_from_the_exact_fallback(self, N):
+        self.assert_plans_right(optimal_plan(LotSize(N)), N)
+
+    @pytest.mark.parametrize("N", [10**14, 10**16, 2**63 - 1, 2**64])
+    def test_a_larger_lot_raises_or_plans_right(self, N):
+        try:
+            result = optimal_plan(LotSize(N))
+        except ArithmeticError:  # OverflowError is one too
+            return
+        self.assert_plans_right(result, N)
+
+
 class TestExactTies:
     """Plans whose consumers' risk is exactly 1/20 meet the 5% bound, however
     the float risk happens to round."""
@@ -473,7 +504,7 @@ class TestPlanTable:
         bounds = RiskBounds(alpha_max=alpha - Fraction(1, 10**30))
         rule = risks._LotRule(LotSize(N), QualitySpec(), N, bounds)
         lo, hi = rule.alpha_near - rule.alpha_tol, rule.alpha_near + rule.alpha_tol
-        assert lo < 1 - rule.acceptance(0, m, 0) <= hi and not rule.admits_alpha(m, 0)
+        assert lo < 1 - rule.alpha_tails[0, m] <= hi and not rule.admits_alpha(m, 0)
         assert rule.refused_until(m, 0) == 0
         _, (_, n_betas, untils) = planner._search(rule, (None, (), []))
         assert n_betas[0] == m and untils[0] == 0
@@ -495,7 +526,7 @@ class TestPlanTable:
         assert planner._result(planner._search(rule, (None, (), []))[0]).plan == Plan(107, 3)
         assert rule.walk(107, 3, N + 10) == [] and rule.N == N
         lo, hi = rule.beta_near - rule.beta_tol, rule.beta_near + rule.beta_tol
-        assert lo < rule.acceptance(1, 107, 3) <= hi and not rule.admits_beta(107, 3)
+        assert lo < rule.beta_tails[3, 107] <= hi and not rule.admits_beta(107, 3)
         evaluations = count_core_evaluations()
         table = plan_table(N - 1, N + 10, QualitySpec(), bounds)
         at_stop = [e for e in evaluations if e[3] == N]

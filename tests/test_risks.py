@@ -35,7 +35,7 @@ from midsampling import (
 from midsampling.kernel import _binomial_tolerances, as_exact_level
 from midsampling.planner import _first
 from midsampling.render import render
-from midsampling.risks import DEFAULT_SCAN_CAP, _LotRule, _run_ends
+from midsampling.risks import DEFAULT_SCAN_CAP, _continuous_admissible, _LotRule, _run_ends
 
 from exact_oracle import exact_binomial_tail, exact_hypergeometric_tail, realized_counts
 
@@ -595,3 +595,17 @@ def test_risks_do_not_depend_on_call_history():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("True "), proc.stdout
+
+
+def test_continuous_reading_compares_floats():
+    """The one exception to the tie rule [T], exactly: the continuous WELMEC
+    reading compares its acceptances as floats with float(19/20) and
+    float(1/20).  float(1/20) lies above 1/20, so an acceptance of exactly
+    that double passes, although exact arithmetic would refuse it.  One
+    double more on either side refuses.  ROADMAP item 7, which decides this
+    reading by [T], will change this assertion on purpose."""
+    at_aql, at_lq = float(19 / 20), float(1 / 20)
+    assert Fraction(at_lq) > Fraction(1, 20)
+    assert _continuous_admissible(at_aql, at_lq)
+    assert not _continuous_admissible(math.nextafter(at_aql, 1), at_lq)
+    assert not _continuous_admissible(at_aql, math.nextafter(at_lq, 1))
