@@ -257,11 +257,12 @@ def _lot_tails(level, N: Optional[int]):
     returns P(X <= c) for a sample of n items.
 
     X is hypergeometric over a lot of N items holding ``level`` defectives,
-    or binomial with the exact proportion ``level`` when N is None, where
-    the tail is ``_binomial_tail`` at its float, taken once.  A finite core
-    resolves what does not depend on (c, n) once: per defect count K the
-    coefficients (ln K! - ln x!) - ln (K-x)! of its terms, each x as a tail
-    first reads it, and per lot the log-factorial view, ln N! and ln (N-K)!.
+    or binomial with the exact proportion ``level`` when N is None.  An
+    infinite core resolves p, the level's float, ln p and ln(1 - p) once per
+    level.  A finite core resolves what does not depend on (c, n) once: per
+    defect count K the coefficients (ln K! - ln x!) - ln (K-x)! of its
+    terms, each x as a tail first reads it, and per lot the log-factorial
+    view, ln N! and ln (N-K)!.
     ``tail.move(M)`` takes it to a lot of M items with the same K by
     updating only the latter, so a run of lots of one count shares the
     coefficients.  Terms are evaluated in log space and compensated-summed
@@ -270,7 +271,21 @@ def _lot_tails(level, N: Optional[int]):
     """
     if N is None:
         p = float(level)
-        return lambda c, n: _binomial_tail(c, n, p)
+        if not 0.0 < p < 1.0:  # X is 0 at p = 0, and X is n > c at p = 1
+            return lambda c, n: 1.0 if c >= n else 1.0 - p
+        log_p, log_q = math.log(p), math.log1p(-p)
+
+        def binomial_tail(c, n):
+            if c >= n:
+                return 1.0
+            t = _log_factorials(n)
+            ln_n = t[n]
+            total = _fsum([
+                _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
+            ])
+            return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
+
+        return binomial_tail
     K = level
     coeffs = []  # by x; every view of the table holds the same floats
     t = good = ln_good = ln_N = None
@@ -301,35 +316,19 @@ def _lot_tails(level, N: Optional[int]):
     return hypergeometric_tail
 
 
-def _binomial_tail(c: int, n: int, p: float) -> float:
-    """P(X <= c) for X ~ Binomial(n, p) at one float proportion p, unchecked:
-    the binomial term expression, compensated-summed in ascending order of x."""
-    if c >= n:
-        return 1.0
-    if not 0.0 < p < 1.0:  # X is 0 at p = 0, and X is n > c at p = 1
-        return 1.0 - p
-    t = _log_factorials(n)
-    ln_n = t[n]
-    log_p, log_q = math.log(p), math.log1p(-p)
-    total = _fsum([
-        _exp(ln_n - t[x] - t[n - x] + x * log_p + (n - x) * log_q) for x in range(c + 1)
-    ])
-    return total if 0.0 <= total <= 1.0 else _clamp_probability(total)
-
-
 def _binomial_logs(ps) -> list:
     """(ln p, ln(1 - p)) for each float proportion p of ps inside (0, 1)."""
     return [(math.log(p), math.log1p(-p)) for p in ps if 0.0 < p < 1.0]
 
 
 def _binomial_curve(c: int, n: int, ps, logs=None) -> list:
-    """``_binomial_tail`` at each float proportion p of ps, unchecked, with
-    (c, n) resolved once for the whole grid and ``logs``, if given, the
-    ``_binomial_logs`` of ps.  The grid is evaluated x-major: each x takes
-    its coefficient ln n! - ln x! - ln (n-x)! once and adds one term per p,
-    the tail's expression with the same association, and each p sums its
-    column with ``math.fsum``, which rounds correctly whatever the order, so
-    every point equals the tail bit for bit."""
+    """The infinite core's tail(c, n) at each float proportion p of ps,
+    unchecked, with (c, n) resolved once for the whole grid and ``logs``, if
+    given, the ``_binomial_logs`` of ps.  The grid is evaluated x-major: each
+    x takes its coefficient ln n! - ln x! - ln (n-x)! once and adds one term
+    per p, the core's expression with the same association, and each p sums
+    its column with ``math.fsum``, which rounds correctly whatever the order,
+    so every point equals ``_lot_tails(p, None)(c, n)`` bit for bit."""
     if c >= n:
         return [1.0] * len(ps)
     if logs is None:
@@ -362,7 +361,7 @@ def binomial_cdf(c: int, n: int, p: LevelLike) -> float:
     Absolute error stays below ``_binomial_tolerances(n, (p,))``.
     """
     plan = Plan(n, c)
-    return _binomial_tail(plan.c, plan.n, _defect_count(p, None)[0])
+    return _lot_tails(_defect_count(p, None)[0], None)(plan.c, plan.n)
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +560,11 @@ def interpolated_acceptance_curve(n: int, N: int, p) -> np.ndarray:
     """Gamma-interpolated acceptance probabilities for c = 0..n at once.
 
     ``out[c]`` equals ``interpolated_acceptance(Plan(n, c), N, p)`` up to
-    rounding, clipped into [0, 1] like the scalar version.  At a whole
-    defect count K = p*N the curve is the hypergeometric one, ``out[c]`` ==
-    ``hypergeometric_cdf(c, n, K, N)`` up to rounding, in one vectorized pass.
+    rounding, clipped into [0, 1] like the scalar version.  Every level,
+    whole counts included, is read through the continuation: at a whole
+    defect count K = p*N its terms are the finite core's, so ``out[c]`` ==
+    ``hypergeometric_cdf(c, n, K, N)`` up to rounding.
     """
     n = _check_count("sample size n", n)
-    N, pN, integer_count = _checked_interpolation_args(n, N, p)
-    if integer_count is not None:
-        lf = _log_factorial_array(N)
-        terms = _hypergeometric_terms(
-            np.arange(n + 1), n, integer_count, N, lf, lf[N] - lf[n] - lf[N - n], n
-        )
-        return np.minimum(np.cumsum(terms), 1.0)
+    N, pN, _ = _checked_interpolation_args(n, N, p)
     return np.clip(np.cumsum(_interpolated_terms(n, n, N, pN)), 0.0, 1.0)

@@ -26,6 +26,7 @@ from midsampling.kernel import (
     _clamp_probability,
     _hypergeometric_cdf_all_counts,
     _hypergeometric_cdf_bulk,
+    _interpolated_terms,
     _lot_tails,
     _tail_tolerance,
 )
@@ -542,6 +543,30 @@ class TestInterpolatedAcceptance:
             exact = min(max(exact_continued_acceptance(c, n, N, a, 1000), Fraction(0)), 1)
             got = interpolated_acceptance(Plan(n, c), N, Fraction(a, 1000))
             assert abs(got - exact) <= _tail_tolerance(N), (c, n, N, a)
+
+    def test_continuation_at_a_whole_count_is_the_finite_core(self):
+        # at a whole count K the continued terms are the finite core's terms
+        # (lgamma(K + 1.0) is the table's ln K!, with the core's association,
+        # and a pole gives an exact 0 outside the support), so their fsum is
+        # the core's tail bit for bit below min(K, n); the curve, summed by
+        # cumsum, is within tol(N) of the tail at every c (the core is
+        # hypergeometric_cdf past its checks).  Lots: every one
+        # with N <= 20, and seeded ones on both sides of the log-factorial
+        # views' edges (2**14 and 100 002) and at 10**6
+        rng = random.Random(3507)
+        lots = [(n, K, N) for N in range(1, 21) for n in range(1, N + 1) for K in range(N + 1)]
+        for N in (2**14 - 1, 2**14, 2**14 + 1, 100_001, 100_002, 100_003, 10**6):
+            for _ in range(40):
+                n = rng.randint(1, 200)
+                lots.append((n, rng.choice((rng.randint(0, N), rng.randint(0, 3 * n))), N))
+        for n, K, N in lots:
+            core = _lot_tails(K, N)
+            for c in range(min(K, n, 13)):
+                terms = _interpolated_terms(c, n, N, float(K))
+                assert min(max(math.fsum(terms), 0.0), 1.0) == core(c, n), (c, n, K, N)
+            curve = interpolated_acceptance_curve(n, N, Fraction(K, N))
+            for c in range(n + 1):
+                assert abs(curve[c] - core(c, n)) <= _tail_tolerance(N), (c, n, K, N)
 
     def test_float_near_a_count_is_not_snapped(self):
         # a float names count k only when it is the double nearest k/N
