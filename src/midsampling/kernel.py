@@ -498,7 +498,7 @@ def _checked_interpolation_args(n: int, N, p) -> tuple:
     pN, count = _defect_count(p, N)
     if count is None and pN.is_integer():
         count = int(pN)  # a level that rounds onto a whole count is read there
-    return N, pN, count
+    return N, (pN if count is None else float(count)), count  # p*N may miss it by an ulp
 
 
 def _interpolated_terms(c: int, n: int, N: int, pN: float) -> list:

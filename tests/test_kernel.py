@@ -256,13 +256,19 @@ class TestHypergeometricCdf:
                 assert abs(hyper - binom) < 1e-3
 
     def test_acceptance_curve_matches_scalar(self):
-        for n, K, N in [(22, 3, 43), (57, 19, 258), (82, 4, 400), (5, 0, 9)]:
-            curve = interpolated_acceptance_curve(n, N, Fraction(K, N))
-            assert len(curve) == n + 1
-            for c in range(n + 1):
-                assert curve[c] == pytest.approx(
-                    hypergeometric_cdf(c, n, K, N), abs=1e-12
-                )
+        # the hand lots within 1e-12, the whole-count lots within tol(N); a
+        # float that names count K is read at K, though p*N may miss K by an
+        # ulp (0.07 * 100 == 7.000000000000001) and so miss the Gamma poles
+        hand = [(22, 3, 43), (57, 19, 258), (82, 4, 400), (5, 0, 9), (100, 7, 100)]
+        lots = [(n, K, N, 1e-12) for n, K, N in hand]
+        lots += [(n, K, N, _tail_tolerance(N)) for n, K, N in whole_count_lots()]
+        for n, K, N, tol in lots:
+            want = [hypergeometric_cdf(c, n, K, N) for c in range(n + 1)]
+            for p in (Fraction(K, N), K / N):
+                curve = interpolated_acceptance_curve(n, N, p)
+                assert len(curve) == n + 1
+                for c in range(n + 1):
+                    assert abs(curve[c] - want[c]) <= tol, (c, n, K, N, p)
 
 
 class TestDocumentedErrorBound:
@@ -330,6 +336,19 @@ class TestDocumentedErrorBound:
 # ---------------------------------------------------------------------------
 # The scalar core
 # ---------------------------------------------------------------------------
+
+def whole_count_lots() -> list:
+    """(n, K, N) lots at whole defect counts: every one with N <= 20, and
+    seeded ones on both sides of the log-factorial views' edges (2**14 and
+    100 002) and at 10**6."""
+    rng = random.Random(3507)
+    lots = [(n, K, N) for N in range(1, 21) for n in range(1, N + 1) for K in range(N + 1)]
+    for N in (2**14 - 1, 2**14, 2**14 + 1, 100_001, 100_002, 100_003, 10**6):
+        for _ in range(40):
+            n = rng.randint(1, 200)
+            lots.append((n, rng.choice((rng.randint(0, N), rng.randint(0, 3 * n))), N))
+    return lots
+
 
 def pinned_tail_lots() -> list:
     """About 5000 seeded tails as (level, N, [(c, n), ...]), one lot each:
@@ -548,25 +567,13 @@ class TestInterpolatedAcceptance:
         # at a whole count K the continued terms are the finite core's terms
         # (lgamma(K + 1.0) is the table's ln K!, with the core's association,
         # and a pole gives an exact 0 outside the support), so their fsum is
-        # the core's tail bit for bit below min(K, n); the curve, summed by
-        # cumsum, is within tol(N) of the tail at every c (the core is
-        # hypergeometric_cdf past its checks).  Lots: every one
-        # with N <= 20, and seeded ones on both sides of the log-factorial
-        # views' edges (2**14 and 100 002) and at 10**6
-        rng = random.Random(3507)
-        lots = [(n, K, N) for N in range(1, 21) for n in range(1, N + 1) for K in range(N + 1)]
-        for N in (2**14 - 1, 2**14, 2**14 + 1, 100_001, 100_002, 100_003, 10**6):
-            for _ in range(40):
-                n = rng.randint(1, 200)
-                lots.append((n, rng.choice((rng.randint(0, N), rng.randint(0, 3 * n))), N))
-        for n, K, N in lots:
+        # the core's tail bit for bit below min(K, n); the curve reads every
+        # level through these terms
+        for n, K, N in whole_count_lots():
             core = _lot_tails(K, N)
             for c in range(min(K, n, 13)):
                 terms = _interpolated_terms(c, n, N, float(K))
                 assert min(max(math.fsum(terms), 0.0), 1.0) == core(c, n), (c, n, K, N)
-            curve = interpolated_acceptance_curve(n, N, Fraction(K, N))
-            for c in range(n + 1):
-                assert abs(curve[c] - core(c, n)) <= _tail_tolerance(N), (c, n, K, N)
 
     def test_float_near_a_count_is_not_snapped(self):
         # a float names count k only when it is the double nearest k/N
